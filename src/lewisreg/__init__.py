@@ -10,9 +10,7 @@ from .linalg import (
     WeightVector,
     gram_weighted,
     leverage_scores,
-    quadratic_form,
     spd_factorize,
-    spd_solve,
 )
 from .lewis import (
     ConvergenceError,

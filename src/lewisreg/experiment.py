@@ -209,9 +209,10 @@ def _run_trial(X, y, opt, method, budget, eps, delta, trial, seed, solver_tol):
                                            solver_tol=solver_tol)
         else:
             raise ValueError(f"unknown method {method!r}")
-    except (RankDeficiencyError, ConvergenceError, ValueError) as e:
+    except (RankDeficiencyError, ConvergenceError) as e:
         # e.g. a sketch that misses every row spanning some direction; the
-        # trial failed to produce an estimate, which counts as a failure
+        # trial failed to produce an estimate, which counts as a failure.
+        # Any other error is a bug and propagates.
         record["error"] = f"{type(e).__name__}: {e}"
         return record
 

@@ -22,8 +22,6 @@ __all__ = [
     "weighted_gram",
     "SpdFactorization",
     "spd_factorize",
-    "spd_solve",
-    "quadratic_form",
     "row_quadratic_forms",
     "leverage_scores",
 ]
@@ -193,24 +191,15 @@ def spd_factorize(A: np.ndarray, *, min_pivot_rel: float = MIN_PIVOT_REL) -> Spd
     return SpdFactorization(dim=d, lower=L, perm=perm, max_diag=max_diag)
 
 
-def spd_solve(F: SpdFactorization, b) -> np.ndarray:
-    """Solve A z = b for the factored matrix A."""
-    return F.solve(as_vector(b, length=F.dim))
-
-
-def quadratic_form(F: SpdFactorization, v) -> float:
-    """v^T A^{-1} v for the factored matrix A; nonnegative by construction."""
-    v = as_vector(v, length=F.dim)
-    u = solve_triangular(F.lower, v[F.perm], lower=True)
-    return float(u @ u)
-
-
 def row_quadratic_forms(F: SpdFactorization, M: np.ndarray) -> np.ndarray:
-    """x_i^T A^{-1} x_i for every row x_i of M, in one triangular solve."""
+    """x_i^T A^{-1} x_i for every row x_i of M, as the squared row norms of
+    M R with R[perm] = L^{-T}: one d x d triangular inverse and one GEMM."""
     if M.shape[1] != F.dim:
         raise ValueError("column count does not match factorization dimension")
-    Z = solve_triangular(F.lower, M[:, F.perm].T, lower=True)
-    return np.einsum("ij,ij->j", Z, Z)
+    R = np.empty((F.dim, F.dim))
+    R[F.perm] = solve_triangular(F.lower, np.eye(F.dim), lower=True).T
+    Z = M @ R
+    return np.einsum("ij,ij->i", Z, Z)
 
 
 def orthonormal_column_basis(X: np.ndarray, rtol: float = 1e-12) -> np.ndarray:

@@ -142,6 +142,26 @@ class TestRunExperiment:
         # rank-deficient sketches count as failures, not crashes
         assert agg["successes"] + agg["failed_trials"] <= 3 or True
 
+    def test_rank_deficient_sketch_recorded_as_failed_trial(self):
+        # uniform sampling misses the isolated row at this budget, so every
+        # sketched problem has an all-zero column
+        spec = outlier_spec(method="uniform", budgets=[15],
+                            instance={"family": "isolated", "n": 200, "d": 4,
+                                      "magnitude": 30.0, "noise_scale": 0.05})
+        rep = run_experiment(spec)
+        assert rep.aggregates[0]["failed_trials"] == 3
+        for t in rep.trials:
+            assert t["error"].startswith("RankDeficiencyError:")
+            assert t["success"] is False
+
+    def test_programming_error_propagates(self, monkeypatch):
+        def broken(*args, **kwargs):
+            raise ValueError("operands could not be broadcast together")
+
+        monkeypatch.setattr("lewisreg.experiment.active_solve", broken)
+        with pytest.raises(ValueError, match="broadcast"):
+            run_experiment(outlier_spec())
+
     def test_known_y_method(self):
         rep = run_experiment(outlier_spec(method="known_y_augmented",
                                           budgets=[30], trials=2))

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.linalg import solve_triangular
 
 from lewisreg.lewis import (
     LewisConfig,
@@ -13,7 +14,12 @@ from lewisreg.lewis import (
     sampling_values,
     verify_fixed_point,
 )
-from lewisreg.linalg import RankDeficiencyError, WeightVector
+from lewisreg.linalg import (
+    RankDeficiencyError,
+    WeightVector,
+    gram_weighted,
+    spd_factorize,
+)
 
 
 def random_tall(rng, n, d):
@@ -109,6 +115,26 @@ class TestLewisWeights:
         w = lewis_weights(X).values
         scaled = X * np.array([1e-5, 1.0, 3.0, 1e6])
         np.testing.assert_allclose(lewis_weights(scaled).values, w, atol=1e-9)
+
+    def test_heavy_tailed_matches_triangular_solve_sweep(self):
+        rng = np.random.default_rng(13)
+        X = rng.standard_t(1.5, size=(5000, 8))
+        w = lewis_weights(X)
+        assert verify_fixed_point(X, w) <= 1e-10
+        assert abs(w.values.sum() - 8.0) <= 1e-8
+
+        # reference sweep: the quadratic forms by an n-column triangular
+        # solve, with the same start, stopping rule and tolerance
+        Xe = X / np.abs(X).max(axis=0)
+        ref = np.ones(X.shape[0])
+        for _ in range(LewisConfig().max_iters):
+            F = spd_factorize(gram_weighted(Xe, ref))
+            Z = solve_triangular(F.lower, Xe[:, F.perm].T, lower=True)
+            q = np.einsum("ij,ij->j", Z, Z)
+            if np.max(np.abs(ref * ref - q) / (ref * ref)) <= LewisConfig().tol:
+                break
+            ref = np.sqrt(q)
+        np.testing.assert_allclose(w.values, ref, rtol=1e-12)
 
     def test_residual_nonincreasing_after_burn_in(self):
         # empirical contraction diagnostic; logged, not asserted, per design

@@ -9,10 +9,9 @@ from lewisreg.linalg import (
     as_design_matrix,
     gram_weighted,
     leverage_scores,
-    quadratic_form,
     row_quadratic_forms,
     spd_factorize,
-    spd_solve,
+    weighted_gram,
 )
 
 
@@ -104,24 +103,24 @@ class TestGramWeighted:
 class TestSpdFactorization:
     def test_solve_identity(self):
         F = spd_factorize(np.eye(2))
-        np.testing.assert_allclose(spd_solve(F, np.array([3.0, -5.0])), [3.0, -5.0])
+        np.testing.assert_allclose(F.solve(np.array([3.0, -5.0])), [3.0, -5.0])
 
     def test_solve_diagonal(self):
         F = spd_factorize(np.diag([2.0, 4.0]))
-        np.testing.assert_allclose(spd_solve(F, np.array([2.0, 4.0])), [1.0, 1.0])
+        np.testing.assert_allclose(F.solve(np.array([2.0, 4.0])), [1.0, 1.0])
 
     def test_residual_on_random_spd(self):
         rng = np.random.default_rng(4)
         A = random_spd(rng, 4)
         b = rng.standard_normal(4)
-        z = spd_solve(spd_factorize(A), b)
+        z = spd_factorize(A).solve(b)
         assert np.max(np.abs(A @ z - b)) <= 1e-8 * max(1.0, np.max(np.abs(b)))
 
     def test_matches_gaussian_elimination(self):
         rng = np.random.default_rng(5)
         A = random_spd(rng, 5, cond=100.0)
         b = rng.standard_normal(5)
-        np.testing.assert_allclose(spd_solve(spd_factorize(A), b),
+        np.testing.assert_allclose(spd_factorize(A).solve(b),
                                    gaussian_elimination_solve(A, b), rtol=1e-9)
 
     def test_reconstruction(self):
@@ -139,17 +138,17 @@ class TestSpdFactorization:
     def test_rhs_length_checked(self):
         F = spd_factorize(np.eye(3))
         with pytest.raises(ValueError):
-            spd_solve(F, np.ones(2))
+            F.solve(np.ones(2))
 
 
 class TestQuadraticForm:
     def test_identity(self):
         F = spd_factorize(np.eye(2))
-        assert quadratic_form(F, np.array([1.0, 0.0])) == pytest.approx(1.0)
+        assert row_quadratic_forms(F, np.array([[1.0, 0.0]]))[0] == pytest.approx(1.0)
 
     def test_diagonal(self):
         F = spd_factorize(np.diag([4.0, 1.0]))
-        assert quadratic_form(F, np.array([2.0, 0.0])) == pytest.approx(1.0)
+        assert row_quadratic_forms(F, np.array([[2.0, 0.0]]))[0] == pytest.approx(1.0)
 
     def test_matches_explicit_inverse(self):
         rng = np.random.default_rng(7)
@@ -158,7 +157,7 @@ class TestQuadraticForm:
         for _ in range(10):
             v = rng.standard_normal(5)
             expected = v @ gaussian_elimination_solve(A, v)
-            assert quadratic_form(F, v) == pytest.approx(expected, rel=1e-9)
+            assert row_quadratic_forms(F, v[None])[0] == pytest.approx(expected, rel=1e-9)
 
     @given(st.integers(0, 2**32 - 1))
     @settings(max_examples=25, deadline=None)
@@ -167,7 +166,7 @@ class TestQuadraticForm:
         d = int(rng.integers(1, 6))
         F = spd_factorize(random_spd(rng, d, cond=1e4))
         v = rng.standard_normal(d) * 10 ** rng.uniform(-3, 3)
-        assert quadratic_form(F, v) >= 0.0
+        assert row_quadratic_forms(F, v[None])[0] >= 0.0
 
     def test_row_quadratic_forms_consistent(self):
         rng = np.random.default_rng(8)
@@ -176,7 +175,26 @@ class TestQuadraticForm:
         M = rng.standard_normal((6, 3))
         q = row_quadratic_forms(F, M)
         for i in range(6):
-            assert q[i] == pytest.approx(quadratic_form(F, M[i]), rel=1e-12)
+            assert q[i] == pytest.approx(row_quadratic_forms(F, M[i][None])[0], rel=1e-12)
+
+    @pytest.mark.parametrize("design", ["gaussian", "student_t", "unequilibrated"])
+    def test_row_quadratic_forms_match_dense_solve(self, design):
+        rng = np.random.default_rng(12)
+        n, d = 400, 6
+        if design == "gaussian":
+            M = rng.standard_normal((n, d))
+        elif design == "student_t":
+            M = rng.standard_t(1.5, size=(n, d))
+        else:
+            M = rng.standard_normal((n, d)) * np.geomspace(1e-6, 1e6, d)
+        G = weighted_gram(M, np.ones(n))
+        # the unequilibrated Gram has condition near 1e24, which the default
+        # pivot tolerance refuses; the kernel must stay accurate regardless
+        F = spd_factorize(G, min_pivot_rel=1e-30)
+        if design == "unequilibrated":
+            assert not np.array_equal(F.perm, np.arange(d))
+        expected = np.einsum("ij,ji->i", M, np.linalg.solve(G, M.T))
+        np.testing.assert_allclose(row_quadratic_forms(F, M), expected, rtol=1e-12)
 
 
 class TestLeverageScores:
