@@ -1,15 +1,14 @@
 #!/usr/bin/env python3
 """Budget sweep on the planted-outlier instance, one curve per sampling method.
 
-Writes <out>/<method>.curve.csv and <out>/<method>.report.json for each method
-and prints a success-rate table. Methods share the instance and the seed, so
-curves are directly comparable.
+Writes <out>/<method>.report.json and <out>/<method>.curve.csv for each method
+(ExperimentReport.write) and prints a success-rate table. Methods share the
+instance and the seed, so curves are directly comparable.
 """
 
 import argparse
 import os
 
-from lewisreg.dataio import write_json
 from lewisreg.experiment import ExperimentSpec, run_experiment
 
 
@@ -40,21 +39,17 @@ def main():
                               trials=args.trials, seed=args.seed,
                               workers=args.workers)
         report = run_experiment(spec)
-        curves[method] = report.curve_rows()
-        prefix = os.path.join(args.out, method)
-        write_json(prefix + ".report.json", report.to_json_dict())
-        with open(prefix + ".curve.csv", "w") as fh:
-            fh.write("budget,success_rate,ci_low,ci_high,mean_ratio\n")
-            for row in report.curve_rows():
-                fh.write(",".join("" if v is None else repr(v) for v in row) + "\n")
+        report.write(os.path.join(args.out, method))
+        curves[method] = report.aggregates
 
     header = "budget".ljust(8) + "".join(m.ljust(24) for m in args.methods)
     print(header)
     for i, budget in enumerate(args.budgets):
         cells = []
         for m in args.methods:
-            b, rate, lo, hi, _ = curves[m][i]
-            cells.append(f"{rate:.2f} [{lo:.2f},{hi:.2f}]".ljust(24))
+            a = curves[m][i]
+            cells.append(f"{a['success_rate']:.2f} [{a['ci_low']:.2f},{a['ci_high']:.2f}]"
+                         .ljust(24))
         print(str(budget).ljust(8) + "".join(cells))
 
 

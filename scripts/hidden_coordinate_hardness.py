@@ -7,12 +7,14 @@ the budget is large enough to probe every coordinate a few times, some runs
 never see a nonzero label and cannot do better than guessing, so the failure
 rate sits on a floor that no solver can remove. This script traces that floor
 across budgets; compare the knee against a d log(1/delta) scale.
+
+Writes <out>/lewis.report.json and <out>/lewis.curve.csv (ExperimentReport.write;
+the failure rate is 1 - success_rate) and prints the failure rate per budget.
 """
 
 import argparse
 import os
 
-from lewisreg.dataio import write_json
 from lewisreg.experiment import ExperimentSpec, run_experiment
 
 
@@ -37,17 +39,9 @@ def main():
         method="lewis", budgets=args.budgets, eps=args.eps, delta=0.1,
         trials=args.trials, seed=args.seed, workers=args.workers)
     report = run_experiment(spec)
-    write_json(os.path.join(args.out, "report.json"), report.to_json_dict())
-
-    path = os.path.join(args.out, "failure_curve.csv")
-    with open(path, "w") as fh:
-        fh.write("budget,failure_rate,ci_low,ci_high\n")
-        for a in report.aggregates:
-            fail = 1.0 - a["success_rate"]
-            fh.write(f"{a['budget']},{fail!r},{1 - a['ci_high']!r},"
-                     f"{1 - a['ci_low']!r}\n")
-            print(f"budget {a['budget']:5d}: failure rate {fail:.3f}")
-    print("wrote", path)
+    report.write(os.path.join(args.out, spec.method))
+    for a in report.aggregates:
+        print(f"budget {a['budget']:5d}: failure rate {1.0 - a['success_rate']:.3f}")
 
 
 if __name__ == "__main__":

@@ -8,7 +8,6 @@ __version__ = "0.1.0"
 from .linalg import (
     RankDeficiencyError,
     WeightVector,
-    gram_weighted,
     leverage_scores,
     spd_factorize,
 )

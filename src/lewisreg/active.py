@@ -16,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .lad import LadProblem, l1_norm, solve_lad
-from .lewis import LewisConfig, lewis_weights, recommended_budget, sampling_values
+from .lewis import lewis_weights, recommended_budget, sampling_values
 from .linalg import (
     WeightVector,
     as_design_matrix,
@@ -127,32 +127,19 @@ class ActiveResult:
     labels_queried: int
     sketch: Sketch
     solver_status: str
-    seed: tuple | None
     sketched_objective: float
-
-
-def _solve_sketched(X: np.ndarray, oracle: LabelOracle, S: Sketch,
-                    solver_tol: float) -> ActiveResult:
-    distinct = np.unique(S.indices)
-    answers = {int(i): oracle.query(int(i)) for i in distinct}
-    y_draws = np.array([answers[int(i)] for i in S.indices])
-    prob = LadProblem(X[S.indices], y_draws, row_weights=S.scales)
-    sol = solve_lad(prob, tol=solver_tol)
-    return ActiveResult(
-        beta_hat=sol.beta,
-        n_draws=S.n_draws,
-        labels_queried=int(distinct.size),
-        sketch=S,
-        solver_status=sol.status,
-        seed=S.seed,
-        sketched_objective=sol.objective,
-    )
 
 
 def sample_and_solve(X, oracle: LabelOracle, values: WeightVector,
                      rng: RngStream, solver_tol: float = 1e-8) -> ActiveResult:
-    """Draw a sketch from arbitrary sampling values, query the drawn labels,
-    and solve the sketched problem. Used directly by baseline samplers."""
+    """Draw a sketch from sampling values, query each distinct drawn index
+    once, and minimize the reweighted sketched objective.
+
+    The one draw-query-solve step: active_solve and sketch_and_solve_known_y
+    call it with Lewis sampling values, the baseline samplers directly.
+    Repeated draws of a row keep their multiplicity in the objective but cost
+    a single label query.
+    """
     X = as_design_matrix(X)
     if oracle.n != X.shape[0]:
         raise ValueError("oracle length does not match the design matrix")
@@ -162,44 +149,54 @@ def sample_and_solve(X, oracle: LabelOracle, values: WeightVector,
     if N < X.shape[1]:
         raise ValueError(f"budget {N} below column count {X.shape[1]}; refused")
     S = draw_sketch(values, N, rng)
-    return _solve_sketched(X, oracle, S, solver_tol)
+    distinct = np.unique(S.indices)
+    answers = {int(i): oracle.query(int(i)) for i in distinct}
+    y_draws = np.array([answers[int(i)] for i in S.indices])
+    sol = solve_lad(LadProblem(X[S.indices], y_draws, row_weights=S.scales),
+                    tol=solver_tol)
+    return ActiveResult(beta_hat=sol.beta, n_draws=S.n_draws,
+                        labels_queried=int(distinct.size), sketch=S,
+                        solver_status=sol.status,
+                        sketched_objective=sol.objective)
+
+
+def _budget(eps: float, delta: float, regime: str, budget_override: int | None,
+            k: int, d: int) -> int:
+    """budget_override, or recommended_budget for k importance columns;
+    refused below the column count d of X. Checked before any weights."""
+    if not (0 < eps < 1) or not (0 < delta < 1):
+        raise ValueError("eps and delta must lie in (0, 1)")
+    N = budget_override if budget_override is not None else recommended_budget(
+        k, eps, delta, regime
+    )
+    if N < d:
+        raise ValueError(f"budget {N} below column count {d}; refused")
+    return N
 
 
 def active_solve(X, oracle: LabelOracle, eps: float, delta: float,
                  rng: RngStream, regime: str = "high_prob",
                  budget_override: int | None = None,
-                 lewis_cfg: LewisConfig = LewisConfig(),
                  solver_tol: float = 1e-8) -> ActiveResult:
     """Label-efficient LAD solve by Lewis-weight sampling.
 
-    Computes the Lewis weights of X, scales them to sampling values summing to
-    the budget (recommended_budget(d, eps, delta, regime) unless overridden),
-    draws the sketch, queries each distinct drawn index once, and minimizes
-    the reweighted sketched objective. Repeated draws of a row keep their
-    multiplicity in the objective but cost a single label query.
+    Scales the Lewis weights of X to sampling values summing to the budget
+    (recommended_budget(d, eps, delta, regime) unless overridden) and hands
+    them to sample_and_solve.
     """
     X = as_design_matrix(X)
     n, d = X.shape
     if oracle.n != n:
         raise ValueError("oracle length does not match the design matrix")
-    if not (0 < eps < 1) or not (0 < delta < 1):
-        raise ValueError("eps and delta must lie in (0, 1)")
-    w = lewis_weights(X, lewis_cfg)
-    N = budget_override if budget_override is not None else recommended_budget(
-        d, eps, delta, regime
-    )
-    if N < d:
-        raise ValueError(f"budget {N} below column count {d}; refused")
-    p = sampling_values(w, N)
-    S = draw_sketch(p, N, rng)
-    return _solve_sketched(X, oracle, S, solver_tol)
+    N = _budget(eps, delta, regime, budget_override, d, d)
+    return sample_and_solve(X, oracle, sampling_values(lewis_weights(X), N),
+                            rng, solver_tol)
 
 
 def sketch_and_solve_known_y(X, y, eps: float, delta: float, rng: RngStream,
                              regime: str = "high_prob",
                              budget_override: int | None = None,
                              enforce_guarantee: bool = True,
-                             lewis_cfg: LewisConfig = LewisConfig(),
                              solver_tol: float = 1e-8) -> ActiveResult:
     """Sketch-and-solve with all labels available.
 
@@ -210,25 +207,16 @@ def sketch_and_solve_known_y(X, y, eps: float, delta: float, rng: RngStream,
     """
     X = as_design_matrix(X)
     y = as_vector(y, length=X.shape[0])
-    n, d = X.shape
-    if not (0 < eps < 1) or not (0 < delta < 1):
-        raise ValueError("eps and delta must lie in (0, 1)")
+    d = X.shape[1]
+    N = _budget(eps, delta, regime, budget_override, d + 1, d)
     if enforce_guarantee and eps >= 1.0 / 3.0:
         raise ValueError("eps must be below 1/3 for the fixed-factor guarantee; "
                          "pass enforce_guarantee=False to sample anyway")
-    aug = np.hstack([X, y[:, None]])
     # weights depend only on the column space, so a basis substitutes for
     # [X y] itself when y already lies in the span of X
-    w = lewis_weights(orthonormal_column_basis(aug), lewis_cfg)
-    N = budget_override if budget_override is not None else recommended_budget(
-        d + 1, eps, delta, regime
-    )
-    if N < d:
-        raise ValueError(f"budget {N} below column count {d}; refused")
-    p = sampling_values(w, N)
-    S = draw_sketch(p, N, rng)
-    oracle = InMemoryLabelOracle(y)
-    return _solve_sketched(X, oracle, S, solver_tol)
+    w = lewis_weights(orthonormal_column_basis(np.hstack([X, y[:, None]])))
+    return sample_and_solve(X, InMemoryLabelOracle(y), sampling_values(w, N),
+                            rng, solver_tol)
 
 
 def relative_error_gap(X, y, S: Sketch, beta_star, beta) -> float:

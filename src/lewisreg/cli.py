@@ -192,14 +192,7 @@ def cmd_experiment(args) -> int:
     spec = ExperimentSpec.from_json_dict(spec_obj)
     report = run_experiment(spec)
     prefix = args.out_prefix or spec.output
-    if prefix is None:
-        prefix = args.spec_file.rsplit(".json", 1)[0]
-    write_json(f"{prefix}.report.json", report.to_json_dict())
-    with open(f"{prefix}.curve.csv", "w", encoding="utf-8") as fh:
-        fh.write("budget,success_rate,ci_low,ci_high,mean_ratio\n")
-        for budget, rate, lo, hi, mean_ratio in report.curve_rows():
-            mr = "" if mean_ratio is None else repr(mean_ratio)
-            fh.write(f"{budget},{rate!r},{lo!r},{hi!r},{mr}\n")
+    report.write(prefix if prefix is not None else args.spec_file.rsplit(".json", 1)[0])
     for agg in report.aggregates:
         print(f"budget {agg['budget']}: success {agg['successes']}/{agg['trials']}"
               f" ({agg['success_rate']:.2f})")

@@ -11,7 +11,7 @@ direction) count as failed trials with an infinite ratio.
 import math
 import time
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
@@ -22,7 +22,7 @@ from .active import (
     sample_and_solve,
     sketch_and_solve_known_y,
 )
-from .dataio import read_labels, read_matrix_csv
+from .dataio import read_labels, read_matrix_csv, write_json
 from .instances import (
     biased_hypercube_instance,
     hidden_coordinate_instance,
@@ -80,18 +80,7 @@ class ExperimentSpec:
         object.__setattr__(self, "budgets", [int(b) for b in self.budgets])
 
     def to_json_dict(self) -> dict:
-        return {
-            "instance": self.instance,
-            "method": self.method,
-            "budgets": list(self.budgets),
-            "eps": self.eps,
-            "delta": self.delta,
-            "trials": self.trials,
-            "seed": self.seed,
-            "output": self.output,
-            "workers": self.workers,
-            "solver_tol": self.solver_tol,
-        }
+        return asdict(self)
 
     @classmethod
     def from_json_dict(cls, obj: dict) -> "ExperimentSpec":
@@ -244,20 +233,18 @@ class ExperimentReport:
     timing: dict = field(default_factory=dict)
 
     def to_json_dict(self) -> dict:
-        return {
-            "spec": self.spec,
-            "environment": self.environment,
-            "trials": self.trials,
-            "aggregates": self.aggregates,
-            "timing": self.timing,
-        }
+        return asdict(self)
 
-    def curve_rows(self) -> list[tuple]:
-        return [
-            (a["budget"], a["success_rate"], a["ci_low"], a["ci_high"],
-             a["mean_ratio"])
-            for a in self.aggregates
-        ]
+    def write(self, prefix: str) -> None:
+        """Write <prefix>.report.json, the whole report, and <prefix>.curve.csv,
+        one row per budget with the mean ratio left empty when no trial has one."""
+        write_json(f"{prefix}.report.json", self.to_json_dict())
+        with open(f"{prefix}.curve.csv", "w", encoding="utf-8") as fh:
+            fh.write("budget,success_rate,ci_low,ci_high,mean_ratio\n")
+            for a in self.aggregates:
+                mr = "" if a["mean_ratio"] is None else repr(a["mean_ratio"])
+                fh.write(f"{a['budget']},{a['success_rate']!r},{a['ci_low']!r},"
+                         f"{a['ci_high']!r},{mr}\n")
 
 
 def _aggregate(budget: int, records: list[dict]) -> dict:

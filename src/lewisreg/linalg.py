@@ -18,7 +18,6 @@ __all__ = [
     "as_design_matrix",
     "as_vector",
     "equilibrate_columns",
-    "gram_weighted",
     "weighted_gram",
     "SpdFactorization",
     "spd_factorize",
@@ -117,27 +116,6 @@ def weighted_gram(X: np.ndarray, row_scale: np.ndarray) -> np.ndarray:
     return 0.5 * (G + G.T)
 
 
-def gram_weighted(X, w) -> np.ndarray:
-    """Sum over rows of (1/w_i) x_i x_i^T.
-
-    Rows with w_i = 0 must be all-zero (they contribute nothing and are
-    skipped); a nonpositive weight on a nonzero row is an error.
-    """
-    X = as_design_matrix(X, require_tall=False)
-    wv = w.values if isinstance(w, WeightVector) else as_vector(w)
-    if wv.shape[0] != X.shape[0]:
-        raise ValueError("weight length does not match row count")
-    if np.any(wv < 0):
-        raise ValueError("negative weight in gram accumulation")
-    zero = wv == 0
-    if np.any(zero):
-        if np.any(np.abs(X[zero]).max(axis=1) > 0):
-            raise ValueError("zero weight on a nonzero row; exclude it upstream")
-        keep = ~zero
-        return weighted_gram(X[keep], 1.0 / wv[keep])
-    return weighted_gram(X, 1.0 / wv)
-
-
 @dataclass(frozen=True)
 class SpdFactorization:
     """Pivoted Cholesky factorization of a symmetric positive-definite matrix.
@@ -149,7 +127,6 @@ class SpdFactorization:
     dim: int
     lower: np.ndarray = field(repr=False)
     perm: np.ndarray = field(repr=False)
-    max_diag: float
 
     def solve(self, b: np.ndarray) -> np.ndarray:
         b = np.asarray(b, dtype=np.float64)
@@ -188,7 +165,7 @@ def spd_factorize(A: np.ndarray, *, min_pivot_rel: float = MIN_PIVOT_REL) -> Spd
         )
     L = np.tril(c)
     perm = np.asarray(piv, dtype=np.intp) - 1
-    return SpdFactorization(dim=d, lower=L, perm=perm, max_diag=max_diag)
+    return SpdFactorization(dim=d, lower=L, perm=perm)
 
 
 def row_quadratic_forms(F: SpdFactorization, M: np.ndarray) -> np.ndarray:

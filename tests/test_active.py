@@ -12,7 +12,7 @@ from lewisreg.active import (
 from lewisreg.instances import make_outlier_instance
 from lewisreg.lad import LadProblem, objective
 from lewisreg.lewis import lewis_weights, sampling_values
-from lewisreg.linalg import WeightVector
+from lewisreg.linalg import WeightVector, orthonormal_column_basis
 from lewisreg.sketch import RngStream, draw_sketch, identity_sketch
 
 
@@ -122,6 +122,58 @@ class TestSampleAndSolve:
         with pytest.raises(ValueError):
             sample_and_solve(X, InMemoryLabelOracle(y),
                              WeightVector(np.ones(30), kind="lewis"), RngStream(0))
+
+
+def assert_same_result(a, b):
+    np.testing.assert_array_equal(a.sketch.indices, b.sketch.indices)
+    np.testing.assert_array_equal(a.sketch.scales, b.sketch.scales)
+    np.testing.assert_array_equal(a.beta_hat, b.beta_hat)
+    assert a.labels_queried == b.labels_queried
+    assert a.sketched_objective == b.sketched_objective
+
+
+class TestSinglePath:
+    """active_solve and sketch_and_solve_known_y are sample_and_solve on their
+    own importance vector, and refuse bad input before computing it."""
+
+    def test_active_solve_is_sample_and_solve_on_lewis_values(self):
+        X, y, _ = gaussian_instance(14, n=150, d=3, noise=0.5)
+        a = active_solve(X, InMemoryLabelOracle(y), 0.4, 0.1, RngStream(7),
+                         budget_override=40)
+        b = sample_and_solve(X, InMemoryLabelOracle(y),
+                             sampling_values(lewis_weights(X), 40), RngStream(7))
+        assert_same_result(a, b)
+
+    def test_known_y_is_sample_and_solve_on_augmented_basis(self):
+        X, y, _ = gaussian_instance(15, n=150, d=3, noise=0.5)
+        y[4] += 1e4
+        a = sketch_and_solve_known_y(X, y, 0.2, 0.1, RngStream(8), budget_override=40)
+        w = lewis_weights(orthonormal_column_basis(np.hstack([X, y[:, None]])))
+        b = sample_and_solve(X, InMemoryLabelOracle(y), sampling_values(w, 40),
+                             RngStream(8))
+        assert_same_result(a, b)
+
+    @pytest.mark.parametrize("call", [
+        lambda X, y: active_solve(X, InMemoryLabelOracle(y[:-1]), 0.4, 0.1, RngStream(0)),
+        lambda X, y: active_solve(X, InMemoryLabelOracle(y), 1.5, 0.1, RngStream(0)),
+        lambda X, y: active_solve(X, InMemoryLabelOracle(y), 0.4, 0.0, RngStream(0)),
+        lambda X, y: active_solve(X, InMemoryLabelOracle(y), 0.4, 0.1, RngStream(0),
+                                  budget_override=3),
+        lambda X, y: sketch_and_solve_known_y(X, y[:-1], 0.2, 0.1, RngStream(0)),
+        lambda X, y: sketch_and_solve_known_y(X, y, 0.0, 0.1, RngStream(0)),
+        lambda X, y: sketch_and_solve_known_y(X, y, 0.4, 0.1, RngStream(0)),
+        lambda X, y: sketch_and_solve_known_y(X, y, 0.2, 0.1, RngStream(0),
+                                              budget_override=3),
+    ], ids=["active-oracle-length", "active-eps", "active-delta", "active-budget",
+            "known-y-length", "known-y-eps", "known-y-guarantee", "known-y-budget"])
+    def test_refusals_precede_weights(self, monkeypatch, call):
+        def forbidden(*args, **kwargs):
+            raise AssertionError("weights computed before the input was refused")
+
+        monkeypatch.setattr("lewisreg.active.lewis_weights", forbidden)
+        X, y, _ = gaussian_instance(16, n=50, d=4)
+        with pytest.raises(ValueError):
+            call(X, y)
 
 
 class TestKnownY:

@@ -17,8 +17,8 @@ from lewisreg.lewis import (
 from lewisreg.linalg import (
     RankDeficiencyError,
     WeightVector,
-    gram_weighted,
     spd_factorize,
+    weighted_gram,
 )
 
 
@@ -128,7 +128,7 @@ class TestLewisWeights:
         Xe = X / np.abs(X).max(axis=0)
         ref = np.ones(X.shape[0])
         for _ in range(LewisConfig().max_iters):
-            F = spd_factorize(gram_weighted(Xe, ref))
+            F = spd_factorize(weighted_gram(Xe, 1.0 / ref))
             Z = solve_triangular(F.lower, Xe[:, F.perm].T, lower=True)
             q = np.einsum("ij,ij->j", Z, Z)
             if np.max(np.abs(ref * ref - q) / (ref * ref)) <= LewisConfig().tol:

