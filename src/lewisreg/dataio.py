@@ -4,6 +4,7 @@ string that round-trips to the same double, so write/read cycles are exact.
 """
 
 import json
+import warnings
 
 import numpy as np
 
@@ -24,6 +25,18 @@ class DataError(ValueError):
 
 
 def read_matrix_csv(path) -> np.ndarray:
+    """Read a headerless CSV of reals with np.loadtxt. On any input it refuses
+    (an empty file warns instead), rescan line by line to name the bad line."""
+    try:
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", UserWarning)
+            return np.loadtxt(path, delimiter=",", comments=None, ndmin=2,
+                              dtype=np.float64, encoding="utf-8")
+    except (ValueError, UserWarning):
+        return _scan_matrix_csv(path)
+
+
+def _scan_matrix_csv(path) -> np.ndarray:
     rows: list[list[float]] = []
     width = None
     with open(path, "r", encoding="utf-8") as fh:

@@ -2,15 +2,21 @@
 
 The weights w of a matrix X are defined implicitly by
 
-    w_i^2 = x_i^T (sum_j (1/w_j) x_j x_j^T)^{-1} x_i.
+    w_i^2 = q_i(w) = x_i^T (sum_j (1/w_j) x_j x_j^T)^{-1} x_i.
 
-The iteration replaces w by the square root of the right-hand side until the
-identity holds to tolerance. Convergence is measured as the maximum relative
-defect of the identity itself, not as successive-iterate distance, so a
-returned vector certifies the definition directly.
+The plain map w <- sqrt(q(w)) contracts log w by a factor of 1/2 (Cohen and
+Peng, "Lp Row Sampling by Lewis Weights", STOC 2015), so each sweep halves
+the defect and 1e-10 takes about 37 sweeps. lewis_weights accelerates it with
+Anderson mixing (type II, depth 5; Walker and Ni, SIAM J. Numer. Anal. 49(4),
+2011) on u = log w over g(u) = 1/2 log q(w), which brings that to about 7-15
+sweeps. Convergence is measured as the maximum relative defect of the
+identity itself, not as successive-iterate distance, and the vector returned
+is the iterate that passed that test, so it certifies the definition directly
+however the iterates were mixed.
 
 One sweep costs one blocked weighted Gram, one pivoted Cholesky of size d and
-one n x d x d product for all n quadratic forms, plus O(n d) elementwise work.
+one n x d x d product for all n quadratic forms, plus O(n d) elementwise work
+and O(5 n) for the mixing.
 """
 
 import math
@@ -40,6 +46,10 @@ __all__ = [
     "sampling_values",
     "recommended_budget",
 ]
+
+
+# Anderson mixing depth: how many past differences each sweep combines.
+_ANDERSON_DEPTH = 5
 
 
 class ConvergenceError(RuntimeError):
@@ -77,6 +87,21 @@ def _fixed_point_defect(X: np.ndarray, w: np.ndarray) -> tuple[float, np.ndarray
 def lewis_weights(X, cfg: LewisConfig = LewisConfig()) -> WeightVector:
     """Compute the L1 Lewis weights of X.
 
+    Starting from w = 1, each sweep evaluates q(w) and the defect of the
+    current iterate. Below tol that iterate is returned; otherwise the next
+    one is u = log w with
+
+        u_next = g - sum_k gamma_k dG_k,   gamma = argmin |f - sum_k gamma_k dF_k|,
+
+    where g = 1/2 log q, f = g - u, and dF_k, dG_k are the differences of f
+    and g between successive sweeps, the last five of each kept in two 5 x n
+    ring buffers. gamma solves the 5 x 5 normal equations by least squares
+    (so a rank-deficient history is harmless); their Gram of the dF_k is
+    updated by one row per sweep, so the mixing adds O(5 n) work and
+    no factorization of an n x 5 matrix. Mixing in log w keeps every iterate
+    positive. When an iterate's defect exceeds the best so far, the history
+    is cleared and the next step is the plain map, a contraction from there.
+
     Parameters
     ----------
     X : array_like, shape (n, d)
@@ -87,7 +112,8 @@ def lewis_weights(X, cfg: LewisConfig = LewisConfig()) -> WeightVector:
     Returns
     -------
     WeightVector with kind "lewis": entries in (0, 1] for nonzero rows, exactly
-    0 for all-zero rows, summing to d over the nonzero rows.
+    0 for all-zero rows, summing to d over the nonzero rows. Its max relative
+    defect, as verify_fixed_point measures it, is at most cfg.tol.
 
     Raises
     ------
@@ -98,19 +124,43 @@ def lewis_weights(X, cfg: LewisConfig = LewisConfig()) -> WeightVector:
     """
     X = as_design_matrix(X)
     n, d = X.shape
-    nonzero = np.abs(X).max(axis=1) > 0
+    nonzero = (X != 0).any(axis=1)
     Xa = X[nonzero]
     if Xa.shape[0] < d:
         raise RankDeficiencyError("fewer nonzero rows than columns")
     Xa = equilibrate_columns(Xa)  # weights are column-scaling invariant
 
-    w = np.ones(Xa.shape[0])
+    m, rows = _ANDERSON_DEPTH, Xa.shape[0]
+    dF, dG = np.empty((m, rows)), np.empty((m, rows))  # ring buffers of differences
+    FF = np.empty((m, m))  # FF[i, j] = dF[i] . dF[j] over the stored slots
+    stored = slot = 0
+    f_prev = g_prev = None
+    best = math.inf
+
+    u, w = np.zeros(rows), np.ones(rows)
     residual = math.inf
     for _ in range(cfg.max_iters):
         residual, q = _fixed_point_defect(Xa, w)
         if residual <= cfg.tol:
             break
-        w = np.sqrt(q)
+        g = 0.5 * np.log(q)
+        f = g - u
+        if residual > best:  # the last mixed step made things worse
+            stored = slot = 0
+        elif f_prev is not None:
+            np.subtract(f, f_prev, out=dF[slot])
+            np.subtract(g, g_prev, out=dG[slot])
+            stored = min(stored + 1, m)
+            FF[slot, :stored] = FF[:stored, slot] = dF[:stored] @ dF[slot]
+            slot = (slot + 1) % m
+        best = min(best, residual)
+        f_prev, g_prev = f, g
+        if stored:
+            gamma = np.linalg.lstsq(FF[:stored, :stored], dF[:stored] @ f, rcond=None)[0]
+            u = g - gamma @ dG[:stored]
+        else:
+            u = g
+        w = np.exp(u)
     else:
         raise ConvergenceError(
             f"Lewis weight iteration did not converge in {cfg.max_iters} sweeps "
@@ -132,7 +182,7 @@ def verify_fixed_point(X, w) -> float:
     wv = w.values if isinstance(w, WeightVector) else as_vector(w)
     if wv.shape[0] != X.shape[0]:
         raise ValueError("weight length does not match row count")
-    nonzero = np.abs(X).max(axis=1) > 0
+    nonzero = (X != 0).any(axis=1)
     if np.any(wv[nonzero] <= 0):
         raise ValueError("weights must be positive on nonzero rows")
     defect, _ = _fixed_point_defect(equilibrate_columns(X[nonzero]), wv[nonzero])

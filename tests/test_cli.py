@@ -60,6 +60,35 @@ class TestDataIO:
         with pytest.raises(DataError, match="line 2"):
             read_matrix_csv(path)
 
+    def test_empty_file_is_data_error(self, tmp_path):
+        path = tmp_path / "empty.csv"
+        path.write_text("\n\n")
+        with pytest.raises(DataError, match="no data rows"):
+            read_matrix_csv(path)
+
+    def test_loadtxt_matches_line_scan(self, tmp_path, monkeypatch):
+        from lewisreg import dataio
+
+        scan = dataio._scan_matrix_csv
+        # the files below are well formed, so the rescan must not run
+        monkeypatch.setattr(dataio, "_scan_matrix_csv", None)
+        rng = np.random.default_rng(2)
+        X = rng.standard_normal((40, 5)) * 10.0 ** rng.integers(-300, 300, size=(40, 5))
+        written = tmp_path / "written.csv"
+        write_matrix_csv(written, X)
+        by_hand = tmp_path / "by_hand.csv"
+        by_hand.write_text(
+            "0.1,-2.5e-3, 3\n\n"
+            "1e308,4.9e-324,-0.0\n"
+            "+7.,.25,0.30000000000000004\r\n"
+            "123456789012345678901234567890,1e-400,2.2250738585072014e-308\n"
+        )
+        for path in (written, by_hand):
+            fast, scanned = read_matrix_csv(path), scan(path)
+            assert fast.dtype == scanned.dtype == np.float64
+            assert np.array_equal(fast, scanned)
+        assert np.array_equal(read_matrix_csv(written), X)
+
 
 class TestWeightsCommand:
     def test_identity_lewis(self, tmp_path):

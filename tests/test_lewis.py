@@ -6,8 +6,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.linalg import solve_triangular
 
+from lewisreg import lewis as lewis_module
+from lewisreg import linalg
+from lewisreg.experiment import materialize_instance
 from lewisreg.lewis import (
+    ConvergenceError,
     LewisConfig,
+    _fixed_point_defect,
     check_row_addition_monotonicity,
     lewis_weights,
     recommended_budget,
@@ -24,6 +29,32 @@ from lewisreg.linalg import (
 
 def random_tall(rng, n, d):
     return rng.standard_normal((n, d))
+
+
+def triangular_solve_forms(Xe, w):
+    """x_i^T (sum_j x_j x_j^T / w_j)^{-1} x_i for every row, by one
+    triangular solve with n right-hand sides."""
+    F = spd_factorize(weighted_gram(Xe, 1.0 / w))
+    Z = solve_triangular(F.lower, Xe[:, F.perm].T, lower=True)
+    return np.einsum("ij,ij->j", Z, Z)
+
+
+def plain_sweep_weights(X, cfg=LewisConfig()):
+    """Reference Lewis weights by the unaccelerated map w <- sqrt(q), with
+    lewis_weights' start, zero-row rule, column scaling and stopping test."""
+    nonzero = np.abs(X).max(axis=1) > 0
+    Xe = X[nonzero] / np.abs(X[nonzero]).max(axis=0)
+    w = np.ones(Xe.shape[0])
+    for _ in range(cfg.max_iters):
+        q = triangular_solve_forms(Xe, w)
+        if np.max(np.abs(w * w - q) / (w * w)) <= cfg.tol:
+            break
+        w = np.sqrt(q)
+    else:
+        raise AssertionError("reference sweep did not converge")
+    full = np.zeros(X.shape[0])
+    full[nonzero] = w
+    return full
 
 
 class TestLewisWeights:
@@ -116,40 +147,180 @@ class TestLewisWeights:
         scaled = X * np.array([1e-5, 1.0, 3.0, 1e6])
         np.testing.assert_allclose(lewis_weights(scaled).values, w, atol=1e-9)
 
-    def test_heavy_tailed_matches_triangular_solve_sweep(self):
+    def test_sweep_forms_match_triangular_solve(self):
+        # one sweep's quadratic forms against an n-column triangular solve
+        rng = np.random.default_rng(13)
+        X = rng.standard_t(1.5, size=(5000, 8))
+        Xe = X / np.abs(X).max(axis=0)
+        for w in (np.ones(X.shape[0]), rng.uniform(0.01, 1.0, X.shape[0])):
+            _, q = _fixed_point_defect(Xe, w)
+            np.testing.assert_allclose(q, triangular_solve_forms(Xe, w), rtol=1e-12)
+
+    def test_heavy_tailed_matches_plain_sweep(self):
+        # both vectors are certified to 1e-10, so they agree to a few 1e-10
         rng = np.random.default_rng(13)
         X = rng.standard_t(1.5, size=(5000, 8))
         w = lewis_weights(X)
         assert verify_fixed_point(X, w) <= 1e-10
         assert abs(w.values.sum() - 8.0) <= 1e-8
+        np.testing.assert_allclose(w.values, plain_sweep_weights(X), rtol=5e-10)
 
-        # reference sweep: the quadratic forms by an n-column triangular
-        # solve, with the same start, stopping rule and tolerance
-        Xe = X / np.abs(X).max(axis=0)
-        ref = np.ones(X.shape[0])
-        for _ in range(LewisConfig().max_iters):
-            F = spd_factorize(weighted_gram(Xe, 1.0 / ref))
-            Z = solve_triangular(F.lower, Xe[:, F.perm].T, lower=True)
-            q = np.einsum("ij,ij->j", Z, Z)
-            if np.max(np.abs(ref * ref - q) / (ref * ref)) <= LewisConfig().tol:
-                break
-            ref = np.sqrt(q)
-        np.testing.assert_allclose(w.values, ref, rtol=1e-12)
-
-    def test_residual_nonincreasing_after_burn_in(self):
-        # empirical contraction diagnostic; logged, not asserted, per design
+    @pytest.mark.parametrize("design", ["gaussian", "student_t", "isolated", "scaled"])
+    def test_plain_map_halves_defect_after_burn_in(self, design):
+        # why the unaccelerated w <- sqrt(q) needs about 37 sweeps to reach
+        # 1e-10: after burn-in each sweep only halves the defect
         rng = np.random.default_rng(6)
-        X = random_tall(rng, 40, 5)
-        from lewisreg.lewis import _fixed_point_defect
-        w = np.ones(40)
+        X = {
+            "gaussian": lambda: random_tall(rng, 40, 5),
+            "student_t": lambda: rng.standard_t(1.5, size=(400, 6)),
+            "isolated": lambda: materialize_instance(
+                {"family": "isolated", "n": 300, "d": 5}, 6)[0],
+            "scaled": lambda: random_tall(rng, 200, 4) * 10.0 ** np.array([-6, -2, 3, 6]),
+        }[design]()
+        Xe = X / np.abs(X).max(axis=0)
+        w = np.ones(X.shape[0])
         residuals = []
-        for _ in range(30):
-            r, q = _fixed_point_defect(X, w)
+        for _ in range(40):
+            r, q = _fixed_point_defect(Xe, w)
             residuals.append(r)
             w = np.sqrt(q)
-        tail = residuals[5:]
-        if any(b > a * (1 + 1e-9) for a, b in zip(tail, tail[1:])):
-            print("note: fixed-point residual not monotone after burn-in:", tail)
+        ratios = [b / a for a, b in zip(residuals[5:], residuals[6:]) if a > 1e-13]
+        assert len(ratios) >= 20
+        assert max(ratios) <= 0.55
+
+
+def random_t_design(seed, nu, log_scales, n):
+    """Student-t rows at column scales 10**log_scales, then three structural
+    rows: one alone on an extra coordinate, a copy of row 0, and a zero row."""
+    rng = np.random.default_rng(seed)
+    d = len(log_scales)
+    body = rng.standard_t(nu, size=(n, d)) * 10.0 ** np.asarray(log_scales)
+    X = np.zeros((n + 3, d + 1))
+    X[:n, :d] = body
+    X[n, d] = 10.0 ** rng.uniform(-6, 6)
+    X[n + 1, :d] = body[0]
+    return X
+
+
+class TestHeavyTailedProperties:
+    @given(
+        st.integers(0, 2**32 - 1),
+        st.sampled_from([1.0, 1.5, 3.0]),
+        st.lists(st.floats(-6, 6), min_size=1, max_size=6),
+        st.integers(20, 400),
+    )
+    @settings(max_examples=40, deadline=None)
+    def test_certified_fixed_point(self, seed, nu, log_scales, n):
+        X = random_t_design(seed, nu, log_scales, n)
+        d = X.shape[1]
+        w = lewis_weights(X).values
+        assert verify_fixed_point(X, w) <= 1e-10
+        assert abs(w.sum() - d) <= 1e-8
+        assert w[-1] == 0.0
+        assert np.all(w[:-1] > 0.0) and np.all(w <= 1.0 + 1e-12)
+        assert abs(w[n] - 1.0) <= 1e-9  # the only row on its coordinate
+        np.testing.assert_allclose(w[n + 1], w[0], rtol=1e-9)  # the copy of row 0
+        np.testing.assert_allclose(w, plain_sweep_weights(X), rtol=5e-10)
+
+
+@pytest.fixture
+def gram_calls(monkeypatch):
+    """Records each weighted Gram matrix built: one per Lewis sweep."""
+    calls = []
+
+    def counting_gram(*args, **kwargs):
+        calls.append(1)
+        return weighted_gram(*args, **kwargs)
+
+    monkeypatch.setattr(linalg, "weighted_gram", counting_gram)
+    return calls
+
+
+def record_sweeps(monkeypatch, spikes=()):
+    """Record (w, q) of every sweep; report the defects of the sweeps
+    numbered in spikes as 1000x too large."""
+    sweeps = []
+
+    def recording_defect(X, w):
+        residual, q = _fixed_point_defect(X, w)
+        if len(sweeps) in spikes:
+            residual *= 1e3
+        sweeps.append((w.copy(), q))
+        return residual, q
+
+    monkeypatch.setattr(lewis_module, "_fixed_point_defect", recording_defect)
+    return sweeps
+
+
+def anderson_step(sweeps, k, start, depth=5):
+    """Reference type-II Anderson iterate after sweep k, in u = log w over
+    g = log(q) / 2, mixing the differences of sweeps max(start, k - depth)..k
+    by a least-squares fit on the n x depth difference matrix."""
+    u = [np.log(w) for w, _ in sweeps[: k + 1]]
+    g = [0.5 * np.log(q) for _, q in sweeps[: k + 1]]
+    f = [gj - uj for gj, uj in zip(g, u)]
+    span = range(max(start, k - depth), k)
+    if not span:
+        return np.exp(g[k])
+    dF = np.column_stack([f[j + 1] - f[j] for j in span])
+    dG = np.column_stack([g[j + 1] - g[j] for j in span])
+    gamma = np.linalg.lstsq(dF, f[k], rcond=None)[0]
+    return np.exp(g[k] - dG @ gamma)
+
+
+class TestSweepsAndSafeguards:
+    # measured with depth-5 mixing: 8, 12-14 and 9 sweeps; the plain
+    # w <- sqrt(q) iteration needs 37-38 on each
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_gaussian(self, gram_calls, seed):
+        lewis_weights(np.random.default_rng(seed).standard_normal((20000, 10)))
+        assert len(gram_calls) <= 10
+
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_student_t(self, gram_calls, seed):
+        lewis_weights(np.random.default_rng(seed).standard_t(1.5, size=(20000, 10)))
+        assert len(gram_calls) <= 17
+
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_isolated_instance(self, gram_calls, seed):
+        X, _, _ = materialize_instance({"family": "isolated", "n": 2000, "d": 10}, seed)
+        gram_calls.clear()  # count only the sweeps of lewis_weights
+        lewis_weights(X)
+        assert len(gram_calls) <= 11
+
+    def test_iterates_follow_depth_five_anderson(self, monkeypatch):
+        sweeps = record_sweeps(monkeypatch)
+        X = np.random.default_rng(4).standard_t(1.5, size=(3000, 6))
+        lewis_weights(X)
+        assert len(sweeps) >= 8  # so the ring of five differences wraps
+        for k in range(1, len(sweeps) - 1):
+            np.testing.assert_allclose(sweeps[k + 1][0], anderson_step(sweeps, k, 0),
+                                       rtol=1e-10)
+        # the mixed iterates are not the plain map's
+        assert np.max(np.abs(sweeps[4][0] / np.sqrt(sweeps[3][1]) - 1.0)) > 1e-6
+
+    def test_worse_iterate_restarts_with_plain_step(self, monkeypatch):
+        # report the defects of sweeps 4 and 5 as 1000x too large: each is
+        # above the best so far (sweep 3's), so each clears the history and
+        # is followed by a plain step; later iterates mix only sweeps 5 on
+        sweeps = record_sweeps(monkeypatch, spikes=(4, 5))
+        X = np.random.default_rng(4).standard_t(1.5, size=(3000, 6))
+        w = lewis_weights(X)
+        monkeypatch.undo()
+        assert len(sweeps) >= 8 and verify_fixed_point(X, w) <= 1e-10
+        for k in (4, 5):
+            np.testing.assert_allclose(sweeps[k + 1][0], np.sqrt(sweeps[k][1]), rtol=1e-14)
+        for k in range(6, len(sweeps) - 1):
+            np.testing.assert_allclose(sweeps[k + 1][0], anderson_step(sweeps, k, 5),
+                                       rtol=1e-10)
+
+    def test_budget_exhausted_raises(self, gram_calls):
+        X = np.random.default_rng(3).standard_t(1.5, size=(2000, 6))
+        cfg = LewisConfig(max_iters=3)
+        with pytest.raises(ConvergenceError) as info:
+            lewis_weights(X, cfg)
+        assert info.value.residual > cfg.tol
+        assert len(gram_calls) == 3
 
 
 class TestVerifyFixedPoint:
