@@ -6,6 +6,7 @@ the active querying pipeline, instance generators, and an experiment harness.
 __version__ = "0.1.0"
 
 from .linalg import (
+    DataError,
     RankDeficiencyError,
     WeightVector,
     leverage_scores,

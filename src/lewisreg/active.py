@@ -18,6 +18,7 @@ import numpy as np
 from .lad import LadProblem, l1_norm, solve_lad
 from .lewis import lewis_weights, recommended_budget, sampling_values
 from .linalg import (
+    DataError,
     WeightVector,
     as_design_matrix,
     as_vector,
@@ -117,7 +118,7 @@ class FileBackedLabelOracle(LabelOracle):
         try:
             return float(raw)
         except ValueError:
-            raise ValueError(f"label line {i + 1} is not a real number: {raw!r}")
+            raise DataError(f"label line {i + 1} is not a real number: {raw!r}")
 
 
 @dataclass(frozen=True)
@@ -147,11 +148,10 @@ def sample_and_solve(X, oracle: LabelOracle, values: WeightVector,
         raise ValueError("expected sampling values")
     N = int(round(values.budget))
     if N < X.shape[1]:
-        raise ValueError(f"budget {N} below column count {X.shape[1]}; refused")
+        raise DataError(f"budget {N} below column count {X.shape[1]}; refused")
     S = draw_sketch(values, N, rng)
-    distinct = np.unique(S.indices)
-    answers = {int(i): oracle.query(int(i)) for i in distinct}
-    y_draws = np.array([answers[int(i)] for i in S.indices])
+    distinct, draw_of = np.unique(S.indices, return_inverse=True)
+    y_draws = np.array([oracle.query(int(i)) for i in distinct])[draw_of]
     sol = solve_lad(LadProblem(X[S.indices], y_draws, row_weights=S.scales),
                     tol=solver_tol)
     return ActiveResult(beta_hat=sol.beta, n_draws=S.n_draws,
@@ -165,12 +165,12 @@ def _budget(eps: float, delta: float, regime: str, budget_override: int | None,
     """budget_override, or recommended_budget for k importance columns;
     refused below the column count d of X. Checked before any weights."""
     if not (0 < eps < 1) or not (0 < delta < 1):
-        raise ValueError("eps and delta must lie in (0, 1)")
+        raise DataError("eps and delta must lie in (0, 1)")
     N = budget_override if budget_override is not None else recommended_budget(
         k, eps, delta, regime
     )
     if N < d:
-        raise ValueError(f"budget {N} below column count {d}; refused")
+        raise DataError(f"budget {N} below column count {d}; refused")
     return N
 
 
@@ -210,8 +210,8 @@ def sketch_and_solve_known_y(X, y, eps: float, delta: float, rng: RngStream,
     d = X.shape[1]
     N = _budget(eps, delta, regime, budget_override, d + 1, d)
     if enforce_guarantee and eps >= 1.0 / 3.0:
-        raise ValueError("eps must be below 1/3 for the fixed-factor guarantee; "
-                         "pass enforce_guarantee=False to sample anyway")
+        raise DataError("eps must be below 1/3 for the fixed-factor guarantee; "
+                        "pass enforce_guarantee=False to sample anyway")
     # weights depend only on the column space, so a basis substitutes for
     # [X y] itself when y already lies in the span of X
     w = lewis_weights(orthonormal_column_basis(np.hstack([X, y[:, None]])))

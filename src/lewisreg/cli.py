@@ -241,20 +241,16 @@ def cmd_gen(args) -> int:
 def main(argv=None) -> int:
     parser = _build_parser()
     args = parser.parse_args(argv)
+    # refusals of input are DataError; any other ValueError is a bug and
+    # propagates
     try:
         return args.func(args)
-    except DataError as e:
-        print(f"data error: {e}", file=sys.stderr)
-        return 2
-    except FileNotFoundError as e:
+    except (DataError, FileNotFoundError) as e:
         print(f"data error: {e}", file=sys.stderr)
         return 2
     except (RankDeficiencyError, ConvergenceError) as e:
         print(f"numerical failure: {e}", file=sys.stderr)
         return 3
-    except ValueError as e:
-        print(f"data error: {e}", file=sys.stderr)
-        return 2
 
 
 if __name__ == "__main__":

@@ -8,6 +8,8 @@ import warnings
 
 import numpy as np
 
+from .linalg import DataError
+
 __all__ = [
     "DataError",
     "read_matrix_csv",
@@ -18,10 +20,6 @@ __all__ = [
     "write_json",
     "json_bytes",
 ]
-
-
-class DataError(ValueError):
-    """Malformed input data; messages name the offending line."""
 
 
 def read_matrix_csv(path) -> np.ndarray:

@@ -33,7 +33,7 @@ from .instances import (
 )
 from .lad import LadProblem, l1_norm, objective, solve_lad
 from .lewis import ConvergenceError, sampling_values
-from .linalg import RankDeficiencyError, WeightVector, leverage_scores
+from .linalg import DataError, RankDeficiencyError, WeightVector, leverage_scores
 from .sketch import RngStream
 
 __all__ = [
@@ -66,17 +66,17 @@ class ExperimentSpec:
 
     def __post_init__(self):
         if self.method not in METHODS:
-            raise ValueError(f"unknown method {self.method!r}; choose from {METHODS}")
+            raise DataError(f"unknown method {self.method!r}; choose from {METHODS}")
         if self.trials < 1:
-            raise ValueError("trials must be at least 1")
+            raise DataError("trials must be at least 1")
         if not self.budgets:
-            raise ValueError("need at least one budget")
+            raise DataError("need at least one budget")
         if list(self.budgets) != sorted(self.budgets):
-            raise ValueError("budgets must be sorted ascending")
+            raise DataError("budgets must be sorted ascending")
         if not (0 < self.eps < 1) or not (0 < self.delta < 1):
-            raise ValueError("eps and delta must lie in (0, 1)")
+            raise DataError("eps and delta must lie in (0, 1)")
         if self.workers < 1:
-            raise ValueError("workers must be at least 1")
+            raise DataError("workers must be at least 1")
         object.__setattr__(self, "budgets", [int(b) for b in self.budgets])
 
     def to_json_dict(self) -> dict:
@@ -87,13 +87,29 @@ class ExperimentSpec:
         known = {f for f in cls.__dataclass_fields__}
         extra = set(obj) - known
         if extra:
-            raise ValueError(f"unknown spec fields: {sorted(extra)}")
-        return cls(**obj)
+            raise DataError(f"unknown spec fields: {sorted(extra)}")
+        try:
+            return cls(**obj)
+        except DataError:
+            raise
+        except (TypeError, ValueError) as e:  # a field of the wrong type
+            raise DataError(f"malformed spec: {e}") from None
 
 
 def trial_stream(seed: int, trial: int, budget: int) -> RngStream:
     """The random stream owned by one (trial, budget) cell."""
     return RngStream(seed).derive("trial", trial, "budget", budget)
+
+
+def _field(desc: dict, key: str, kind, default=None):
+    """desc[key], or the default when one is given, converted by kind;
+    DataError when a required field is missing or a value does not convert."""
+    try:
+        return kind(desc[key] if default is None else desc.get(key, default))
+    except KeyError:
+        raise DataError(f"instance descriptor has no {key!r} field") from None
+    except (TypeError, ValueError) as e:
+        raise DataError(f"instance field {key!r}: {e}") from None
 
 
 def materialize_instance(desc: dict, seed: int) -> tuple[np.ndarray, np.ndarray, dict]:
@@ -105,11 +121,11 @@ def materialize_instance(desc: dict, seed: int) -> tuple[np.ndarray, np.ndarray,
     meta: dict = {}
     if "x_file" in desc or "y_file" in desc:
         if "x_file" not in desc or "y_file" not in desc:
-            raise ValueError("file instances need both x_file and y_file")
+            raise DataError("file instances need both x_file and y_file")
         X = read_matrix_csv(desc["x_file"])
         y = read_labels(desc["y_file"])
         if y.shape[0] != X.shape[0]:
-            raise ValueError("label count does not match row count")
+            raise DataError("label count does not match row count")
         meta["source"] = {"x_file": desc["x_file"], "y_file": desc["y_file"]}
         return X, y, meta
 
@@ -117,38 +133,39 @@ def materialize_instance(desc: dict, seed: int) -> tuple[np.ndarray, np.ndarray,
     family = desc.get("family")
     if family == "outlier":
         inst = make_outlier_instance(
-            int(desc["n"]), int(desc["d"]),
-            float(desc.get("outlier_magnitude", 1e6)), rng,
-            n_outliers=int(desc.get("n_outliers", 1)),
-            noise_scale=float(desc.get("noise_scale", 1.0)),
+            _field(desc, "n", int), _field(desc, "d", int),
+            _field(desc, "outlier_magnitude", float, 1e6), rng,
+            n_outliers=_field(desc, "n_outliers", int, 1),
+            noise_scale=_field(desc, "noise_scale", float, 1.0),
         )
         meta["opt"] = inst.opt
         return inst.X, inst.y, meta
     if family == "isolated":
         inst = make_isolated_instance(
-            int(desc["n"]), int(desc["d"]), rng,
-            magnitude=float(desc.get("magnitude", 10.0)),
-            noise_scale=float(desc.get("noise_scale", 0.05)),
+            _field(desc, "n", int), _field(desc, "d", int), rng,
+            magnitude=_field(desc, "magnitude", float, 10.0),
+            noise_scale=_field(desc, "noise_scale", float, 0.05),
         )
         meta["opt"] = inst.opt
         return inst.X, inst.y, meta
     if family in ("biased_hypercube", "two_coin", "hidden_coordinate"):
-        d = int(desc["d"])
+        d = _field(desc, "d", int)
         if family == "biased_hypercube":
-            dist = biased_hypercube_instance(d, float(desc["bias"]), rng=rng)
+            dist = biased_hypercube_instance(d, _field(desc, "bias", float), rng=rng)
         elif family == "two_coin":
-            dist = two_coin_instances(d, float(desc["bias"]))[int(desc.get("which", 0))]
+            dist = two_coin_instances(d, _field(desc, "bias", float))[
+                _field(desc, "which", int, 0)]
         else:
-            dist = hidden_coordinate_instance(d, int(desc.get("hidden_index", 0)))
+            dist = hidden_coordinate_instance(d, _field(desc, "hidden_index", int, 0))
         X, y = reduce_to_matrix(
-            dist, float(desc.get("reduction_eps", 0.2)),
-            float(desc.get("reduction_delta", 0.1)),
+            dist, _field(desc, "reduction_eps", float, 0.2),
+            _field(desc, "reduction_delta", float, 0.1),
             rng.derive("reduction"),
             constants=desc.get("constants", "proof"),
         )
         meta["beta_star"] = [float(v) for v in dist.beta_star]
         return X, y, meta
-    raise ValueError(f"unrecognized instance descriptor: {desc!r}")
+    raise DataError(f"unrecognized instance descriptor: {desc!r}")
 
 
 def wilson_interval(successes: int, n: int, z: float = 1.959963984540054):

@@ -24,7 +24,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .lad import LadProblem, solve_lad
-from .linalg import as_vector
+from .linalg import DataError, as_vector
 from .sketch import RngStream
 
 __all__ = [
@@ -58,7 +58,7 @@ class DistributionalInstance:
         if self.family not in FAMILIES:
             raise ValueError(f"unknown family {self.family!r}")
         if self.d < 1:
-            raise ValueError("d must be at least 1")
+            raise DataError("d must be at least 1")
         bs = as_vector(self.beta_star, length=self.d).copy()
         bs.setflags(write=False)
         object.__setattr__(self, "beta_star", bs)
@@ -66,10 +66,10 @@ class DistributionalInstance:
             if not np.all(np.abs(bs) == 1.0):
                 raise ValueError("beta_star must be a +-1 vector")
             if not (0 < self.bias < 0.5):
-                raise ValueError("bias must lie in (0, 1/2)")
+                raise DataError("bias must lie in (0, 1/2)")
         else:
             if self.hidden_index is None or not 0 <= self.hidden_index < self.d:
-                raise ValueError("hidden_index must name a coordinate")
+                raise DataError("hidden_index must name a coordinate")
             expected = np.zeros(self.d)
             expected[self.hidden_index] = 1.0
             if not np.array_equal(bs, expected):
@@ -146,13 +146,13 @@ def reduction_sample_count(d: int, eps: float, delta: float,
     (the default) is (8/eps^2)(log(2/delta) + d log(4d/eps)).
     """
     if not (0 < eps < 1) or not (0 < delta < 1):
-        raise ValueError("eps and delta must lie in (0, 1)")
+        raise DataError("eps and delta must lie in (0, 1)")
     if constants == "statement":
         value = (2.0 / eps**2) * (math.log(2.0 / delta) + d * math.log(3.0 * d / eps))
     elif constants == "proof":
         value = (8.0 / eps**2) * (math.log(2.0 / delta) + d * math.log(4.0 * d / eps))
     else:
-        raise ValueError("constants must be 'statement' or 'proof'")
+        raise DataError("constants must be 'statement' or 'proof'")
     return int(math.ceil(value))
 
 
@@ -238,7 +238,7 @@ def make_outlier_instance(n: int, d: int, outlier_magnitude: float,
     """Gaussian design with a planted coefficient vector, additive noise, and
     a handful of huge label outliers. opt is the certified full-data minimum."""
     if n < d:
-        raise ValueError("need n >= d")
+        raise DataError("need n >= d")
     g = rng.generator()
     X = g.standard_normal((n, d))
     beta_star = g.standard_normal(d)
@@ -260,7 +260,7 @@ def make_isolated_instance(n: int, d: int, rng: RngStream, *,
     first d-1 coordinates. Whoever skips that row learns nothing about the
     last coefficient, so its Lewis weight is 1 and uniform sampling struggles."""
     if d < 2 or n <= d:
-        raise ValueError("need d >= 2 and n > d")
+        raise DataError("need d >= 2 and n > d")
     g = rng.generator()
     X = np.zeros((n, d))
     X[: n - 1, : d - 1] = g.standard_normal((n - 1, d - 1))

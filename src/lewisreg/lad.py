@@ -23,6 +23,7 @@ import numpy as np
 from scipy.optimize import lsq_linear
 
 from .linalg import (
+    DataError,
     RankDeficiencyError,
     as_design_matrix,
     as_vector,
@@ -120,12 +121,12 @@ def _solve_spd_ridge(G: np.ndarray, rhs: np.ndarray) -> np.ndarray:
     factorization refuses; IRLS interiors may pass nearly singular grams and
     the final answer is certified downstream regardless."""
     ridge = 0.0
-    max_diag = float(np.max(G.diagonal()))
     for _ in range(4):
         try:
             F = spd_factorize(G + ridge * np.eye(G.shape[0]) if ridge else G)
             return F.solve(rhs)
         except RankDeficiencyError:
+            max_diag = float(np.max(G.diagonal()))
             ridge = max(ridge * 1e4, 1e-14 * max(max_diag, 1e-300))
     raise RankDeficiencyError("weighted gram stayed singular despite ridge")
 
@@ -262,7 +263,7 @@ def solve_lad(prob: LadProblem, tol: float = 1e-8, max_iters: int = 200) -> LadS
     certificate; "max_iter" / "degenerate" return the best iterate found.
     """
     if tol <= 0:
-        raise ValueError("tol must be positive")
+        raise DataError("tol must be positive")
     keep = prob.weights > 0
     b = prob.b[keep]
     w = prob.weights[keep]

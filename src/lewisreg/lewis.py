@@ -27,6 +27,7 @@ import numpy as np
 
 from . import linalg
 from .linalg import (
+    DataError,
     RankDeficiencyError,
     WeightVector,
     as_design_matrix,
@@ -67,9 +68,9 @@ class LewisConfig:
 
     def __post_init__(self):
         if self.tol <= 0:
-            raise ValueError("tol must be positive")
+            raise DataError("tol must be positive")
         if self.max_iters < 1:
-            raise ValueError("max_iters must be at least 1")
+            raise DataError("max_iters must be at least 1")
 
 
 def _fixed_point_defect(X: np.ndarray, w: np.ndarray) -> tuple[float, np.ndarray]:
@@ -220,7 +221,7 @@ def sampling_values(w: WeightVector, N: int) -> WeightVector:
     if w.kind == "sampling":
         raise ValueError("input already holds sampling values")
     if N < 1:
-        raise ValueError("budget must be at least 1")
+        raise DataError("budget must be at least 1")
     total = w.total
     if total <= 0:
         raise ValueError("importance values sum to zero")

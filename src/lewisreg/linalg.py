@@ -10,9 +10,10 @@ from dataclasses import dataclass, field
 
 import numpy as np
 from scipy.linalg import solve_triangular
-from scipy.linalg.lapack import dpstrf
+from scipy.linalg.lapack import dpstrf, dtrtrs
 
 __all__ = [
+    "DataError",
     "RankDeficiencyError",
     "WeightVector",
     "as_design_matrix",
@@ -29,6 +30,11 @@ __all__ = [
 MIN_PIVOT_REL = 1e-12
 
 _GRAM_BLOCK = 1024
+
+
+class DataError(ValueError):
+    """Input refused by a check: malformed data, or an argument outside its
+    range. Messages name the offending line or value; the CLI exits 2."""
 
 
 class RankDeficiencyError(ValueError):
@@ -75,14 +81,14 @@ def as_design_matrix(X, *, require_tall: bool = True) -> np.ndarray:
     """Validate and return X as a float64 2-D array (n rows, d columns)."""
     A = np.asarray(X, dtype=np.float64)
     if A.ndim != 2:
-        raise ValueError(f"design matrix must be 2-D, got shape {A.shape}")
+        raise DataError(f"design matrix must be 2-D, got shape {A.shape}")
     n, d = A.shape
     if n < 1 or d < 1:
-        raise ValueError(f"design matrix must be nonempty, got shape {A.shape}")
+        raise DataError(f"design matrix must be nonempty, got shape {A.shape}")
     if require_tall and n < d:
-        raise ValueError(f"need at least as many rows as columns, got {n}x{d}")
+        raise DataError(f"need at least as many rows as columns, got {n}x{d}")
     if not np.all(np.isfinite(A)):
-        raise ValueError("design matrix has non-finite entries")
+        raise DataError("design matrix has non-finite entries")
     return A
 
 
@@ -93,7 +99,7 @@ def as_vector(v, *, length: int | None = None) -> np.ndarray:
     if length is not None and A.shape[0] != length:
         raise ValueError(f"expected length {length}, got {A.shape[0]}")
     if not np.all(np.isfinite(A)):
-        raise ValueError("vector has non-finite entries")
+        raise DataError("vector has non-finite entries")
     return A
 
 
@@ -129,12 +135,19 @@ class SpdFactorization:
     perm: np.ndarray = field(repr=False)
 
     def solve(self, b: np.ndarray) -> np.ndarray:
+        """A^{-1} b by two O(d^2) LAPACK triangular solves on the F-ordered
+        L^T: the same dtrtrs calls, with the same flags, that solve_triangular
+        makes for the C-ordered L and for L^T, so the same bits."""
         b = np.asarray(b, dtype=np.float64)
         if b.shape[0] != self.dim:
             raise ValueError(f"rhs has length {b.shape[0]}, expected {self.dim}")
-        bp = b[self.perm]
-        u = solve_triangular(self.lower, bp, lower=True)
-        v = solve_triangular(self.lower.T, u, lower=False)
+        if not np.all(np.isfinite(b)):
+            raise ValueError("rhs has non-finite entries")
+        Lt = self.lower.T
+        u, info_l = dtrtrs(Lt, b[self.perm], lower=0, trans=1, overwrite_b=1)
+        v, info_u = dtrtrs(Lt, u, lower=0, trans=0, overwrite_b=1)
+        if info_l or info_u:
+            raise np.linalg.LinAlgError(f"triangular solve failed: info {info_l}, {info_u}")
         out = np.empty_like(b)
         out[self.perm] = v
         return out

@@ -67,32 +67,40 @@ def build_alias_table(prob: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     Returns (cutoff, alias): draw j uniform, u uniform in [0,1); the sample is
     j if u < cutoff[j] else alias[j]. Entries with zero probability get
     cutoff 0 and a positive-probability alias, so they can never be returned.
+
+    O(n) in a few array passes: Vose's stack loop (smalls and larges popped by
+    descending index) replayed with prefix sums. With D and E the cumulative
+    deficits of the smalls and excesses of the larges, small k takes the first
+    large j with E(j) >= D(k-1); large j turns small after the first k with
+    D(k) > E(j), with cutoff 1 + E(j) - D(k) and the next large as alias. This
+    is the loop's alias array (barring a remainder that ties 1 to rounding),
+    and its cutoffs to the rounding of the prefix sums.
     """
     prob = np.asarray(prob, dtype=np.float64)
     n = prob.shape[0]
-    scaled = prob * n
-    cutoff = np.ones(n)
-    alias = np.arange(n, dtype=np.intp)
-    small = [i for i in range(n) if scaled[i] < 1.0]
-    large = [i for i in range(n) if scaled[i] >= 1.0]
-    while small and large:
-        s = small.pop()
-        l = large.pop()
-        cutoff[s] = scaled[s]
-        alias[s] = l
-        scaled[l] -= 1.0 - scaled[s]
-        (small if scaled[l] < 1.0 else large).append(l)
     positive = np.flatnonzero(prob > 0)
     if positive.size == 0:
         raise ValueError("all probabilities are zero")
-    for i in small + large:
-        # leftover mass is rounding noise; zero entries must stay unreachable
-        if prob[i] > 0:
-            cutoff[i] = 1.0
-            alias[i] = i
-        else:
-            cutoff[i] = 0.0
-            alias[i] = positive[0]
+    scaled = prob * n
+    cutoff = np.ones(n)
+    alias = np.arange(n, dtype=np.intp)
+    small = np.flatnonzero(scaled < 1.0)[::-1]
+    large = np.flatnonzero(scaled >= 1.0)[::-1]
+    D = np.cumsum(1.0 - scaled[small])
+    E = np.cumsum(scaled[large] - 1.0)
+    j = np.searchsorted(E, np.concatenate(([0.0], D))[:-1], side="left")
+    paired, left = small[j < large.size], small[j == large.size]
+    cutoff[paired] = scaled[paired]
+    alias[paired] = large[j[j < large.size]]
+    k = np.searchsorted(D, E[:-1], side="right")  # the last large has no successor
+    turned = np.flatnonzero(k < small.size)
+    cutoff[large[turned]] = (1.0 + E[turned]) - D[k[turned]]
+    alias[large[turned]] = large[turned + 1]
+    # leftovers keep cutoff 1 and alias themselves (their mass is rounding
+    # noise), except zero entries, which must stay unreachable
+    zero = left[prob[left] <= 0]
+    cutoff[zero] = 0.0
+    alias[zero] = positive[0]
     return cutoff, alias
 
 

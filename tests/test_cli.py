@@ -5,6 +5,7 @@ import sys
 import numpy as np
 import pytest
 
+from lewisreg.cli import main
 from lewisreg.dataio import (
     DataError,
     read_labels,
@@ -319,3 +320,62 @@ class TestUsageErrors:
 
     def test_missing_required_exit_1(self):
         assert run_cli("weights").returncode == 1
+
+
+class TestErrorClassification:
+    """Refusals of input exit 2 with their message; any other ValueError is a
+    bug and propagates out of main."""
+
+    def test_internal_value_error_propagates(self, median_instance, monkeypatch):
+        x, y = median_instance
+
+        def broken_gram(*args, **kwargs):
+            raise ValueError("internal bug")
+
+        monkeypatch.setattr("lewisreg.lad.weighted_gram", broken_gram)
+        with pytest.raises(ValueError, match="internal bug"):
+            main(["solve", str(x), str(y), "--mode", "full"])
+
+    @pytest.mark.parametrize("argv, message", [
+        (["weights", "{x}", "--tol", "0", "--out", "{out}"], "tol must be positive"),
+        (["solve", "{x}", "{y}", "--solver-tol", "0"], "tol must be positive"),
+        (["solve", "{x}", "{y}", "--mode", "active", "--eps", "2"],
+         "eps and delta must lie in (0, 1)"),
+        (["solve", "{x}", "{y}", "--mode", "sketch_known_y", "--budget", "0"],
+         "budget 0 below column count 1; refused"),
+        (["weights", "{nan_x}", "--out", "{out}"], "design matrix has non-finite entries"),
+        (["gen", "outlier", "--n", "2", "--d", "5", "--out-x", "{out}", "--out-y", "{out}"],
+         "need n >= d"),
+        (["experiment", "{spec}"], "unknown method 'nope'; choose from ('lewis', "
+         "'uniform', 'leverage_l2_baseline', 'known_y_augmented')"),
+    ], ids=["weights_tol", "solver_tol", "eps", "budget", "nan_design", "gen_n_below_d",
+            "spec_method"])
+    def test_refusal_exit_2_with_message(self, median_instance, tmp_path, capsys,
+                                         argv, message):
+        x, y = median_instance
+        nan_x = tmp_path / "nan.csv"
+        nan_x.write_text("1.0\nnan\n2.0\n")
+        spec = tmp_path / "spec.json"
+        spec.write_text(json.dumps({
+            "instance": {"x_file": str(x), "y_file": str(y)}, "method": "nope",
+            "budgets": [2], "eps": 0.5, "delta": 0.1, "trials": 1, "seed": 0}))
+        paths = {"x": x, "y": y, "nan_x": nan_x, "spec": spec,
+                 "out": tmp_path / "out.json"}
+        assert main([a.format(**paths) for a in argv]) == 2
+        assert capsys.readouterr().err.strip() == f"data error: {message}"
+
+    @pytest.mark.parametrize("overrides, message", [
+        ({"instance": {"family": "outlier", "n": "abc", "d": 2}},
+         "instance field 'n': invalid literal for int() with base 10: 'abc'"),
+        ({"instance": {"family": "isolated", "n": 30}},
+         "instance descriptor has no 'd' field"),
+        ({"trials": "3"},
+         "malformed spec: '<' not supported between instances of 'str' and 'int'"),
+    ], ids=["field_type", "missing_field", "spec_type"])
+    def test_malformed_spec_exit_2(self, tmp_path, capsys, overrides, message):
+        spec = {"instance": {"family": "outlier", "n": 40, "d": 2}, "method": "lewis",
+                "budgets": [10], "eps": 0.5, "delta": 0.1, "trials": 1, "seed": 0}
+        path = tmp_path / "spec.json"
+        path.write_text(json.dumps({**spec, **overrides}))
+        assert main(["experiment", str(path)]) == 2
+        assert capsys.readouterr().err.strip() == f"data error: {message}"

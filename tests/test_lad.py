@@ -13,7 +13,8 @@ from lewisreg.lad import (
     solve_lad,
     weighted_median_1d,
 )
-from lewisreg.linalg import RankDeficiencyError
+from lewisreg.linalg import RankDeficiencyError, WeightVector
+from lewisreg.sketch import RngStream, draw_sketch
 
 
 def breakpoint_scan_median(values, weights):
@@ -117,7 +118,39 @@ class TestWeightedMedian:
             weighted_median_1d([1.0], [0.0])
 
 
+def pinned_sketched_problem():
+    """A sketched LAD problem built only from Philox draws and exact
+    arithmetic: 300 draws by row l1 norm from a 4000 x 6 Gaussian design with
+    noise and five label outliers."""
+    g = RngStream(99).derive("pinned lad").generator()
+    X = g.standard_normal((4000, 6))
+    y = X @ g.standard_normal(6) + 0.1 * g.standard_normal(4000)
+    y[g.choice(4000, size=5, replace=False)] += 1e4
+    norms = np.abs(X).sum(axis=1)
+    values = WeightVector(norms * (300 / norms.sum()), kind="sampling", budget=300.0)
+    S = draw_sketch(values, 300, RngStream(99, stream=1))
+    return LadProblem(X[S.indices], y[S.indices], S.scales)
+
+
+# solve_lad(pinned_sketched_problem()) as recorded with the triangular solves
+# done by scipy.linalg.solve_triangular
+PINNED_SKETCHED_SOLUTION = {
+    "beta": ["0x1.6efc31ddac510p+0", "-0x1.b371fa755c684p+0", "-0x1.e3bf898f99ff9p-1",
+             "-0x1.07d49561ec9bdp+1", "-0x1.543381fa9daefp+0", "0x1.52d83bdbf021ap-1"],
+    "objective": "0x1.199148f9a700dp+17",
+    "iterations": 145,
+    "status": "optimal",
+}
+
+
 class TestSolveLad:
+    def test_sketched_solve_bit_identical_to_pin(self):
+        sol = solve_lad(pinned_sketched_problem())
+        assert [float(v).hex() for v in sol.beta] == PINNED_SKETCHED_SOLUTION["beta"]
+        assert sol.objective.hex() == PINNED_SKETCHED_SOLUTION["objective"]
+        assert sol.iterations == PINNED_SKETCHED_SOLUTION["iterations"]
+        assert sol.status == PINNED_SKETCHED_SOLUTION["status"]
+
     def test_unweighted_median(self):
         sol = solve_lad(LadProblem(np.ones((3, 1)), np.array([0.0, 1.0, 10.0])))
         assert sol.beta[0] == pytest.approx(1.0)

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.linalg import solve_triangular
 
 from lewisreg.linalg import (
     RankDeficiencyError,
@@ -131,6 +132,28 @@ class TestSpdFactorization:
         F = spd_factorize(np.eye(3))
         with pytest.raises(ValueError):
             F.solve(np.ones(2))
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_nonfinite_rhs_rejected(self, bad):
+        F = spd_factorize(np.eye(3))
+        with pytest.raises(ValueError):
+            F.solve(np.array([1.0, bad, 2.0]))
+
+    @pytest.mark.parametrize("kind", ["gaussian", "unequilibrated", "one_by_one"])
+    def test_solve_matches_solve_triangular_two_step(self, kind):
+        rng = np.random.default_rng(31)
+        d = 1 if kind == "one_by_one" else 12
+        X = rng.standard_normal((200, d))
+        if kind == "unequilibrated":
+            X *= np.logspace(-6, 6, d)
+        F = spd_factorize(weighted_gram(X, rng.random(200) + 0.1), min_pivot_rel=1e-30)
+        for _ in range(20):
+            b = rng.standard_normal(d) * 10.0 ** rng.uniform(-5, 5)
+            u = solve_triangular(F.lower, b[F.perm], lower=True)
+            v = solve_triangular(F.lower.T, u, lower=False)
+            expected = np.empty(d)
+            expected[F.perm] = v
+            np.testing.assert_array_equal(F.solve(b), expected)
 
 
 class TestQuadraticForm:

@@ -1,11 +1,15 @@
+import hashlib
 import json
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from lewisreg.lewis import lewis_weights, recommended_budget, sampling_values
 from lewisreg.linalg import WeightVector
 from lewisreg.sketch import (
+    RNG_ALGORITHM,
     RngStream,
     Sketch,
     apply_to_columns,
@@ -19,6 +23,74 @@ from lewisreg.sketch import (
 def sampling(values, budget):
     return WeightVector(np.asarray(values, dtype=float), kind="sampling",
                         budget=float(budget))
+
+
+def vose_loop_table(prob):
+    """Reference: Vose's alias table built by the sequential stack loop."""
+    prob = np.asarray(prob, dtype=np.float64)
+    n = prob.shape[0]
+    scaled = prob * n
+    cutoff = np.ones(n)
+    alias = np.arange(n, dtype=np.intp)
+    small = [i for i in range(n) if scaled[i] < 1.0]
+    large = [i for i in range(n) if scaled[i] >= 1.0]
+    while small and large:
+        s = small.pop()
+        l = large.pop()
+        cutoff[s] = scaled[s]
+        alias[s] = l
+        scaled[l] -= 1.0 - scaled[s]
+        (small if scaled[l] < 1.0 else large).append(l)
+    positive = np.flatnonzero(prob > 0)
+    for i in small + large:
+        if prob[i] > 0:
+            cutoff[i] = 1.0
+            alias[i] = i
+        else:
+            cutoff[i] = 0.0
+            alias[i] = positive[0]
+    return cutoff, alias
+
+
+def reference_draw(values, N, rng):
+    """draw_sketch's draw, on the loop-built table."""
+    cutoff, alias = vose_loop_table(values / values.sum())
+    g = rng.generator()
+    j = g.integers(0, values.shape[0], size=N)
+    u = g.random(N)
+    idx = np.where(u < cutoff[j], j, alias[j])
+    return idx, 1.0 / values[idx]
+
+
+def probability_vector(family, n, seed):
+    """A probability vector of one test family, drawn from a seeded stream."""
+    g = np.random.default_rng(seed)
+    if family == "single":
+        v = np.ones(1)
+    elif family == "exact_uniform":
+        v = np.full(n, 1.0 / n)
+    elif family == "budget_uniform":
+        v = np.full(n, (n // 3 + 1) / n)
+    elif family == "spikes":
+        v = g.random(n) * 1e-3
+        v[g.integers(0, n, size=3)] += g.pareto(1.0, size=3) + 1.0
+    elif family == "pareto":
+        v = g.pareto(g.uniform(0.5, 3.0), size=n) + 1e-12
+    elif family == "dyadic":
+        # n p in quarters summing exactly to n: every prefix sum is exact, so
+        # the remainders tie 1 exactly wherever they meet it
+        n = 2 ** int(np.log2(n))
+        return g.multinomial(4 * n, np.full(n, 1.0 / n)) / (4.0 * n)
+    else:  # zeros, or "short": zeros summing to less than 1, so rows are left over
+        v = g.random(n) * (g.random(n) < 0.6)
+        v[g.integers(0, n)] = g.random() + 0.1
+        if family == "short":
+            return v / v.sum() * g.uniform(0.5, 0.99)
+    return v / v.sum()
+
+
+ALIAS_FAMILIES = ["single", "exact_uniform", "budget_uniform", "spikes", "pareto",
+                  "zeros", "dyadic", "short"]
 
 
 class TestRngStream:
@@ -59,6 +131,69 @@ class TestAliasTable:
         idx = np.where(u < cutoff[j], j, alias[j])
         freq = np.bincount(idx, minlength=6) / n
         np.testing.assert_allclose(freq, p, atol=4 * np.sqrt(0.25 / n) + 0.003)
+
+
+class TestAliasTableMatchesLoop:
+    @settings(max_examples=150, deadline=None)
+    @given(family=st.sampled_from(ALIAS_FAMILIES), n=st.integers(1, 3000),
+           seed=st.integers(0, 2**32 - 1))
+    def test_same_table_as_sequential_loop(self, family, n, seed):
+        prob = probability_vector(family, n, seed)
+        cutoff, alias = build_alias_table(prob)
+        ref_cutoff, ref_alias = vose_loop_table(prob)
+        np.testing.assert_array_equal(alias, ref_alias)
+        np.testing.assert_allclose(cutoff, ref_cutoff, rtol=0, atol=1e-9)
+        zero = prob == 0
+        assert np.all(cutoff[zero] == 0.0)
+        assert np.all(prob[alias[zero]] > 0)
+
+    @pytest.mark.parametrize("design", ["gaussian", "student_t"])
+    def test_draws_equal_loop_table_draws(self, design):
+        g = RngStream(21).derive(design).generator()
+        n, d = 20_000, 8
+        X = g.standard_normal((n, d)) if design == "gaussian" \
+            else g.standard_t(1.5, size=(n, d))
+        w = lewis_weights(X)
+        for N in (40, 400, 4000):
+            p = sampling_values(w, N)
+            rng = RngStream(22, stream=N)
+            S = draw_sketch(p, N, rng)
+            idx, scales = reference_draw(p.values, N, rng)
+            np.testing.assert_array_equal(S.indices, idx)
+            np.testing.assert_array_equal(S.scales, scales)
+
+
+# Digest of the draws in pinned_draws_digest() under each recorded
+# RNG_ALGORITHM. A change that alters any draw must record a new algorithm
+# string here, never overwrite an existing entry.
+PINNED_DRAWS = {
+    "philox4x64 keyed by sha256(seed, stream, substream)":
+        "18aa19c860a166922afaa3db0d34b3ff088ebc3f7034ba59c66b4675b554b934",
+}
+
+
+def pinned_draws_digest():
+    """sha256 of draw_sketch indices and scales on exactly computed sampling
+    values: the row l1 norms of a seeded integer design (one zero row, one
+    heavy row) at three budgets, and uniform values."""
+    g = RngStream(2024).derive("pinned design").generator()
+    X = g.integers(-9, 10, size=(5000, 6)).astype(np.float64)
+    X[17] = 0.0
+    X[4321] *= 1000.0
+    norms = np.abs(X).sum(axis=1)
+    h = hashlib.sha256()
+    for N in (10, 100, 2500):
+        for values in (norms * (N / norms.sum()), np.full(5000, N / 5000)):
+            S = draw_sketch(sampling(values, N), N, RngStream(7, stream=N))
+            h.update(S.indices.astype("<i8").tobytes())
+            h.update(S.scales.astype("<f8").tobytes())
+    return h.hexdigest()
+
+
+def test_draws_pinned_to_rng_algorithm():
+    assert RNG_ALGORITHM in PINNED_DRAWS, "record the draws of the new RNG_ALGORITHM"
+    assert pinned_draws_digest() == PINNED_DRAWS[RNG_ALGORITHM], (
+        "the draws changed: bump RNG_ALGORITHM and pin the new digest")
 
 
 class TestDrawSketch:
