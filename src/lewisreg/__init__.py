@@ -41,11 +41,9 @@ from .active import (
     sketch_and_solve_known_y,
 )
 from .instances import (
-    Codebook,
     DistributionalInstance,
     PlantedInstance,
     biased_hypercube_instance,
-    build_codebook,
     expected_loss,
     hidden_coordinate_instance,
     make_isolated_instance,

@@ -138,8 +138,8 @@ def sample_and_solve(X, oracle: LabelOracle, values: WeightVector,
 
     The one draw-query-solve step: active_solve and sketch_and_solve_known_y
     call it with Lewis sampling values, the baseline samplers directly.
-    Repeated draws of a row keep their multiplicity in the objective but cost
-    a single label query.
+    Repeated draws of a row cost a single label query and enter the solve as
+    one row whose weight is the sum of their scales, the same objective.
     """
     X = as_design_matrix(X)
     if oracle.n != X.shape[0]:
@@ -151,8 +151,9 @@ def sample_and_solve(X, oracle: LabelOracle, values: WeightVector,
         raise DataError(f"budget {N} below column count {X.shape[1]}; refused")
     S = draw_sketch(values, N, rng)
     distinct, draw_of = np.unique(S.indices, return_inverse=True)
-    y_draws = np.array([oracle.query(int(i)) for i in distinct])[draw_of]
-    sol = solve_lad(LadProblem(X[S.indices], y_draws, row_weights=S.scales),
+    y = np.array([oracle.query(int(i)) for i in distinct])
+    sol = solve_lad(LadProblem(X[distinct], y,
+                               row_weights=np.bincount(draw_of, weights=S.scales)),
                     tol=solver_tol)
     return ActiveResult(beta_hat=sol.beta, n_draws=S.n_draws,
                         labels_queried=int(distinct.size), sketch=S,

@@ -153,8 +153,10 @@ def materialize_instance(desc: dict, seed: int) -> tuple[np.ndarray, np.ndarray,
         if family == "biased_hypercube":
             dist = biased_hypercube_instance(d, _field(desc, "bias", float), rng=rng)
         elif family == "two_coin":
-            dist = two_coin_instances(d, _field(desc, "bias", float))[
-                _field(desc, "which", int, 0)]
+            which = _field(desc, "which", int, 0)
+            if which not in (0, 1):
+                raise DataError("which must be 0 or 1")
+            dist = two_coin_instances(d, _field(desc, "bias", float))[which]
         else:
             dist = hidden_coordinate_instance(d, _field(desc, "hidden_index", int, 0))
         X, y = reduce_to_matrix(

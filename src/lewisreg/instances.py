@@ -5,7 +5,7 @@ Three distributional families over (x, y) pairs with x a uniform standard
 basis vector:
 
 - biased_hypercube: y = z * x^T beta_star with z = +1 w.p. 1/2 + bias and
-  -1 otherwise; beta_star is a +-1 vector (typically a codeword).
+  -1 otherwise; beta_star is a +-1 vector.
 - two_coin: the same construction restricted to beta_star = -1 or +1 on every
   coordinate; distinguishing the pair is a biased-coin problem.
 - hidden_coordinate: beta_star = e_{i*} and y = z * x^T beta_star with z
@@ -36,8 +36,6 @@ __all__ = [
     "sample_pairs",
     "reduction_sample_count",
     "reduce_to_matrix",
-    "Codebook",
-    "build_codebook",
     "PlantedInstance",
     "make_outlier_instance",
     "make_isolated_instance",
@@ -99,6 +97,8 @@ def two_coin_instances(d: int, bias: float) -> tuple[DistributionalInstance,
 
 
 def hidden_coordinate_instance(d: int, hidden_index: int) -> DistributionalInstance:
+    if not 0 <= hidden_index < d:
+        raise DataError("hidden_index must name a coordinate")
     beta_star = np.zeros(d)
     beta_star[hidden_index] = 1.0
     return DistributionalInstance(d=d, family="hidden_coordinate",
@@ -163,66 +163,6 @@ def reduce_to_matrix(inst: DistributionalInstance, eps: float, delta: float,
     (1+6 eps)-accurate for the distribution, with failure probability 2 delta."""
     n = reduction_sample_count(inst.d, eps, delta, constants)
     return sample_pairs(inst, n, rng)
-
-
-@dataclass(frozen=True)
-class Codebook:
-    """A set of +-1 vectors with pairwise L1 distance above 0.2 d."""
-
-    vectors: np.ndarray
-    d: int
-
-    def __post_init__(self):
-        V = np.asarray(self.vectors, dtype=np.float64)
-        if V.ndim != 2 or V.shape[1] != self.d:
-            raise ValueError("vectors must be k x d")
-        if not np.all(np.abs(V) == 1.0):
-            raise ValueError("codewords must be +-1 vectors")
-        if self.min_pairwise_distance(V) <= 0.2 * self.d:
-            raise ValueError("codewords too close together")
-        V = V.copy()
-        V.setflags(write=False)
-        object.__setattr__(self, "vectors", V)
-
-    @staticmethod
-    def min_pairwise_distance(V: np.ndarray) -> float:
-        k = V.shape[0]
-        if k < 2:
-            return math.inf
-        best = math.inf
-        for i in range(k - 1):
-            dist = np.abs(V[i + 1 :] - V[i]).sum(axis=1).min()
-            best = min(best, float(dist))
-        return best
-
-    @property
-    def size(self) -> int:
-        return self.vectors.shape[0]
-
-
-def build_codebook(d: int, rng: RngStream, target_size: int | None = None,
-                   max_attempts: int | None = None) -> Codebook:
-    """Greedy rejection sampling of well-separated +-1 vectors.
-
-    Aims for 2^(0.2 d) codewords; at small d the greedy construction may stop
-    short of the target, which is reported through the size, not asserted.
-    """
-    if d < 2:
-        raise ValueError("d must be at least 2")
-    if target_size is None:
-        target_size = max(2, math.ceil(2 ** (0.2 * d)))
-    if max_attempts is None:
-        max_attempts = max(1000, 200 * target_size)
-    g = rng.generator()
-    threshold = 0.2 * d
-    picked: list[np.ndarray] = []
-    for _ in range(max_attempts):
-        v = np.where(g.random(d) < 0.5, -1.0, 1.0)
-        if all(float(np.abs(v - u).sum()) > threshold for u in picked):
-            picked.append(v)
-            if len(picked) >= target_size:
-                break
-    return Codebook(vectors=np.array(picked), d=d)
 
 
 class PlantedInstance(NamedTuple):

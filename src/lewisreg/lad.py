@@ -4,23 +4,31 @@ solve_lad minimizes sum_i w_i |a_i^T beta - b_i| in two phases:
 
 1. smoothed IRLS: minimize sum_i w_i sqrt(r_i^2 + mu^2) with mu driven down
    geometrically from 1e-2 to 1e-12 times the initial residual scale, each
-   inner step a weighted least-squares solve;
-2. an active-set polish: take the d rows with smallest residuals as a basis,
-   interpolate them exactly, and pivot (leave the basis row whose multiplier
-   escapes [-1, 1], enter the row at the exact line-search minimum) until the
-   vertex carries a subgradient optimality certificate.
+   inner step a weighted least-squares solve. Before each mu level the rows
+   with the smallest residuals give a start basis (the first d independent
+   ones); the schedule ends at the first level whose start basis equals the
+   previous level's, because the simplex needs nothing more from IRLS;
+2. an L1 simplex (Barrodale & Roberts, SIAM J. Numer. Anal. 10(5), 1973)
+   from that basis: interpolate the d basis rows exactly; while some basis
+   multiplier escapes [-1, 1], move that row off zero and go to the exact
+   line-search minimum, passing every breakpoint that still lowers the
+   objective. Ties (more than d zero residuals, equal breakpoints) are
+   broken as if b were b + e h for a fixed generic h and an infinitesimal
+   e > 0. Every step then strictly lowers the perturbed objective, so no
+   basis repeats and the simplex reaches a certificate from any start.
 
-A certified vertex is a global minimizer of the convex objective, so the
-quality of the answer does not rest on the IRLS phase; IRLS only provides a
-warm start that keeps the pivot count small. Minimizers need not be unique;
-callers should compare objectives, not coefficient vectors.
+The final basis gives the dual vector: the signs of the nonbasic residuals
+and the basis multipliers. A certified vertex is a global minimizer of the
+convex objective, so the quality of the answer does not rest on the IRLS
+phase; IRLS only provides a warm start that keeps the pivot count small.
+Minimizers need not be unique; callers should compare objectives, not
+coefficient vectors.
 """
 
 import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import lsq_linear
 
 from .linalg import (
     DataError,
@@ -40,7 +48,9 @@ __all__ = [
     "solve_lad",
 ]
 
-_MAX_PIVOTS = 300
+_MAX_PIVOTS = 1000
+# seed of the tie-breaking direction h (see the module docstring)
+_TIE_SEED = 0x1AD
 
 
 def l1_norm(v) -> float:
@@ -64,7 +74,7 @@ class LadProblem:
         if self.row_weights is not None:
             w = as_vector(self.row_weights, length=A.shape[0])
             if np.any(w < 0):
-                raise ValueError("row weights must be nonnegative")
+                raise DataError("row weights must be nonnegative")
             object.__setattr__(self, "row_weights", w)
 
     @property
@@ -80,7 +90,7 @@ class LadSolution:
     objective: float
     optimality_gap_estimate: float
     iterations: int
-    status: str  # "optimal" | "max_iter" | "degenerate"
+    status: str  # "optimal" | "max_iter"
     certificate_infnorm: float
 
 
@@ -131,12 +141,21 @@ def _solve_spd_ridge(G: np.ndarray, rhs: np.ndarray) -> np.ndarray:
     raise RankDeficiencyError("weighted gram stayed singular despite ridge")
 
 
-def _greedy_basis(A: np.ndarray, order: np.ndarray) -> np.ndarray:
-    """First d rows, in the given order, that are linearly independent."""
+def _greedy_basis(A: np.ndarray, r: np.ndarray) -> np.ndarray:
+    """Sorted indices of the first d linearly independent rows in order of
+    increasing |r_i|."""
     m, d = A.shape
+    size = np.abs(r)
+    # usually the d first rows are independent, which one QR shows; finding
+    # them (ties to the lower index) needs a partition, not a sort
+    kth = np.partition(size, d - 1)[d - 1]
+    head = np.concatenate([np.flatnonzero(size < kth), np.flatnonzero(size == kth)])[:d]
+    diag = np.abs(np.linalg.qr(A[head].T, mode="r").diagonal())
+    if np.all(diag > 1e-10 * np.maximum(np.linalg.norm(A[head], axis=1), 1e-300)):
+        return np.sort(head)
     Q = np.zeros((d, 0))
     basis = []
-    for i in order:
+    for i in np.argsort(size, kind="stable"):
         a = A[i]
         resid = a - Q @ (Q.T @ a)
         resid = resid - Q @ (Q.T @ resid)
@@ -145,122 +164,77 @@ def _greedy_basis(A: np.ndarray, order: np.ndarray) -> np.ndarray:
             Q = np.hstack([Q, (resid / nrm)[:, None]])
             basis.append(int(i))
             if len(basis) == d:
-                return np.array(basis, dtype=np.intp)
+                return np.sort(np.array(basis, dtype=np.intp))
     raise RankDeficiencyError("could not assemble an invertible basis")
 
 
-def _offbasis_gradient(A, r, w, zero_mask):
-    s = np.sign(r)
-    s[zero_mask] = 0.0
-    return A.T @ (w * s)
-
-
-def _box_certificate(A, w, g, zero_idx):
-    """Smallest achievable ||A^T s + g||_inf over s on the zero-residual rows
-    with |s_i| <= w_i, via box-constrained least squares. Returns (norm, s)."""
-    if zero_idx.size == 0:
-        return float(np.max(np.abs(g))) if g.size else 0.0, np.zeros(0)
-    M = A[zero_idx].T * w[zero_idx]
-    bounds = (-np.ones(zero_idx.size), np.ones(zero_idx.size))
-    try:
-        # the active-set method solves these small systems to machine precision
-        res = lsq_linear(M, -g, bounds=bounds, method="bvls")
-    except (ValueError, np.linalg.LinAlgError):
-        res = lsq_linear(M, -g, bounds=bounds, tol=1e-14)
-    s = np.clip(res.x, -1.0, 1.0)
-    return float(np.max(np.abs(M @ s + g))), s
-
-
-def _line_search(r, c, w):
-    """Minimize sum_i w_i |r_i + t c_i| over t; returns (t, entering row).
-
-    The minimizer is the weighted median of the breakpoints -r_i/c_i with
-    masses w_i |c_i|; ties resolve to the left endpoint, then lowest index.
-    """
-    cmax = float(np.max(np.abs(c)))
-    active = np.flatnonzero(np.abs(c) > 1e-13 * max(cmax, 1e-300))
-    if active.size == 0:
-        return None, None
-    t = -r[active] / c[active]
-    mass = w[active] * np.abs(c[active])
-    order = np.lexsort((active, t))  # by breakpoint, then row index
-    cum = np.cumsum(mass[order])
-    total = cum[-1]
-    if total <= 0:
-        return None, None
-    k = int(np.searchsorted(cum, 0.5 * total - 1e-12 * total, side="left"))
-    pick = order[k]
-    return float(t[pick]), int(active[pick])
-
-
-def _vertex_polish(A, b, w, r_hint, tol, cert_scale):
-    """Active-set phase: pivot between interpolation vertices until the
-    subgradient certificate holds. Returns (beta, status, cert_norm, s_full,
-    pivots)."""
+def _l1_simplex(A, b, w, basis, tol):
+    """Pivot from the given basis until every basis multiplier lies in
+    [-1 - tol, 1 + tol], or _MAX_PIVOTS pivots. Returns (beta, status, s,
+    pivots) at the certified vertex, or at the best vertex seen; s is the
+    dual vector: residual signs off the basis, clipped multipliers on it."""
     m, d = A.shape
-    basis = _greedy_basis(A, np.argsort(np.abs(r_hint), kind="stable"))
-    bscale = max(float(np.max(np.abs(b))), 1.0)
-    best_beta, best_obj = None, math.inf
+    # column 0 is b, column 1 the tie-breaking direction h
+    rhs = np.column_stack([b, np.random.default_rng(_TIE_SEED).random(m)])
+    best = None
     status = "max_iter"
-    for pivots in range(_MAX_PIVOTS):
+    for pivots in range(_MAX_PIVOTS + 1):
         AB = A[basis]
-        beta = np.linalg.solve(AB, b[basis])
-        r = A @ beta - b
-        r[basis] = 0.0
+        X = np.linalg.solve(AB, rhs[basis])
+        AX = A @ X
+        R = AX - rhs
+        R[basis] = 0.0
+        r, rho = R[:, 0], R[:, 1]
+        zero = np.abs(r) <= 1e-12 * max(float(np.max(np.abs(rhs[:, 0]))),
+                                        float(np.max(np.abs(AX[:, 0]))))
+        # sign of the perturbed residual r + e rho
+        s = np.sign(np.where(zero, rho, r))
+        s[basis] = 0.0
+        sigma = -np.linalg.solve(AB.T, A.T @ (w * s)) / w[basis]
         obj = _weighted_l1(r, w)
-        if obj < best_obj:
-            best_beta, best_obj = beta, obj
-        zero_mask = np.abs(r) <= 1e-12 * bscale
-        zero_mask[basis] = True
-        g = _offbasis_gradient(A, r, w, zero_mask)
-        sigma = np.linalg.solve(AB.T, -g) / w[basis]
-        violators = np.flatnonzero(np.abs(sigma) > 1.0 + 1e-9)
-        if violators.size == 0:
+        p = int(np.argmax(np.abs(sigma)))
+        certified = abs(sigma[p]) <= 1.0 + tol
+        if certified or best is None or obj < best[0]:
+            best = (obj, X[:, 0], s, sigma, basis)
+        if certified:
             status = "optimal"
             break
-        zero_idx = np.flatnonzero(zero_mask)
-        if zero_idx.size > d:
-            cert_norm, _ = _box_certificate(A, w, g, zero_idx)
-            if cert_norm <= tol * cert_scale:
-                status = "optimal"
-                break
-        j = int(violators[np.argmin(basis[violators])])  # Bland: lowest row index
-        e = np.zeros(d)
-        e[j] = 1.0
-        u = np.sign(sigma[j]) * np.linalg.solve(AB, e)
-        t, enter = _line_search(r, A @ u, w)
-        if t is None or (enter == basis[j]):
-            status = "degenerate"
+        if pivots == _MAX_PIVOTS:
             break
-        new_basis = basis.copy()
-        new_basis[j] = enter
-        basis = new_basis
-    else:
-        pivots = _MAX_PIVOTS
-
-    # final certificate data at the returned vertex
-    AB = A[basis]
-    beta = best_beta if status != "optimal" else np.linalg.solve(AB, b[basis])
-    r = A @ beta - b
-    if status == "optimal":
-        r[basis] = 0.0
-    zero_mask = np.abs(r) <= 1e-12 * bscale
-    g = _offbasis_gradient(A, r, w, zero_mask)
-    zero_idx = np.flatnonzero(zero_mask)
-    cert_norm, s_zero = _box_certificate(A, w, g, zero_idx)
-    s_full = np.sign(r)
-    s_full[zero_idx] = s_zero
-    if cert_norm > tol * cert_scale and status == "optimal":
-        status = "max_iter"
-    return beta, status, cert_norm, s_full, pivots
+        # move basis row p off zero in the descent direction: A_B u = sign e_p
+        e = np.zeros(d)
+        e[p] = np.sign(sigma[p])
+        c = A @ np.linalg.solve(AB, e)
+        c[basis] = 0.0
+        c[np.abs(c) <= 1e-12 * float(np.max(np.abs(c)))] = 0.0
+        # rows whose perturbed residual moves toward zero; their breakpoints
+        # t = -(r + e rho) / c are positive, ordered by real part then e part
+        cross = np.flatnonzero(s * c < 0)
+        if cross.size == 0:
+            break
+        t = np.where(zero[cross], 0.0, -r[cross] / c[cross])
+        order = np.lexsort((-rho[cross] / c[cross], t))
+        # the slope starts at -w_p (|sigma_p| - 1) and rises by 2 w_i |c_i|
+        # at each breakpoint passed; enter the row where it turns nonnegative
+        rise = np.cumsum(2.0 * w[cross[order]] * np.abs(c[cross[order]]))
+        need = w[basis[p]] * (abs(sigma[p]) - 1.0)
+        k = min(int(np.searchsorted(rise, need, side="left")), cross.size - 1)
+        basis = basis.copy()
+        basis[p] = cross[order[k]]
+    _, beta, s, sigma, basis = best
+    s = s.copy()
+    s[basis] = np.clip(sigma, -1.0, 1.0)
+    return beta, status, s, pivots
 
 
 def solve_lad(prob: LadProblem, tol: float = 1e-8, max_iters: int = 200) -> LadSolution:
     """Minimize the weighted LAD objective to within (1 + tol) of optimal.
 
     Raises RankDeficiencyError when A is rank deficient on the rows with
-    positive weight. A solution with status "optimal" carries a subgradient
-    certificate; "max_iter" / "degenerate" return the best iterate found.
+    positive weight. A solution with status "optimal" is a vertex whose dual
+    vector has basis multipliers within [-1 - tol, 1 + tol]. "max_iter" means
+    the simplex stopped without that certificate; the best of its vertices
+    and the IRLS iterate is returned.
     """
     if tol <= 0:
         raise DataError("tol must be positive")
@@ -285,6 +259,7 @@ def solve_lad(prob: LadProblem, tol: float = 1e-8, max_iters: int = 200) -> LadS
     r = A @ beta - b
     iterations = 0
 
+    basis = _greedy_basis(A, r)
     scale = float(np.max(np.abs(r)))
     if scale > 0:
         mu = 1e-2 * scale
@@ -302,11 +277,12 @@ def solve_lad(prob: LadProblem, tol: float = 1e-8, max_iters: int = 200) -> LadS
                 if iterations >= max_iters:
                     break
             mu *= 0.1
+            settled, basis = basis, _greedy_basis(A, r)
+            if np.array_equal(basis, settled):
+                break
 
-    cert_scale = float(np.sum(w))  # equilibrated columns have max-abs 1
-    beta_v, status, cert_norm, s_full, pivots = _vertex_polish(
-        A, b, w, r, tol, cert_scale
-    )
+    beta_v, status, s_full, pivots = _l1_simplex(A, b, w, basis, tol)
+    cert_norm = float(np.max(np.abs(A.T @ (w * s_full))))
 
     cand = [(objective(LadProblem(A, b, w), beta_v), beta_v)]
     if status != "optimal":

@@ -50,15 +50,9 @@ class RngStream:
         key = _key128("lewisreg", self.seed, self.stream, self.substream)
         return np.random.Generator(np.random.Philox(key=key))
 
-    def with_stream(self, stream: int) -> "RngStream":
-        return replace(self, stream=stream)
-
     def derive(self, *tags) -> "RngStream":
         """Child stream for a named purpose; tags may be ints or strings."""
         return replace(self, substream=_key128(self.substream, *tags))
-
-    def record(self) -> list:
-        return [self.seed, self.stream, self.substream]
 
 
 def build_alias_table(prob: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -178,7 +172,8 @@ def draw_sketch(p: WeightVector, N: int, rng: RngStream) -> Sketch:
     u = g.random(N)
     idx = np.where(u < cutoff[j], j, alias[j]).astype(np.intp)
     scales = 1.0 / values[idx]
-    return Sketch(source_n=n, indices=idx, scales=scales, seed=tuple(rng.record()))
+    return Sketch(source_n=n, indices=idx, scales=scales,
+                  seed=(rng.seed, rng.stream, rng.substream))
 
 
 def identity_sketch(n: int) -> Sketch:

@@ -348,8 +348,10 @@ class TestErrorClassification:
          "need n >= d"),
         (["experiment", "{spec}"], "unknown method 'nope'; choose from ('lewis', "
          "'uniform', 'leverage_l2_baseline', 'known_y_augmented')"),
+        (["gen", "reduced", "--family", "hidden_coordinate", "--d", "3", "--hidden-index", "7",
+          "--out-x", "{out}", "--out-y", "{out}"], "hidden_index must name a coordinate"),
     ], ids=["weights_tol", "solver_tol", "eps", "budget", "nan_design", "gen_n_below_d",
-            "spec_method"])
+            "spec_method", "gen_hidden_index"])
     def test_refusal_exit_2_with_message(self, median_instance, tmp_path, capsys,
                                          argv, message):
         x, y = median_instance
@@ -371,7 +373,14 @@ class TestErrorClassification:
          "instance descriptor has no 'd' field"),
         ({"trials": "3"},
          "malformed spec: '<' not supported between instances of 'str' and 'int'"),
-    ], ids=["field_type", "missing_field", "spec_type"])
+        ({"instance": {"family": "hidden_coordinate", "d": 3, "hidden_index": 7}},
+         "hidden_index must name a coordinate"),
+        ({"instance": {"family": "two_coin", "d": 3, "bias": 0.1, "which": 2}},
+         "which must be 0 or 1"),
+        ({"instance": {"family": "two_coin", "d": 3, "bias": 0.1, "which": -1}},
+         "which must be 0 or 1"),
+    ], ids=["field_type", "missing_field", "spec_type", "hidden_index", "which_2",
+            "which_minus_1"])
     def test_malformed_spec_exit_2(self, tmp_path, capsys, overrides, message):
         spec = {"instance": {"family": "outlier", "n": 40, "d": 2}, "method": "lewis",
                 "budgets": [10], "eps": 0.5, "delta": 0.1, "trials": 1, "seed": 0}

@@ -6,9 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from lewisreg.instances import (
-    Codebook,
     biased_hypercube_instance,
-    build_codebook,
     expected_loss,
     hidden_coordinate_instance,
     make_isolated_instance,
@@ -176,27 +174,6 @@ class TestReduction:
             if expected_loss(inst, beta) <= bound:
                 ok += 1
         assert ok >= 9
-
-
-class TestCodebook:
-    def test_d2_contains_antipodal_pair(self):
-        cb = build_codebook(2, RngStream(7))
-        assert cb.size >= 2
-        assert Codebook.min_pairwise_distance(cb.vectors) > 0.4
-
-    def test_d10_pairwise_distance(self):
-        cb = build_codebook(10, RngStream(8))
-        for i in range(cb.size):
-            for j in range(i + 1, cb.size):
-                assert np.abs(cb.vectors[i] - cb.vectors[j]).sum() > 2.0
-
-    def test_entries_are_signs(self):
-        cb = build_codebook(8, RngStream(9))
-        assert np.all(np.abs(cb.vectors) == 1.0)
-
-    def test_close_codewords_rejected(self):
-        with pytest.raises(ValueError):
-            Codebook(vectors=np.array([[1.0, 1.0], [1.0, 1.0]]), d=2)
 
 
 class TestPlantedInstances:

@@ -4,8 +4,18 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from scipy.optimize import lsq_linear
+from scipy.optimize import linprog, lsq_linear
 
+import lewisreg.lad as lad_module
+from lewisreg.active import InMemoryLabelOracle, active_solve
+from lewisreg.instances import (
+    biased_hypercube_instance,
+    hidden_coordinate_instance,
+    make_isolated_instance,
+    make_outlier_instance,
+    sample_pairs,
+    two_coin_instances,
+)
 from lewisreg.lad import (
     LadProblem,
     l1_norm,
@@ -13,7 +23,8 @@ from lewisreg.lad import (
     solve_lad,
     weighted_median_1d,
 )
-from lewisreg.linalg import RankDeficiencyError, WeightVector
+from lewisreg.lewis import lewis_weights, sampling_values
+from lewisreg.linalg import DataError, RankDeficiencyError, WeightVector, weighted_gram
 from lewisreg.sketch import RngStream, draw_sketch
 
 
@@ -132,15 +143,18 @@ def pinned_sketched_problem():
     return LadProblem(X[S.indices], y[S.indices], S.scales)
 
 
-# solve_lad(pinned_sketched_problem()) as recorded with the triangular solves
-# done by scipy.linalg.solve_triangular
+# solve_lad(pinned_sketched_problem()) as recorded with the L1 simplex polish
+# and the settled-basis IRLS stop
 PINNED_SKETCHED_SOLUTION = {
-    "beta": ["0x1.6efc31ddac510p+0", "-0x1.b371fa755c684p+0", "-0x1.e3bf898f99ff9p-1",
-             "-0x1.07d49561ec9bdp+1", "-0x1.543381fa9daefp+0", "0x1.52d83bdbf021ap-1"],
+    "beta": ["0x1.6efc31ddac513p+0", "-0x1.b371fa755c684p+0", "-0x1.e3bf898f99fffp-1",
+             "-0x1.07d49561ec9bdp+1", "-0x1.543381fa9daecp+0", "0x1.52d83bdbf0217p-1"],
     "objective": "0x1.199148f9a700dp+17",
-    "iterations": 145,
+    "iterations": 115,
     "status": "optimal",
 }
+# the objective pinned before, with the active-set polish and the full IRLS
+# schedule (145 iterations)
+EARLIER_PINNED_OBJECTIVE = "0x1.199148f9a700dp+17"
 
 
 class TestSolveLad:
@@ -150,6 +164,11 @@ class TestSolveLad:
         assert sol.objective.hex() == PINNED_SKETCHED_SOLUTION["objective"]
         assert sol.iterations == PINNED_SKETCHED_SOLUTION["iterations"]
         assert sol.status == PINNED_SKETCHED_SOLUTION["status"]
+        assert sol.objective <= float.fromhex(EARLIER_PINNED_OBJECTIVE) * (1 + 1e-8)
+
+    def test_negative_row_weight_is_data_error(self):
+        with pytest.raises(DataError, match="row weights must be nonnegative"):
+            LadProblem(np.eye(2), np.ones(2), np.array([1.0, -1.0]))
 
     def test_unweighted_median(self):
         sol = solve_lad(LadProblem(np.ones((3, 1)), np.array([0.0, 1.0, 10.0])))
@@ -267,3 +286,121 @@ class TestSolveLad:
         assert sol.status == "optimal"
         bound = 1e-8 * 300 * np.max(np.abs(A))
         assert subgradient_certificate(A, b, np.ones(300), sol.beta) <= bound
+
+
+def tall_sketched_problems(n=4000, d=20, budget=800):
+    """The sketched problems of the first 12 active-tall benchmark ops at
+    seed 1, with the recipe of perfbench/workloads.py (Gaussian rows on even
+    ops, Student-t(1.5) on odd ones, three 1e6 label outliers, Lewis-weight
+    sampling, repeated draws merged) but 4000 rows instead of 50 000."""
+    for i in range(12):
+        g = np.random.default_rng([1, 1, i])
+        X = g.standard_normal((n, d)) if i % 2 == 0 else g.standard_t(1.5, (n, d))
+        y = X @ g.standard_normal(d) + g.standard_normal(n)
+        rows = g.choice(n, size=3, replace=False)
+        y[rows] += 1e6 * np.where(g.random(3) < 0.5, -1.0, 1.0)
+        S = draw_sketch(sampling_values(lewis_weights(X), budget), budget,
+                        RngStream(int(g.integers(2**62))))
+        distinct, draw_of = np.unique(S.indices, return_inverse=True)
+        yield LadProblem(X[distinct], y[distinct], np.bincount(draw_of, weights=S.scales))
+
+
+@pytest.fixture(scope="module")
+def tall_sketches():
+    return list(tall_sketched_problems())
+
+
+FAMILIES = ("outlier", "isolated", "biased_hypercube", "two_coin", "hidden_coordinate")
+
+
+def family_problem(family, seed):
+    """A small weighted problem from one of the five instance families, with
+    some rows repeated and the weights either random or small integers
+    (zeros included), so that residuals and breakpoints tie."""
+    rng = np.random.default_rng(seed)
+    d = int(rng.integers(2, 6))
+    if family == "outlier":
+        inst = make_outlier_instance(int(rng.integers(d + 3, 100)), d, 1e4,
+                                     RngStream(seed), n_outliers=2)
+        X, y = inst.X, inst.y
+    elif family == "isolated":
+        inst = make_isolated_instance(int(rng.integers(d + 3, 100)), d, RngStream(seed))
+        X, y = inst.X, inst.y
+    else:
+        if family == "biased_hypercube":
+            dist = biased_hypercube_instance(d, 0.1, rng=RngStream(seed))
+        elif family == "two_coin":
+            dist = two_coin_instances(d, 0.1)[int(rng.integers(2))]
+        else:
+            dist = hidden_coordinate_instance(d, int(rng.integers(d)))
+        X, y = sample_pairs(dist, int(rng.integers(4 * d, 200)), RngStream(seed))
+    repeat = rng.integers(0, X.shape[0], size=int(rng.integers(0, X.shape[0] // 2 + 1)))
+    X, y = np.vstack([X, X[repeat]]), np.concatenate([y, y[repeat]])
+    m = X.shape[0]
+    w = rng.integers(0, 4, size=m).astype(float) if rng.random() < 0.5 else rng.random(m) + 0.05
+    return LadProblem(X, y, w)
+
+
+def highs_optimum(prob):
+    """max b.s subject to A^T s = 0, |s| <= w: the LP dual of the weighted LAD
+    problem, whose optimum equals the LAD minimum."""
+    res = linprog(-prob.b, A_eq=prob.A.T, b_eq=np.zeros(prob.A.shape[1]),
+                  bounds=np.column_stack([-prob.weights, prob.weights]), method="highs",
+                  options={"primal_feasibility_tolerance": 1e-7,
+                           "dual_feasibility_tolerance": 1e-7})
+    assert res.status == 0, res.message
+    return -float(res.fun)
+
+
+class TestSimplexCertifies:
+    @pytest.mark.parametrize("op", range(12))
+    def test_tall_sketch_certified_from_any_start(self, tall_sketches, op):
+        prob = tall_sketches[op]
+        ref = solve_lad(prob)
+        assert ref.status == "optimal"
+        for max_iters in (0, 1):
+            sol = solve_lad(prob, max_iters=max_iters)
+            assert sol.status == "optimal"
+            assert abs(sol.objective - ref.objective) <= 1e-8 * ref.objective
+
+    @given(st.sampled_from(FAMILIES), st.integers(0, 2**32 - 1))
+    @settings(max_examples=60, deadline=None)
+    def test_random_problem_certified_from_any_start(self, family, seed):
+        prob = family_problem(family, seed)
+        try:
+            ref = solve_lad(prob)
+        except RankDeficiencyError:
+            return  # the zero weights left a rank-deficient support
+        assert ref.status == "optimal"
+        for max_iters in (0, 1):
+            sol = solve_lad(prob, max_iters=max_iters)
+            assert sol.status == "optimal"
+            assert abs(sol.objective - ref.objective) <= 1e-8 * ref.objective + 1e-12
+
+    @given(st.sampled_from(FAMILIES), st.integers(0, 2**32 - 1), st.sampled_from([200, 1, 0]))
+    @settings(max_examples=80, deadline=None)
+    def test_matches_highs_dual_lp(self, family, seed, max_iters):
+        prob = family_problem(family, seed)
+        try:
+            sol = solve_lad(prob, max_iters=max_iters)
+        except RankDeficiencyError:
+            return
+        keep = prob.weights > 0
+        opt = highs_optimum(LadProblem(prob.A[keep], prob.b[keep], prob.weights[keep]))
+        assert sol.status == "optimal"
+        assert sol.objective <= opt * (1 + 1e-8 + 1e-7) + 1e-9
+        assert sol.objective >= opt * (1 - 1e-7) - 1e-9
+        assert sol.certificate_infnorm <= 1e-8 * prob.weights.sum()
+
+    def test_irls_stops_before_cap_on_isolated_sketch(self, monkeypatch):
+        grams = []
+        monkeypatch.setattr(lad_module, "weighted_gram",
+                            lambda *a: grams.append(1) or weighted_gram(*a))
+        inst = make_isolated_instance(2000, 10, RngStream(5))
+        for trial in range(4):
+            grams.clear()
+            res = active_solve(inst.X, InMemoryLabelOracle(inst.y), eps=0.1, delta=0.1,
+                               rng=RngStream(6, stream=trial), budget_override=120)
+            irls = len(grams) - 1  # one gram is the least-squares start
+            assert res.solver_status == "optimal"
+            assert irls <= 120
