@@ -176,17 +176,17 @@ def _l1_simplex(A, b, w, basis, tol):
     m, d = A.shape
     # column 0 is b, column 1 the tie-breaking direction h
     rhs = np.column_stack([b, np.random.default_rng(_TIE_SEED).random(m)])
+    abs_A, abs_b = np.abs(A), np.abs(b)
     best = None
     status = "max_iter"
     for pivots in range(_MAX_PIVOTS + 1):
         AB = A[basis]
         X = np.linalg.solve(AB, rhs[basis])
-        AX = A @ X
-        R = AX - rhs
+        R = A @ X - rhs
         R[basis] = 0.0
         r, rho = R[:, 0], R[:, 1]
-        zero = np.abs(r) <= 1e-12 * max(float(np.max(np.abs(rhs[:, 0]))),
-                                        float(np.max(np.abs(AX[:, 0]))))
+        # a residual is zero when it is within rounding of its terms
+        zero = np.abs(r) <= 1e-13 * (abs_A @ np.abs(X[:, 0]) + abs_b)
         # sign of the perturbed residual r + e rho
         s = np.sign(np.where(zero, rho, r))
         s[basis] = 0.0
