@@ -410,8 +410,8 @@ class TestSimplexCertifies:
             assert abs(sol.objective - opt) <= 1e-7 * opt
 
     def test_irls_stops_before_cap_on_isolated_sketch(self, monkeypatch):
-        """The sweep-isolated sketches ran 143-192 IRLS iterations of the
-        200 allowed before the settled-basis stop; now 40-80."""
+        """Without the settled-basis stop the sweep-isolated sketches ran
+        143-192 of the 200 allowed IRLS iterations; with it they run 40-80."""
         grams = []
 
         def counting_gram(*args):
