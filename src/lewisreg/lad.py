@@ -1,14 +1,12 @@
 """High-accuracy weighted least-absolute-deviation regression.
 
-solve_lad minimizes sum_i w_i |a_i^T beta - b_i| in two phases:
+solve_lad minimizes sum_i w_i |a_i^T beta - b_i| in three steps:
 
-1. smoothed IRLS: minimize sum_i w_i sqrt(r_i^2 + mu^2) with mu driven down
-   geometrically from 1e-2 to 1e-12 times the initial residual scale, each
-   inner step a weighted least-squares solve. Before each mu level the rows
-   with the smallest residuals give a start basis (the first d independent
-   ones); the schedule ends at the first level whose start basis equals the
-   previous level's, because the simplex needs nothing more from IRLS;
-2. an L1 simplex (Barrodale & Roberts, SIAM J. Numer. Anal. 10(5), 1973)
+1. a weighted least-squares solve, which also checks that the positively
+   weighted rows have full column rank;
+2. a start basis: the first d linearly independent rows in order of
+   increasing least-squares residual;
+3. an L1 simplex (Barrodale & Roberts, SIAM J. Numer. Anal. 10(5), 1973)
    from that basis: interpolate the d basis rows exactly; while some basis
    multiplier escapes [-1, 1], move that row off zero and go to the exact
    line-search minimum, passing every breakpoint that still lowers the
@@ -19,8 +17,7 @@ solve_lad minimizes sum_i w_i |a_i^T beta - b_i| in two phases:
 
 The final basis gives the dual vector: the signs of the nonbasic residuals
 and the basis multipliers. A certified vertex is a global minimizer of the
-convex objective, so the quality of the answer does not rest on the IRLS
-phase; IRLS only provides a warm start that keeps the pivot count small.
+convex objective; the start basis only sets how many pivots that takes.
 Minimizers need not be unique; callers should compare objectives, not
 coefficient vectors.
 """
@@ -48,7 +45,6 @@ __all__ = [
     "solve_lad",
 ]
 
-_MAX_PIVOTS = 300
 # seed of the tie-breaking direction h (see the module docstring)
 _TIE_SEED = 0x1AD
 
@@ -89,7 +85,7 @@ class LadSolution:
     beta: np.ndarray
     objective: float
     optimality_gap_estimate: float
-    iterations: int
+    iterations: int  # simplex pivots
     status: str  # "optimal" | "max_iter"
     certificate_infnorm: float
 
@@ -122,25 +118,6 @@ def weighted_median_1d(values, weights) -> float:
     return float(v[order][k])
 
 
-def _weighted_l1(r: np.ndarray, w: np.ndarray) -> float:
-    return float(np.sum(w * np.abs(r)))
-
-
-def _solve_spd_ridge(G: np.ndarray, rhs: np.ndarray) -> np.ndarray:
-    """Solve G x = rhs, adding a progressively larger ridge if the pivoted
-    factorization refuses; IRLS interiors may pass nearly singular grams and
-    the final answer is certified downstream regardless."""
-    ridge = 0.0
-    for _ in range(4):
-        try:
-            F = spd_factorize(G + ridge * np.eye(G.shape[0]) if ridge else G)
-            return F.solve(rhs)
-        except RankDeficiencyError:
-            max_diag = float(np.max(G.diagonal()))
-            ridge = max(ridge * 1e4, 1e-14 * max(max_diag, 1e-300))
-    raise RankDeficiencyError("weighted gram stayed singular despite ridge")
-
-
 def _greedy_basis(A: np.ndarray, r: np.ndarray) -> np.ndarray:
     """Sorted indices of the first d linearly independent rows in order of
     increasing |r_i|."""
@@ -160,9 +137,27 @@ def _greedy_basis(A: np.ndarray, r: np.ndarray) -> np.ndarray:
     raise RankDeficiencyError("could not assemble an invertible basis")
 
 
-def _l1_simplex(A, b, w, basis, tol):
+def _entering_row(t, t_e, rise, need):
+    """Index of the first breakpoint, in the order of t then t_e, at which
+    the running sum of rise reaches need, or of the last breakpoint if none
+    does. The sum usually gets there within a few dozen of many thousands of
+    breakpoints, so only those with t up to the k-th smallest (ties included)
+    are ordered: that set is a head of the full order, and k grows 8-fold
+    until the sum reaches need inside it."""
+    k = 64
+    while True:
+        head = (np.flatnonzero(t <= np.partition(t, k - 1)[k - 1]) if k < t.size
+                else np.arange(t.size))
+        order = head[np.lexsort((t_e[head], t[head]))]
+        j = int(np.searchsorted(np.cumsum(rise[order]), need, side="left"))
+        if j < order.size or order.size == t.size:
+            return order[min(j, order.size - 1)]
+        k *= 8
+
+
+def _l1_simplex(A, b, w, basis, tol, max_pivots):
     """Pivot from the given basis until every basis multiplier lies in
-    [-1 - tol, 1 + tol], or _MAX_PIVOTS pivots. Returns (beta, status, s,
+    [-1 - tol, 1 + tol], or max_pivots pivots. Returns (beta, status, s,
     pivots) at the certified vertex, or at the best vertex seen; s is the
     dual vector: residual signs off the basis, clipped multipliers on it."""
     m, d = A.shape
@@ -171,7 +166,7 @@ def _l1_simplex(A, b, w, basis, tol):
     abs_A, abs_b = np.abs(A), np.abs(b)
     best = None
     status = "max_iter"
-    for pivots in range(_MAX_PIVOTS + 1):
+    for pivots in range(max_pivots + 1):
         AB = A[basis]
         X = np.linalg.solve(AB, rhs[basis])
         R = A @ X - rhs
@@ -183,7 +178,7 @@ def _l1_simplex(A, b, w, basis, tol):
         s = np.sign(np.where(zero, rho, r))
         s[basis] = 0.0
         sigma = -np.linalg.solve(AB.T, A.T @ (w * s)) / w[basis]
-        obj = _weighted_l1(r, w)
+        obj = float(np.sum(w * np.abs(r)))
         p = int(np.argmax(np.abs(sigma)))
         certified = abs(sigma[p]) <= 1.0 + tol
         if certified or best is None or obj < best[0]:
@@ -191,7 +186,7 @@ def _l1_simplex(A, b, w, basis, tol):
         if certified:
             status = "optimal"
             break
-        if pivots == _MAX_PIVOTS:
+        if pivots == max_pivots:
             break
         # move basis row p off zero in the descent direction: A_B u = sign e_p
         e = np.zeros(d)
@@ -205,31 +200,32 @@ def _l1_simplex(A, b, w, basis, tol):
         if cross.size == 0:
             break
         t = np.where(zero[cross], 0.0, -r[cross] / c[cross])
-        order = np.lexsort((-rho[cross] / c[cross], t))
         # the slope starts at -w_p (|sigma_p| - 1) and rises by 2 w_i |c_i|
         # at each breakpoint passed; enter the row where it turns nonnegative
-        rise = np.cumsum(2.0 * w[cross[order]] * np.abs(c[cross[order]]))
         need = w[basis[p]] * (abs(sigma[p]) - 1.0)
-        k = min(int(np.searchsorted(rise, need, side="left")), cross.size - 1)
         basis = basis.copy()
-        basis[p] = cross[order[k]]
+        basis[p] = cross[_entering_row(t, -rho[cross] / c[cross],
+                                       2.0 * w[cross] * np.abs(c[cross]), need)]
     _, beta, s, sigma, basis = best
     s = s.copy()
     s[basis] = np.clip(sigma, -1.0, 1.0)
     return beta, status, s, pivots
 
 
-def solve_lad(prob: LadProblem, tol: float = 1e-8, max_iters: int = 200) -> LadSolution:
+def solve_lad(prob: LadProblem, tol: float = 1e-8, max_iters: int = 2000) -> LadSolution:
     """Minimize the weighted LAD objective to within (1 + tol) of optimal.
 
-    Raises RankDeficiencyError when A is rank deficient on the rows with
-    positive weight. A solution with status "optimal" is a vertex whose dual
-    vector has basis multipliers within [-1 - tol, 1 + tol]. "max_iter" means
-    the simplex stopped without that certificate; the best of its vertices
-    and the IRLS iterate is returned.
+    max_iters is the simplex's pivot budget; LadSolution.iterations counts
+    the pivots taken. Raises RankDeficiencyError when A is rank deficient on
+    the rows with positive weight. A solution with status "optimal" is a
+    vertex whose dual vector has basis multipliers within [-1 - tol, 1 + tol].
+    "max_iter" means the budget ran out without that certificate; the vertex
+    with the smallest objective seen is returned.
     """
     if tol <= 0:
         raise DataError("tol must be positive")
+    if max_iters < 0:
+        raise DataError("max_iters must be nonnegative")
     keep = prob.weights > 0
     b = prob.b[keep]
     w = prob.weights[keep]
@@ -245,52 +241,21 @@ def solve_lad(prob: LadProblem, tol: float = 1e-8, max_iters: int = 200) -> LadS
     A = prob.A[keep] / col_scale
 
     # weighted least-squares start; doubles as the support rank check
-    G = weighted_gram(A, w)
-    F = spd_factorize(G)
-    beta = F.solve(A.T @ (w * b))
-    r = A @ beta - b
-    iterations = 0
-
-    basis = _greedy_basis(A, r)
-    scale = float(np.max(np.abs(r)))
-    if scale > 0:
-        mu = 1e-2 * scale
-        mu_floor = 1e-12 * scale
-        while mu >= 0.999 * mu_floor and iterations < max_iters:
-            for _ in range(20):
-                omega = w / np.sqrt(r * r + mu * mu)
-                beta_new = _solve_spd_ridge(weighted_gram(A, omega), A.T @ (omega * b))
-                iterations += 1
-                step = float(np.max(np.abs(beta_new - beta)))
-                beta = beta_new
-                r = A @ beta - b
-                if step <= 1e-12 * (1.0 + float(np.max(np.abs(beta)))):
-                    break
-                if iterations >= max_iters:
-                    break
-            mu *= 0.1
-            settled, basis = basis, _greedy_basis(A, r)
-            if np.array_equal(basis, settled):
-                break
-
-    beta_v, status, s_full, pivots = _l1_simplex(A, b, w, basis, tol)
+    F = spd_factorize(weighted_gram(A, w))
+    r = A @ F.solve(A.T @ (w * b)) - b
+    beta, status, s_full, pivots = _l1_simplex(A, b, w, _greedy_basis(A, r), tol, max_iters)
     cert_norm = float(np.max(np.abs(A.T @ (w * s_full))))
-
-    cand = [(objective(LadProblem(A, b, w), beta_v), beta_v)]
-    if status != "optimal":
-        cand.append((objective(LadProblem(A, b, w), beta), beta))
-    obj, beta_eq = min(cand, key=lambda p: p[0])
-    beta_out = beta_eq / col_scale
-    obj = objective(LadProblem(prob.A, prob.b, prob.row_weights), beta_out)
+    beta_out = beta / col_scale
+    obj = objective(prob, beta_out)
 
     # dual lower bound from the certificate vector: f(x) >= -s.b - ||A^T s||_inf ||x||_1
     dual = -float(s_full * w @ b)
-    gap = max(0.0, obj - dual) + cert_norm * max(1.0, float(np.sum(np.abs(beta_eq))))
+    gap = max(0.0, obj - dual) + cert_norm * max(1.0, float(np.sum(np.abs(beta))))
     return LadSolution(
         beta=beta_out,
         objective=obj,
         optimality_gap_estimate=gap,
-        iterations=iterations + pivots,
+        iterations=pivots,
         status=status,
         certificate_infnorm=cert_norm,
     )

@@ -9,8 +9,7 @@ row weights span many orders of magnitude.
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.linalg import solve_triangular
-from scipy.linalg.lapack import dpstrf, dtrtrs
+from scipy.linalg.lapack import dpstrf, dtrtri, dtrtrs
 
 __all__ = [
     "DataError",
@@ -183,11 +182,15 @@ def spd_factorize(A: np.ndarray, *, min_pivot_rel: float = MIN_PIVOT_REL) -> Spd
 
 def row_quadratic_forms(F: SpdFactorization, M: np.ndarray) -> np.ndarray:
     """x_i^T A^{-1} x_i for every row x_i of M, as the squared row norms of
-    M R with R[perm] = L^{-T}: one d x d triangular inverse and one GEMM."""
+    M R with R[perm] = L^{-T}: one d x d triangular inverse (LAPACK dtrtri on
+    the F-ordered L^T) and one GEMM."""
     if M.shape[1] != F.dim:
         raise ValueError("column count does not match factorization dimension")
+    Lt_inv, info = dtrtri(F.lower.T, lower=0)
+    if info:
+        raise np.linalg.LinAlgError(f"triangular inverse failed: info {info}")
     R = np.empty((F.dim, F.dim))
-    R[F.perm] = solve_triangular(F.lower, np.eye(F.dim), lower=True).T
+    R[F.perm] = Lt_inv
     Z = M @ R
     return np.einsum("ij,ij->i", Z, Z)
 

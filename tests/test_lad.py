@@ -7,7 +7,6 @@ from hypothesis import strategies as st
 from scipy.optimize import linprog, lsq_linear
 
 import lewisreg.lad as lad_module
-from lewisreg.active import InMemoryLabelOracle, active_solve
 from lewisreg.instances import (
     biased_hypercube_instance,
     hidden_coordinate_instance,
@@ -24,7 +23,7 @@ from lewisreg.lad import (
     weighted_median_1d,
 )
 from lewisreg.lewis import lewis_weights, sampling_values
-from lewisreg.linalg import DataError, RankDeficiencyError, WeightVector, weighted_gram
+from lewisreg.linalg import DataError, RankDeficiencyError, WeightVector
 from lewisreg.sketch import RngStream, draw_sketch
 
 
@@ -143,13 +142,13 @@ def pinned_sketched_problem():
     return LadProblem(X[S.indices], y[S.indices], S.scales)
 
 
-# solve_lad(pinned_sketched_problem()) as recorded with the L1 simplex polish
-# and the settled-basis IRLS stop
+# solve_lad(pinned_sketched_problem()) as recorded with the L1 simplex run
+# from the least-squares start basis; an IRLS warm start gave the same bits
 PINNED_SKETCHED_SOLUTION = {
     "beta": ["0x1.6efc31ddac513p+0", "-0x1.b371fa755c684p+0", "-0x1.e3bf898f99fffp-1",
              "-0x1.07d49561ec9bdp+1", "-0x1.543381fa9daecp+0", "0x1.52d83bdbf0217p-1"],
     "objective": "0x1.199148f9a700dp+17",
-    "iterations": 115,
+    "iterations": 23,
     "status": "optimal",
 }
 # the objective pinned before, with the active-set polish and the full IRLS
@@ -353,16 +352,33 @@ def highs_optimum(prob):
     return -float(res.fun)
 
 
+def simplex_from_random_basis(prob, seed):
+    """(status, objective) of the L1 simplex started from the first d
+    independent rows in a random order, a basis unrelated to the residuals."""
+    keep = prob.weights > 0
+    A, b, w = prob.A[keep], prob.b[keep], prob.weights[keep]
+    basis = lad_module._greedy_basis(A, np.random.default_rng(seed).random(A.shape[0]))
+    beta, status, _, _ = lad_module._l1_simplex(A, b, w, basis, 1e-8, 2000)
+    return status, objective(LadProblem(A, b, w), beta)
+
+
+def entering_row_full_sort(t, t_e, rise, need):
+    """Reference line search: lexsort every breakpoint, return (the index of
+    the entering breakpoint, the number of breakpoints passed before it)."""
+    order = np.lexsort((t_e, t))
+    j = min(int(np.searchsorted(np.cumsum(rise[order]), need, side="left")), t.size - 1)
+    return order[j], j
+
+
 class TestSimplexCertifies:
     @pytest.mark.parametrize("op", range(12))
     def test_tall_sketch_certified_from_any_start(self, tall_sketches, op):
         prob = tall_sketches[op]
         ref = solve_lad(prob)
         assert ref.status == "optimal"
-        for max_iters in (0, 1):
-            sol = solve_lad(prob, max_iters=max_iters)
-            assert sol.status == "optimal"
-            assert abs(sol.objective - ref.objective) <= 1e-8 * ref.objective
+        status, obj = simplex_from_random_basis(prob, op)
+        assert status == "optimal"
+        assert abs(obj - ref.objective) <= 1e-8 * ref.objective
 
     @given(st.sampled_from(FAMILIES), st.integers(0, 2**32 - 1))
     @settings(max_examples=60, deadline=None)
@@ -373,17 +389,16 @@ class TestSimplexCertifies:
         except RankDeficiencyError:
             return  # the zero weights left a rank-deficient support
         assert ref.status == "optimal"
-        for max_iters in (0, 1):
-            sol = solve_lad(prob, max_iters=max_iters)
-            assert sol.status == "optimal"
-            assert abs(sol.objective - ref.objective) <= 1e-8 * ref.objective + 1e-12
+        status, obj = simplex_from_random_basis(prob, seed)
+        assert status == "optimal"
+        assert abs(obj - ref.objective) <= 1e-8 * ref.objective + 1e-12
 
-    @given(st.sampled_from(FAMILIES), st.integers(0, 2**32 - 1), st.sampled_from([200, 1, 0]))
+    @given(st.sampled_from(FAMILIES), st.integers(0, 2**32 - 1))
     @settings(max_examples=80, deadline=None)
-    def test_matches_highs_dual_lp(self, family, seed, max_iters):
+    def test_matches_highs_dual_lp(self, family, seed):
         prob = family_problem(family, seed)
         try:
-            sol = solve_lad(prob, max_iters=max_iters)
+            sol = solve_lad(prob)
         except RankDeficiencyError:
             return
         keep = prob.weights > 0
@@ -403,27 +418,62 @@ class TestSimplexCertifies:
         y = X @ g.standard_normal(5) + g.standard_normal(400)
         y[g.choice(400, 3, replace=False)] += 1e9 * np.where(g.random(3) < 0.5, -1.0, 1.0)
         prob = LadProblem(X, y)
+        sol = solve_lad(prob)
         opt = highs_optimum(prob)
-        for max_iters in (200, 1, 0):
-            sol = solve_lad(prob, max_iters=max_iters)
-            assert sol.status == "optimal"
-            assert abs(sol.objective - opt) <= 1e-7 * opt
+        assert sol.status == "optimal"
+        assert abs(sol.objective - opt) <= 1e-7 * opt
 
-    def test_irls_stops_before_cap_on_isolated_sketch(self, monkeypatch):
-        """Without the settled-basis stop the sweep-isolated sketches ran
-        143-192 of the 200 allowed IRLS iterations; with it they run 40-80."""
-        grams = []
+    def test_pivot_budget_spent_returns_best_vertex_uncertified(self, tall_sketches):
+        prob = tall_sketches[0]
+        assert solve_lad(prob).iterations > 1
+        sol = solve_lad(prob, max_iters=1)
+        assert sol.status == "max_iter"
+        assert sol.iterations == 1
+        assert sol.objective == objective(prob, sol.beta)
+        assert sol.objective >= highs_optimum(prob) * (1 - 1e-7)
+        with pytest.raises(DataError, match="max_iters must be nonnegative"):
+            solve_lad(prob, max_iters=-1)
 
-        def counting_gram(*args):
-            grams.append(args[0].shape[0])
-            return weighted_gram(*args)
+    def test_entering_row_matches_full_sort_on_tied_breakpoints(self):
+        """40 equal breakpoints straddle each cut of the ordered head (the
+        64th and the 512th): the head must take the whole group, so that the
+        entering row is the one the full order picks wherever the running
+        sum stops, the end included."""
+        rng = np.random.default_rng(3)
+        for cut in (64, 512):
+            t = np.concatenate([np.arange(cut - 20.0), np.full(40, cut - 20.0),
+                                np.arange(cut - 19.0, 5000.0 - 21.0)])
+            t = t[rng.permutation(t.size)]
+            t_e, rise = rng.random(t.size), np.ones(t.size)
+            for need in [*(np.arange(cut - 25, cut + 25) + 0.5), t.size + 1.0]:
+                want, _ = entering_row_full_sort(t, t_e, rise, need)
+                assert lad_module._entering_row(t, t_e, rise, need) == want
 
-        monkeypatch.setattr(lad_module, "weighted_gram", counting_gram)
-        inst = make_isolated_instance(2000, 10, RngStream(5))
-        for trial in range(4):
-            grams.clear()
-            res = active_solve(inst.X, InMemoryLabelOracle(inst.y), eps=0.1, delta=0.1,
-                               rng=RngStream(6, stream=trial), budget_override=120)
-            irls = len(grams) - 1  # one gram is the least-squares start
-            assert res.solver_status == "optimal"
-            assert irls <= 120
+    def test_long_line_searches_and_many_pivots(self, monkeypatch):
+        """A 5000 x 80 design with label outliers and repeated rows, so that
+        breakpoints tie at the cuts of the ordered head: every line search
+        must enter the row the full lexsort picks, the first one passes more
+        than 512 breakpoints, and the solve needs more than 300 pivots."""
+        entering_row = lad_module._entering_row
+        passed = []
+
+        def checked_entering_row(t, t_e, rise, need):
+            want, j = entering_row_full_sort(t, t_e, rise, need)
+            got = entering_row(t, t_e, rise, need)
+            assert got == want
+            passed.append(j)
+            return got
+
+        monkeypatch.setattr(lad_module, "_entering_row", checked_entering_row)
+        g = np.random.default_rng(0)
+        X = g.standard_normal((4000, 80))
+        y = X @ g.standard_normal(80) + g.standard_normal(4000)
+        y[g.choice(4000, 3, replace=False)] += 1e6 * np.where(g.random(3) < 0.5, -1.0, 1.0)
+        repeat = g.integers(0, 4000, 1000)
+        prob = LadProblem(np.vstack([X, X[repeat]]), np.concatenate([y, y[repeat]]))
+        sol = solve_lad(prob)
+        assert passed[0] > 512
+        assert sol.status == "optimal"
+        assert sol.iterations == len(passed) > 300
+        opt = highs_optimum(prob)
+        assert abs(sol.objective - opt) <= 1e-7 * opt
