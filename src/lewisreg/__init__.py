@@ -36,7 +36,7 @@ from .active import (
     InMemoryLabelOracle,
     LabelOracle,
     active_solve,
-    relative_error_gap,
+    augmented_lewis_weights,
     sample_and_solve,
     sketch_and_solve_known_y,
 )

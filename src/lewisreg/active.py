@@ -9,13 +9,17 @@ the strategy is nonadaptive.
 A known-label variant samples by the Lewis weights of the augmented matrix
 [X y] instead, which sees label outliers and therefore carries the stronger
 fixed-factor guarantee for eps < 1/3.
+
+The weights depend only on X (or on [X y]), never on the draw, so a caller
+making many draws from one design computes them once and passes them in as
+weights=.
 """
 
 from dataclasses import dataclass
 
 import numpy as np
 
-from .lad import LadProblem, l1_norm, solve_lad
+from .lad import LadProblem, solve_lad
 from .lewis import lewis_weights, recommended_budget, sampling_values
 from .linalg import (
     DataError,
@@ -24,7 +28,7 @@ from .linalg import (
     as_vector,
     orthonormal_column_basis,
 )
-from .sketch import RngStream, Sketch, apply_to_columns, draw_sketch
+from .sketch import RngStream, Sketch, draw_sketch
 
 __all__ = [
     "LabelOracle",
@@ -34,7 +38,7 @@ __all__ = [
     "sample_and_solve",
     "active_solve",
     "sketch_and_solve_known_y",
-    "relative_error_gap",
+    "augmented_lewis_weights",
 ]
 
 
@@ -175,67 +179,63 @@ def _budget(eps: float, delta: float, regime: str, budget_override: int | None,
     return N
 
 
+def _given_weights(weights: WeightVector, n: int) -> WeightVector:
+    """weights, checked to be Lewis weights of n rows."""
+    if not isinstance(weights, WeightVector) or weights.kind != "lewis" or len(weights) != n:
+        raise ValueError(f"weights must be a WeightVector of kind 'lewis' and length {n}")
+    return weights
+
+
 def active_solve(X, oracle: LabelOracle, eps: float, delta: float,
                  rng: RngStream, regime: str = "high_prob",
                  budget_override: int | None = None,
-                 solver_tol: float = 1e-8) -> ActiveResult:
+                 solver_tol: float = 1e-8,
+                 weights: WeightVector | None = None) -> ActiveResult:
     """Label-efficient LAD solve by Lewis-weight sampling.
 
-    Scales the Lewis weights of X to sampling values summing to the budget
-    (recommended_budget(d, eps, delta, regime) unless overridden) and hands
-    them to sample_and_solve.
+    Scales the Lewis weights of X (computed here unless given as weights) to
+    sampling values summing to the budget (recommended_budget(d, eps, delta,
+    regime) unless overridden) and hands them to sample_and_solve.
     """
     X = as_design_matrix(X)
     n, d = X.shape
     if oracle.n != n:
         raise ValueError("oracle length does not match the design matrix")
     N = _budget(eps, delta, regime, budget_override, d, d)
-    return sample_and_solve(X, oracle, sampling_values(lewis_weights(X), N),
-                            rng, solver_tol)
+    w = lewis_weights(X) if weights is None else _given_weights(weights, n)
+    return sample_and_solve(X, oracle, sampling_values(w, N), rng, solver_tol)
+
+
+def augmented_lewis_weights(X, y) -> WeightVector:
+    """Lewis weights of the augmented matrix [X y], the known-label sampler."""
+    X = as_design_matrix(X)
+    y = as_vector(y, length=X.shape[0])
+    # weights depend only on the column space, so a basis substitutes for
+    # [X y] itself when y already lies in the span of X
+    return lewis_weights(orthonormal_column_basis(np.hstack([X, y[:, None]])))
 
 
 def sketch_and_solve_known_y(X, y, eps: float, delta: float, rng: RngStream,
                              regime: str = "high_prob",
                              budget_override: int | None = None,
                              enforce_guarantee: bool = True,
-                             solver_tol: float = 1e-8) -> ActiveResult:
+                             solver_tol: float = 1e-8,
+                             weights: WeightVector | None = None) -> ActiveResult:
     """Sketch-and-solve with all labels available.
 
-    Samples by the Lewis weights of the augmented matrix [X y], so rows whose
-    labels dominate the residual geometry are seen by the sampler. For
-    eps < 1/3 the sketched minimizer is within a (1 + 4 eps) factor; larger
-    eps is refused unless enforce_guarantee=False.
+    Samples by the Lewis weights of the augmented matrix [X y]
+    (augmented_lewis_weights, unless given as weights), so rows whose labels
+    dominate the residual geometry are seen by the sampler. For eps < 1/3 the
+    sketched minimizer is within a (1 + 4 eps) factor; larger eps is refused
+    unless enforce_guarantee=False.
     """
     X = as_design_matrix(X)
     y = as_vector(y, length=X.shape[0])
-    d = X.shape[1]
+    n, d = X.shape
     N = _budget(eps, delta, regime, budget_override, d + 1, d)
     if enforce_guarantee and eps >= 1.0 / 3.0:
         raise DataError("eps must be below 1/3 for the fixed-factor guarantee; "
                         "pass enforce_guarantee=False to sample anyway")
-    # weights depend only on the column space, so a basis substitutes for
-    # [X y] itself when y already lies in the span of X
-    w = lewis_weights(orthonormal_column_basis(np.hstack([X, y[:, None]])))
+    w = augmented_lewis_weights(X, y) if weights is None else _given_weights(weights, n)
     return sample_and_solve(X, InMemoryLabelOracle(y), sampling_values(w, N),
                             rng, solver_tol)
-
-
-def relative_error_gap(X, y, S: Sketch, beta_star, beta) -> float:
-    """Deviation of the sketched loss difference from the true loss difference,
-    normalized by ||X (beta_star - beta)||_1 (0 when beta equals beta_star).
-
-    The sketch cannot estimate either loss by itself, but it must preserve
-    their difference; this is the quantity the harness validates.
-    """
-    X = as_design_matrix(X)
-    y = as_vector(y, length=X.shape[0])
-    beta_star = as_vector(beta_star, length=X.shape[1])
-    beta = as_vector(beta, length=X.shape[1])
-    denom = l1_norm(X @ (beta_star - beta))
-    if denom == 0.0:
-        return 0.0
-    res_star = X @ beta_star - y
-    res = X @ beta - y
-    sketched = l1_norm(apply_to_columns(S, res_star)) - l1_norm(apply_to_columns(S, res))
-    full = l1_norm(res_star) - l1_norm(res)
-    return (sketched - full) / denom

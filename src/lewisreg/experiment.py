@@ -6,16 +6,25 @@ isolation and a re-run of the whole spec reproduces the report byte for byte
 (timing aside). Solver failures inside a trial (for example a rank-deficient
 sketched problem when uniform sampling misses the only row spanning a
 direction) count as failed trials with an infinite ratio.
+
+The sampling weights depend only on the instance, never on a draw, so
+run_experiment computes them once per spec: the Lewis weights of X for
+"lewis", of [X y] for "known_y_augmented", the leverage scores of X for
+"leverage_l2_baseline" (uniform needs none). Every trial reuses them; when
+computing them fails numerically, every trial records that failure. Trials
+still go through active_solve and sketch_and_solve_known_y, passing weights=,
+so a trial draws the same rows as a one-shot call with the same stream.
 """
 
 import math
+import numbers
 import time
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
-from . import __version__
+from . import __version__, active
 from .active import (
     InMemoryLabelOracle,
     active_solve,
@@ -67,17 +76,22 @@ class ExperimentSpec:
     def __post_init__(self):
         if self.method not in METHODS:
             raise DataError(f"unknown method {self.method!r}; choose from {METHODS}")
+        for name in ("trials", "seed", "workers"):
+            object.__setattr__(self, name, _as_int(name, getattr(self, name)))
         if self.trials < 1:
             raise DataError("trials must be at least 1")
         if not self.budgets:
             raise DataError("need at least one budget")
-        if list(self.budgets) != sorted(self.budgets):
+        object.__setattr__(self, "budgets",
+                           [_as_int("budgets entry", b) for b in self.budgets])
+        if self.budgets != sorted(self.budgets):
             raise DataError("budgets must be sorted ascending")
+        if len(set(self.budgets)) != len(self.budgets):
+            raise DataError("budgets must not repeat")
         if not (0 < self.eps < 1) or not (0 < self.delta < 1):
             raise DataError("eps and delta must lie in (0, 1)")
         if self.workers < 1:
             raise DataError("workers must be at least 1")
-        object.__setattr__(self, "budgets", [int(b) for b in self.budgets])
 
     def to_json_dict(self) -> dict:
         return asdict(self)
@@ -94,6 +108,14 @@ class ExperimentSpec:
             raise
         except (TypeError, ValueError) as e:  # a field of the wrong type
             raise DataError(f"malformed spec: {e}") from None
+
+
+def _as_int(name: str, value) -> int:
+    """value as an int; DataError for anything but an integer (bools and
+    integral floats included), so a spec never silently truncates."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+        raise DataError(f"{name} must be an integer, got {value!r}")
+    return int(value)
 
 
 def trial_stream(seed: int, trial: int, budget: int) -> RngStream:
@@ -182,9 +204,20 @@ def wilson_interval(successes: int, n: int, z: float = 1.959963984540054):
     return max(0.0, center - half), min(1.0, center + half)
 
 
-def _run_trial(X, y, opt, method, budget, eps, delta, trial, seed, solver_tol):
-    rng = trial_stream(seed, trial, budget)
-    record = {
+def _sampling_weights(method, X, y) -> WeightVector | None:
+    """The importance values a method samples by, once per spec; None for
+    uniform. Looked up on lewisreg.active, where perfbench/spans.py wraps it."""
+    if method == "lewis":
+        return active.lewis_weights(X)
+    if method == "known_y_augmented":
+        return active.augmented_lewis_weights(X, y)
+    if method == "leverage_l2_baseline":
+        return leverage_scores(X)
+    return None
+
+
+def _record(budget, trial, opt, error=None) -> dict:
+    return {
         "budget": budget,
         "trial": trial,
         "draws": budget,
@@ -194,12 +227,23 @@ def _run_trial(X, y, opt, method, budget, eps, delta, trial, seed, solver_tol):
         "ratio": None,
         "success": False,
         "status": None,
-        "error": None,
+        "error": error,
     }
+
+
+def _failure(e: Exception) -> str:
+    return f"{type(e).__name__}: {e}"
+
+
+def _run_trial(X, y, opt, method, weights, budget, eps, delta, trial, seed,
+               solver_tol):
+    rng = trial_stream(seed, trial, budget)
+    record = _record(budget, trial, opt)
     try:
         if method == "lewis":
             res = active_solve(X, InMemoryLabelOracle(y), eps, delta, rng,
-                               budget_override=budget, solver_tol=solver_tol)
+                               budget_override=budget, solver_tol=solver_tol,
+                               weights=weights)
         elif method == "uniform":
             n = X.shape[0]
             p = WeightVector(np.full(n, budget / n), kind="sampling",
@@ -207,21 +251,22 @@ def _run_trial(X, y, opt, method, budget, eps, delta, trial, seed, solver_tol):
             res = sample_and_solve(X, InMemoryLabelOracle(y), p, rng,
                                    solver_tol=solver_tol)
         elif method == "leverage_l2_baseline":
-            p = sampling_values(leverage_scores(X), budget)
-            res = sample_and_solve(X, InMemoryLabelOracle(y), p, rng,
+            res = sample_and_solve(X, InMemoryLabelOracle(y),
+                                   sampling_values(weights, budget), rng,
                                    solver_tol=solver_tol)
         elif method == "known_y_augmented":
             res = sketch_and_solve_known_y(X, y, eps, delta, rng,
                                            budget_override=budget,
                                            enforce_guarantee=False,
-                                           solver_tol=solver_tol)
+                                           solver_tol=solver_tol,
+                                           weights=weights)
         else:
             raise ValueError(f"unknown method {method!r}")
     except (RankDeficiencyError, ConvergenceError) as e:
         # e.g. a sketch that misses every row spanning some direction; the
         # trial failed to produce an estimate, which counts as a failure.
         # Any other error is a bug and propagates.
-        record["error"] = f"{type(e).__name__}: {e}"
+        record["error"] = _failure(e)
         return record
 
     obj = objective(LadProblem(X, y), res.beta_hat)
@@ -292,23 +337,29 @@ def _aggregate(budget: int, records: list[dict]) -> dict:
 def run_experiment(spec: ExperimentSpec) -> ExperimentReport:
     t0 = time.perf_counter()
     X, y, meta = materialize_instance(spec.instance, spec.seed)
+    d = X.shape[1]
+    if spec.budgets[0] < d:
+        raise DataError(f"budget {spec.budgets[0]} below column count {d}; refused")
     if "opt" in meta:
         opt = float(meta["opt"])
     else:
         opt = solve_lad(LadProblem(X, y), tol=spec.solver_tol).objective
         meta["opt"] = opt
 
-    tasks = [
-        (X, y, opt, spec.method, budget, spec.eps, spec.delta, trial,
-         spec.seed, spec.solver_tol)
-        for budget in spec.budgets
-        for trial in range(spec.trials)
-    ]
-    if spec.workers > 1:
-        with ProcessPoolExecutor(max_workers=spec.workers) as pool:
-            results = list(pool.map(_trial_task, tasks, chunksize=1))
+    cells = [(budget, trial) for budget in spec.budgets for trial in range(spec.trials)]
+    try:
+        weights = _sampling_weights(spec.method, X, y)
+    except (RankDeficiencyError, ConvergenceError) as e:
+        # every trial would have computed these same weights and failed alike
+        results = [_record(budget, trial, opt, _failure(e)) for budget, trial in cells]
     else:
-        results = [_run_trial(*t) for t in tasks]
+        tasks = [(X, y, opt, spec.method, weights, budget, spec.eps, spec.delta,
+                  trial, spec.seed, spec.solver_tol) for budget, trial in cells]
+        if spec.workers > 1:
+            with ProcessPoolExecutor(max_workers=spec.workers) as pool:
+                results = list(pool.map(_trial_task, tasks, chunksize=1))
+        else:
+            results = [_run_trial(*t) for t in tasks]
     results.sort(key=lambda r: (r["budget"], r["trial"]))
 
     aggregates = [

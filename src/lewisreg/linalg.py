@@ -151,11 +151,6 @@ class SpdFactorization:
         out[self.perm] = v
         return out
 
-    def reconstruct(self) -> np.ndarray:
-        R = np.empty((self.dim, self.dim))
-        R[np.ix_(self.perm, self.perm)] = self.lower @ self.lower.T
-        return R
-
 
 def spd_factorize(A: np.ndarray, *, min_pivot_rel: float = MIN_PIVOT_REL) -> SpdFactorization:
     A = np.asarray(A, dtype=np.float64)

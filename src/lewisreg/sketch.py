@@ -125,25 +125,6 @@ class Sketch:
     def n_draws(self) -> int:
         return self.indices.shape[0]
 
-    def to_json_dict(self) -> dict:
-        return {
-            "n": self.source_n,
-            "N": self.n_draws,
-            "seed": list(self.seed) if self.seed is not None else None,
-            "draws": [[int(i), float(s)] for i, s in zip(self.indices, self.scales)],
-        }
-
-    @classmethod
-    def from_json_dict(cls, obj: dict) -> "Sketch":
-        draws = obj["draws"]
-        idx = np.array([d[0] for d in draws], dtype=np.intp)
-        sc = np.array([d[1] for d in draws], dtype=np.float64)
-        seed = tuple(obj["seed"]) if obj.get("seed") is not None else None
-        sk = cls(source_n=int(obj["n"]), indices=idx, scales=sc, seed=seed)
-        if sk.n_draws != int(obj["N"]):
-            raise ValueError("draw count does not match declared N")
-        return sk
-
 
 def draw_sketch(p: WeightVector, N: int, rng: RngStream) -> Sketch:
     """Draw a sampling-and-reweighting sketch from sampling values p.

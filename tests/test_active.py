@@ -5,15 +5,17 @@ from lewisreg.active import (
     FileBackedLabelOracle,
     InMemoryLabelOracle,
     active_solve,
-    relative_error_gap,
+    augmented_lewis_weights,
     sample_and_solve,
     sketch_and_solve_known_y,
 )
 from lewisreg.instances import make_outlier_instance
 from lewisreg.lad import LadProblem, objective
 from lewisreg.lewis import lewis_weights, sampling_values
-from lewisreg.linalg import WeightVector, orthonormal_column_basis
+from lewisreg.linalg import WeightVector, leverage_scores, orthonormal_column_basis
 from lewisreg.sketch import RngStream, draw_sketch, identity_sketch
+
+from helpers import relative_error_gap
 
 
 def gaussian_instance(seed, n=200, d=4, noise=0.0):
@@ -152,6 +154,35 @@ class TestSinglePath:
         b = sample_and_solve(X, InMemoryLabelOracle(y), sampling_values(w, 40),
                              RngStream(8))
         assert_same_result(a, b)
+
+    def test_given_weights_give_the_same_result(self):
+        X, y, _ = gaussian_instance(17, n=150, d=3, noise=0.5)
+        y[4] += 1e4
+        a = active_solve(X, InMemoryLabelOracle(y), 0.4, 0.1, RngStream(9),
+                         budget_override=40, weights=lewis_weights(X))
+        b = active_solve(X, InMemoryLabelOracle(y), 0.4, 0.1, RngStream(9),
+                         budget_override=40)
+        assert_same_result(a, b)
+        a = sketch_and_solve_known_y(X, y, 0.2, 0.1, RngStream(9), budget_override=40,
+                                     weights=augmented_lewis_weights(X, y))
+        b = sketch_and_solve_known_y(X, y, 0.2, 0.1, RngStream(9), budget_override=40)
+        assert_same_result(a, b)
+
+    @pytest.mark.parametrize("weights", [
+        lambda X: leverage_scores(X),
+        lambda X: sampling_values(lewis_weights(X), 40),
+        lambda X: lewis_weights(X[:-1]),
+        lambda X: lewis_weights(X).values,
+    ], ids=["leverage-kind", "sampling-kind", "short", "bare-array"])
+    def test_wrong_weights_refused(self, weights):
+        X, y, _ = gaussian_instance(18, n=60, d=3)
+        w = weights(X)
+        with pytest.raises(ValueError, match="kind 'lewis' and length 60"):
+            active_solve(X, InMemoryLabelOracle(y), 0.4, 0.1, RngStream(0),
+                         budget_override=20, weights=w)
+        with pytest.raises(ValueError, match="kind 'lewis' and length 60"):
+            sketch_and_solve_known_y(X, y, 0.2, 0.1, RngStream(0), budget_override=20,
+                                     weights=w)
 
     @pytest.mark.parametrize("call", [
         lambda X, y: active_solve(X, InMemoryLabelOracle(y[:-1]), 0.4, 0.1, RngStream(0)),

@@ -371,16 +371,25 @@ class TestErrorClassification:
          "instance field 'n': invalid literal for int() with base 10: 'abc'"),
         ({"instance": {"family": "isolated", "n": 30}},
          "instance descriptor has no 'd' field"),
-        ({"trials": "3"},
-         "malformed spec: '<' not supported between instances of 'str' and 'int'"),
+        ({"trials": "3"}, "trials must be an integer, got '3'"),
+        ({"trials": 2.5}, "trials must be an integer, got 2.5"),
+        ({"trials": True}, "trials must be an integer, got True"),
+        ({"seed": True}, "seed must be an integer, got True"),
+        ({"workers": 2.0}, "workers must be an integer, got 2.0"),
+        ({"budgets": [10, 20.7]}, "budgets entry must be an integer, got 20.7"),
+        ({"budgets": [10, False]}, "budgets entry must be an integer, got False"),
+        ({"budgets": [10, 10]}, "budgets must not repeat"),
+        ({"budgets": [1]}, "budget 1 below column count 2; refused"),
         ({"instance": {"family": "hidden_coordinate", "d": 3, "hidden_index": 7}},
          "hidden_index must name a coordinate"),
         ({"instance": {"family": "two_coin", "d": 3, "bias": 0.1, "which": 2}},
          "which must be 0 or 1"),
         ({"instance": {"family": "two_coin", "d": 3, "bias": 0.1, "which": -1}},
          "which must be 0 or 1"),
-    ], ids=["field_type", "missing_field", "spec_type", "hidden_index", "which_2",
-            "which_minus_1"])
+    ], ids=["field_type", "missing_field", "spec_type", "trials_float", "trials_bool",
+            "seed_bool", "workers_float", "budget_float", "budget_bool", "budget_repeated",
+            "budget_below_d",
+            "hidden_index", "which_2", "which_minus_1"])
     def test_malformed_spec_exit_2(self, tmp_path, capsys, overrides, message):
         spec = {"instance": {"family": "outlier", "n": 40, "d": 2}, "method": "lewis",
                 "budgets": [10], "eps": 0.5, "delta": 0.1, "trials": 1, "seed": 0}

@@ -3,13 +3,29 @@ import math
 import numpy as np
 import pytest
 
-from lewisreg.dataio import json_bytes
+from lewisreg import active, experiment
+from lewisreg.active import (
+    InMemoryLabelOracle,
+    active_solve,
+    sample_and_solve,
+    sketch_and_solve_known_y,
+)
+from lewisreg.dataio import json_bytes, write_labels, write_matrix_csv
 from lewisreg.experiment import (
+    METHODS,
     ExperimentSpec,
     materialize_instance,
     run_experiment,
     trial_stream,
     wilson_interval,
+)
+from lewisreg.lad import LadProblem, objective, solve_lad
+from lewisreg.lewis import sampling_values
+from lewisreg.linalg import (
+    DataError,
+    RankDeficiencyError,
+    WeightVector,
+    leverage_scores,
 )
 
 
@@ -45,6 +61,12 @@ class TestSpecValidation:
     def test_unknown_method_rejected(self):
         with pytest.raises(ValueError):
             outlier_spec(method="magic")
+
+    def test_numpy_integers_accepted_as_ints(self):
+        spec = outlier_spec(trials=np.int64(2), seed=np.int32(5),
+                            budgets=[np.int64(15), 30])
+        assert spec == outlier_spec(trials=2)
+        assert type(spec.trials) is int and type(spec.budgets[0]) is int
 
     def test_unknown_field_rejected(self):
         with pytest.raises(ValueError):
@@ -186,3 +208,125 @@ class TestRunExperiment:
         for lo, hi in zip(rates, rates[1:]):
             noise = 3 * math.sqrt(max(lo * (1 - lo), hi * (1 - hi)) / 30 + 1e-9)
             assert hi >= lo - noise
+
+
+def near_repeated_column_files(tmp_path):
+    """A file instance whose second column repeats the first except in one
+    entry, by 5e-5. The reference full solve accepts it; the Lewis iteration
+    upweights the other rows until that direction falls below pivot
+    tolerance, so lewis_weights raises RankDeficiencyError."""
+    rng = np.random.default_rng(0)
+    a = rng.standard_normal(200)
+    X = np.column_stack([a, a, rng.standard_normal(200)])
+    X[7, 1] += 5e-5
+    y = X @ np.array([1.0, 0.0, 2.0]) + rng.standard_normal(200)
+    write_matrix_csv(tmp_path / "x.csv", X)
+    write_labels(tmp_path / "y.txt", y)
+    return {"x_file": str(tmp_path / "x.csv"), "y_file": str(tmp_path / "y.txt")}
+
+
+def one_shot_trials(spec: ExperimentSpec) -> list[dict]:
+    """Trial records from the one-shot functions, each trial computing its
+    own weights (no weights=): the reference the harness must reproduce."""
+    X, y, meta = materialize_instance(spec.instance, spec.seed)
+    opt = meta["opt"] if "opt" in meta else solve_lad(LadProblem(X, y),
+                                                       tol=spec.solver_tol).objective
+    n = X.shape[0]
+    records = []
+    for budget in spec.budgets:
+        for trial in range(spec.trials):
+            rng, oracle = trial_stream(spec.seed, trial, budget), InMemoryLabelOracle(y)
+            rec = {"budget": budget, "trial": trial, "draws": budget,
+                   "distinct_labels": None, "objective": None, "opt": opt,
+                   "ratio": None, "success": False, "status": None, "error": None}
+            try:
+                if spec.method == "lewis":
+                    res = active_solve(X, oracle, spec.eps, spec.delta, rng,
+                                       budget_override=budget, solver_tol=spec.solver_tol)
+                elif spec.method == "known_y_augmented":
+                    res = sketch_and_solve_known_y(X, y, spec.eps, spec.delta, rng,
+                                                   budget_override=budget,
+                                                   enforce_guarantee=False,
+                                                   solver_tol=spec.solver_tol)
+                else:
+                    p = (sampling_values(leverage_scores(X), budget)
+                         if spec.method == "leverage_l2_baseline" else
+                         WeightVector(np.full(n, budget / n), kind="sampling",
+                                      budget=float(budget)))
+                    res = sample_and_solve(X, oracle, p, rng, solver_tol=spec.solver_tol)
+            except RankDeficiencyError as e:
+                rec["error"] = f"RankDeficiencyError: {e}"
+            else:
+                obj = objective(LadProblem(X, y), res.beta_hat)
+                rec.update(distinct_labels=res.labels_queried, objective=obj,
+                           ratio=obj / opt, success=obj / opt <= 1.0 + spec.eps,
+                           status=res.solver_status)
+            records.append(rec)
+    return records
+
+
+@pytest.fixture
+def lewis_calls(monkeypatch):
+    """Counts calls of lewisreg.active.lewis_weights, the name the harness
+    and the one-shot functions compute Lewis weights through."""
+    calls = []
+    original = active.lewis_weights
+
+    def counting(*args, **kwargs):
+        calls.append(args[0].shape)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(active, "lewis_weights", counting)
+    return calls
+
+
+class TestWeightsOncePerSpec:
+    @pytest.mark.parametrize("method", ["lewis", "known_y_augmented"])
+    def test_one_lewis_call_per_spec(self, lewis_calls, method):
+        rep = run_experiment(outlier_spec(method=method))  # 2 budgets x 3 trials
+        assert len(rep.trials) == 6
+        assert all(t["error"] is None for t in rep.trials)
+        assert len(lewis_calls) == 1
+
+    @pytest.mark.parametrize("instance", ["outlier", "isolated", "near_repeated"])
+    @pytest.mark.parametrize("method", METHODS)
+    def test_report_matches_one_shot_trials(self, tmp_path, method, instance):
+        desc = {"outlier": {"family": "outlier", "n": 150, "d": 3,
+                            "outlier_magnitude": 1e4, "noise_scale": 1.0},
+                "isolated": {"family": "isolated", "n": 200, "d": 4, "magnitude": 30.0},
+                "near_repeated": None}[instance] or near_repeated_column_files(tmp_path)
+        spec = outlier_spec(method=method, instance=desc)
+        rep = run_experiment(spec).to_json_dict()
+        rep.pop("timing")
+        trials = one_shot_trials(spec)
+        expected = {**rep, "trials": trials,
+                    "aggregates": [experiment._aggregate(b, [t for t in trials
+                                                             if t["budget"] == b])
+                                   for b in spec.budgets]}
+        assert json_bytes(rep) == json_bytes(expected)
+
+    def test_budget_below_column_count_refused_before_weights(self, lewis_calls):
+        with pytest.raises(DataError, match=r"^budget 2 below column count 3; refused$"):
+            run_experiment(outlier_spec(budgets=[2, 30]))
+        assert lewis_calls == []
+
+    def test_failed_weights_recorded_on_every_trial(self, tmp_path, lewis_calls):
+        rep = run_experiment(outlier_spec(instance=near_repeated_column_files(tmp_path)))
+        errors = {t["error"] for t in rep.trials}
+        assert len(rep.trials) == 6 and len(errors) == 1
+        assert errors.pop().startswith("RankDeficiencyError: matrix is rank deficient")
+        assert [a["failed_trials"] for a in rep.aggregates] == [3, 3]
+        assert len(lewis_calls) == 1
+
+    def test_repeated_column_refused_by_the_reference_solve(self, tmp_path, lewis_calls):
+        # an exactly repeated column fails the full solve that sets opt, so
+        # the spec is refused before any weights or trials
+        X = np.random.default_rng(1).standard_normal((60, 3))
+        X = np.hstack([X, X[:, :1]])
+        write_matrix_csv(tmp_path / "x.csv", X)
+        write_labels(tmp_path / "y.txt", X.sum(axis=1))
+        spec = outlier_spec(instance={"x_file": str(tmp_path / "x.csv"),
+                                      "y_file": str(tmp_path / "y.txt")})
+        with pytest.raises(RankDeficiencyError):
+            run_experiment(spec)
+        assert lewis_calls == []

@@ -14,6 +14,8 @@ from lewisreg.linalg import (
     weighted_gram,
 )
 
+from helpers import reconstruct
+
 
 def gram_triple_loop(X, w):
     """Brute-force oracle: sum over rows of (1/w_i) x_i x_i^T, scalar loops."""
@@ -120,7 +122,7 @@ class TestSpdFactorization:
         rng = np.random.default_rng(6)
         for d in (1, 3, 7):
             A = random_spd(rng, d, cond=50.0)
-            R = spd_factorize(A).reconstruct()
+            R = reconstruct(spd_factorize(A))
             assert np.max(np.abs(R - A)) <= 1e-10 * np.max(np.abs(A))
 
     def test_rank_deficient_rejected(self):
