@@ -14,8 +14,19 @@ run_experiment computes them once per spec: the Lewis weights of X for
 computing them fails numerically, every trial records that failure. Trials
 still go through active_solve and sketch_and_solve_known_y, passing weights=,
 so a trial draws the same rows as a one-shot call with the same stream.
+
+Comparing methods means running one spec per method on one (instance, seed),
+back to back in one process. run_experiment therefore keeps the last
+generated instance: the next spec on the same descriptor and seed reuses its
+X, y (read-only) and its planted reference optimum instead of generating the
+instance and solving it again. The report says how long preparing the
+instance took in timing["instance_seconds"]; nothing else in it changes.
+File instances are read afresh by every spec, and materialize_instance
+itself caches nothing.
 """
 
+import copy
+import json
 import math
 import numbers
 import time
@@ -74,6 +85,8 @@ class ExperimentSpec:
     solver_tol: float = 1e-8
 
     def __post_init__(self):
+        if not isinstance(self.instance, dict):
+            raise DataError(f"instance must be a JSON object, got {self.instance!r}")
         if self.method not in METHODS:
             raise DataError(f"unknown method {self.method!r}; choose from {METHODS}")
         for name in ("trials", "seed", "workers"):
@@ -134,14 +147,42 @@ def _field(desc: dict, key: str, kind, default=None):
         raise DataError(f"instance field {key!r}: {e}") from None
 
 
+_REDUCTION_FIELDS = ("reduction_eps", "reduction_delta", "constants")
+
+# the descriptor fields each generated family reads, beside "family"
+_FAMILY_FIELDS = {
+    "outlier": ("n", "d", "outlier_magnitude", "n_outliers", "noise_scale"),
+    "isolated": ("n", "d", "magnitude", "noise_scale"),
+    "biased_hypercube": ("d", "bias") + _REDUCTION_FIELDS,
+    "two_coin": ("d", "bias", "which") + _REDUCTION_FIELDS,
+    "hidden_coordinate": ("d", "hidden_index") + _REDUCTION_FIELDS,
+}
+
+
+def _refuse_unread(desc: dict, fields, what: str) -> None:
+    """DataError naming every descriptor key outside fields, so a misspelt
+    optional field is refused instead of silently taking its default."""
+    extra = set(desc) - set(fields)
+    if extra:
+        raise DataError(f"unknown instance fields for {what}: "
+                        f"{sorted(map(str, extra))}; it reads {sorted(fields)}")
+
+
+def _is_file_instance(desc: dict) -> bool:
+    return "x_file" in desc or "y_file" in desc
+
+
 def materialize_instance(desc: dict, seed: int) -> tuple[np.ndarray, np.ndarray, dict]:
     """Build (X, y) from an instance descriptor, plus provenance metadata.
 
     Descriptors: {"x_file":..., "y_file":...} loads files; {"family": ...}
     generates, with the instance drawn from a dedicated substream of the seed.
+    A key the descriptor's kind does not read is refused. Every call builds
+    fresh, writable arrays.
     """
     meta: dict = {}
-    if "x_file" in desc or "y_file" in desc:
+    if _is_file_instance(desc):
+        _refuse_unread(desc, ("x_file", "y_file"), "file instances")
         if "x_file" not in desc or "y_file" not in desc:
             raise DataError("file instances need both x_file and y_file")
         X = read_matrix_csv(desc["x_file"])
@@ -151,8 +192,11 @@ def materialize_instance(desc: dict, seed: int) -> tuple[np.ndarray, np.ndarray,
         meta["source"] = {"x_file": desc["x_file"], "y_file": desc["y_file"]}
         return X, y, meta
 
-    rng = RngStream(seed).derive("instance")
     family = desc.get("family")
+    if not isinstance(family, str) or family not in _FAMILY_FIELDS:
+        raise DataError(f"unrecognized instance descriptor: {desc!r}")
+    _refuse_unread(desc, ("family",) + _FAMILY_FIELDS[family], f"family {family!r}")
+    rng = RngStream(seed).derive("instance")
     if family == "outlier":
         inst = make_outlier_instance(
             _field(desc, "n", int), _field(desc, "d", int),
@@ -170,26 +214,53 @@ def materialize_instance(desc: dict, seed: int) -> tuple[np.ndarray, np.ndarray,
         )
         meta["opt"] = inst.opt
         return inst.X, inst.y, meta
-    if family in ("biased_hypercube", "two_coin", "hidden_coordinate"):
-        d = _field(desc, "d", int)
-        if family == "biased_hypercube":
-            dist = biased_hypercube_instance(d, _field(desc, "bias", float), rng=rng)
-        elif family == "two_coin":
-            which = _field(desc, "which", int, 0)
-            if which not in (0, 1):
-                raise DataError("which must be 0 or 1")
-            dist = two_coin_instances(d, _field(desc, "bias", float))[which]
-        else:
-            dist = hidden_coordinate_instance(d, _field(desc, "hidden_index", int, 0))
-        X, y = reduce_to_matrix(
-            dist, _field(desc, "reduction_eps", float, 0.2),
-            _field(desc, "reduction_delta", float, 0.1),
-            rng.derive("reduction"),
-            constants=desc.get("constants", "proof"),
-        )
-        meta["beta_star"] = [float(v) for v in dist.beta_star]
-        return X, y, meta
-    raise DataError(f"unrecognized instance descriptor: {desc!r}")
+    d = _field(desc, "d", int)
+    if family == "biased_hypercube":
+        dist = biased_hypercube_instance(d, _field(desc, "bias", float), rng=rng)
+    elif family == "two_coin":
+        which = _field(desc, "which", int, 0)
+        if which not in (0, 1):
+            raise DataError("which must be 0 or 1")
+        dist = two_coin_instances(d, _field(desc, "bias", float))[which]
+    else:
+        dist = hidden_coordinate_instance(d, _field(desc, "hidden_index", int, 0))
+    X, y = reduce_to_matrix(
+        dist, _field(desc, "reduction_eps", float, 0.2),
+        _field(desc, "reduction_delta", float, 0.1),
+        rng.derive("reduction"),
+        constants=desc.get("constants", "proof"),
+    )
+    meta["beta_star"] = [float(v) for v in dist.beta_star]
+    return X, y, meta
+
+
+# (key, X, y, meta) of the last generated instance run_experiment prepared.
+# Module state, not an argument: callers run one spec per method through the
+# unchanged run_experiment(spec). One entry bounds the memory to one instance.
+_last_instance = None
+
+
+def _prepare_instance(desc: dict, seed: int) -> tuple[np.ndarray, np.ndarray, dict]:
+    """materialize_instance(desc, seed), reusing the last generated instance
+    when desc and seed match it. Its X and y are shared read-only; meta is a
+    fresh copy per call, since run_experiment writes into it. File instances
+    are read afresh every time, and a call that raises caches nothing."""
+    global _last_instance
+    if _is_file_instance(desc):
+        return materialize_instance(desc, seed)
+    try:
+        key = (json.dumps(desc, sort_keys=True, default=repr), seed)
+    except TypeError:  # keys of mixed types do not sort; materialize refuses them
+        return materialize_instance(desc, seed)
+    entry = _last_instance  # one read, so another thread's entry never mixes in
+    if entry is None or entry[0] != key:
+        # built from desc itself, not the key, so numpy scalars keep working
+        X, y, meta = materialize_instance(desc, seed)
+        X.setflags(write=False)
+        y.setflags(write=False)
+        entry = _last_instance = (key, X, y, meta)
+    _, X, y, meta = entry
+    return X, y, copy.deepcopy(meta)
 
 
 def wilson_interval(successes: int, n: int, z: float = 1.959963984540054):
@@ -336,7 +407,8 @@ def _aggregate(budget: int, records: list[dict]) -> dict:
 
 def run_experiment(spec: ExperimentSpec) -> ExperimentReport:
     t0 = time.perf_counter()
-    X, y, meta = materialize_instance(spec.instance, spec.seed)
+    X, y, meta = _prepare_instance(spec.instance, spec.seed)
+    instance_seconds = time.perf_counter() - t0
     d = X.shape[1]
     if spec.budgets[0] < d:
         raise DataError(f"budget {spec.budgets[0]} below column count {d}; refused")
@@ -378,6 +450,7 @@ def run_experiment(spec: ExperimentSpec) -> ExperimentReport:
         },
         trials=results,
         aggregates=aggregates,
-        timing={"total_seconds": time.perf_counter() - t0},
+        timing={"total_seconds": time.perf_counter() - t0,
+                "instance_seconds": instance_seconds},
     )
     return report

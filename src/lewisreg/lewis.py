@@ -165,7 +165,7 @@ def lewis_weights(X, cfg: LewisConfig = LewisConfig()) -> WeightVector:
     else:
         raise ConvergenceError(
             f"Lewis weight iteration did not converge in {cfg.max_iters} sweeps "
-            f"(final residual {residual:.3e}, tol {cfg.tol:.1e})",
+            f"(final residual {residual:.3e}, best {best:.3e}, tol {cfg.tol:.1e})",
             residual,
         )
 

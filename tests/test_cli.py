@@ -386,10 +386,19 @@ class TestErrorClassification:
          "which must be 0 or 1"),
         ({"instance": {"family": "two_coin", "d": 3, "bias": 0.1, "which": -1}},
          "which must be 0 or 1"),
+        ({"instance": [1, 2]}, "instance must be a JSON object, got [1, 2]"),
+        ({"instance": {"family": "isolated", "n": 200, "d": 4, "bogus": 1}},
+         "unknown instance fields for family 'isolated': ['bogus']; "
+         "it reads ['d', 'family', 'magnitude', 'n', 'noise_scale']"),
+        ({"instance": {"family": "outlier", "n": 40, "d": 2, "magnitdue": 5.0},
+          "budgets": [1]},
+         "unknown instance fields for family 'outlier': ['magnitdue']; it reads "
+         "['d', 'family', 'n', 'n_outliers', 'noise_scale', 'outlier_magnitude']"),
     ], ids=["field_type", "missing_field", "spec_type", "trials_float", "trials_bool",
             "seed_bool", "workers_float", "budget_float", "budget_bool", "budget_repeated",
             "budget_below_d",
-            "hidden_index", "which_2", "which_minus_1"])
+            "hidden_index", "which_2", "which_minus_1", "instance_list", "instance_bogus_key",
+            "misspelt_key_before_budget"])
     def test_malformed_spec_exit_2(self, tmp_path, capsys, overrides, message):
         spec = {"instance": {"family": "outlier", "n": 40, "d": 2}, "method": "lewis",
                 "budgets": [10], "eps": 0.5, "delta": 0.1, "trials": 1, "seed": 0}

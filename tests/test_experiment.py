@@ -117,6 +117,43 @@ class TestMaterialize:
         with pytest.raises(ValueError):
             materialize_instance({"family": "nope"}, seed=0)
 
+    @pytest.mark.parametrize("family", [["isolated"], None])
+    def test_non_string_family_refused(self, family):
+        with pytest.raises(DataError, match="^unrecognized instance descriptor"):
+            materialize_instance({"family": family}, seed=0)
+
+    @pytest.mark.parametrize("desc, message", [
+        ({"family": "isolated", "n": 200, "d": 4, "bogus": 1},
+         "unknown instance fields for family 'isolated': ['bogus']; "
+         "it reads ['d', 'family', 'magnitude', 'n', 'noise_scale']"),
+        ({"family": "isolated", "n": 200, "d": 4, "magnitdue": 30.0},
+         "unknown instance fields for family 'isolated': ['magnitdue']; "
+         "it reads ['d', 'family', 'magnitude', 'n', 'noise_scale']"),
+        ({"x_file": "x.csv", "y_file": "y.txt", "family": "outlier"},
+         "unknown instance fields for file instances: ['family']; "
+         "it reads ['x_file', 'y_file']"),
+    ], ids=["unknown_key", "misspelt_key", "file_with_family"])
+    def test_unread_key_refused(self, desc, message):
+        with pytest.raises(DataError) as info:
+            materialize_instance(desc, seed=0)
+        assert str(info.value) == message
+
+    def test_every_family_reads_its_optional_fields(self):
+        # the fields listed for each family are accepted together
+        for desc in (
+            {"family": "outlier", "n": 40, "d": 2, "outlier_magnitude": 10.0,
+             "n_outliers": 2, "noise_scale": 0.5},
+            {"family": "isolated", "n": 40, "d": 2, "magnitude": 5.0, "noise_scale": 0.1},
+            {"family": "two_coin", "d": 2, "bias": 0.3, "which": 1,
+             "reduction_eps": 0.5, "reduction_delta": 0.3, "constants": "proof"},
+        ):
+            X, y, _ = materialize_instance(desc, seed=2)
+            assert X.shape[0] == y.shape[0] > 0
+
+    def test_spec_instance_must_be_an_object(self):
+        with pytest.raises(DataError, match=r"^instance must be a JSON object, got \[1, 2\]$"):
+            outlier_spec(instance=[1, 2])
+
 
 class TestRunExperiment:
     def test_report_shape(self):
@@ -330,3 +367,132 @@ class TestWeightsOncePerSpec:
         with pytest.raises(RankDeficiencyError):
             run_experiment(spec)
         assert lewis_calls == []
+
+
+ISOLATED = {"family": "isolated", "n": 200, "d": 4, "magnitude": 30.0}
+
+
+def isolated_spec(**overrides):
+    return outlier_spec(**{"instance": ISOLATED, "budgets": [15, 40], "trials": 2,
+                           **overrides})
+
+
+def body(report) -> bytes:
+    """The report JSON outside its timing block."""
+    rep = report.to_json_dict()
+    rep.pop("timing")
+    return json_bytes(rep)
+
+
+@pytest.fixture
+def cold_cache(monkeypatch):
+    """Empties run_experiment's instance cache; returns a function that
+    empties it again."""
+    def clear():
+        monkeypatch.setattr(experiment, "_last_instance", None)
+
+    clear()
+    return clear
+
+
+@pytest.fixture
+def generated(monkeypatch):
+    """Counts calls of lewisreg.experiment.make_isolated_instance."""
+    calls = []
+    original = experiment.make_isolated_instance
+
+    def counting(*args, **kwargs):
+        calls.append(args[:2])
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(experiment, "make_isolated_instance", counting)
+    return calls
+
+
+class TestInstanceOncePerProcess:
+    def test_consecutive_specs_generate_once(self, cold_cache, generated):
+        run_experiment(isolated_spec(method="lewis"))
+        run_experiment(isolated_spec(method="uniform"))
+        assert len(generated) == 1
+        run_experiment(isolated_spec(method="uniform", seed=6))
+        assert len(generated) == 2
+
+    def test_changed_descriptor_generates_again(self, cold_cache, generated):
+        run_experiment(isolated_spec())
+        run_experiment(isolated_spec(instance={**ISOLATED, "magnitude": 20.0}))
+        assert len(generated) == 2
+
+    @pytest.mark.parametrize("method", METHODS)
+    def test_cached_report_matches_cold_run(self, cold_cache, method):
+        cold = body(run_experiment(isolated_spec(method=method)))
+        cold_cache()
+        other = "uniform" if method != "uniform" else "lewis"
+        run_experiment(isolated_spec(method=other))  # prepares the instance
+        assert body(run_experiment(isolated_spec(method=method))) == cold
+
+    def test_cached_arrays_are_read_only(self, cold_cache):
+        X, y, _ = experiment._prepare_instance(ISOLATED, 5)
+        X2, y2, _ = experiment._prepare_instance(ISOLATED, 5)
+        assert X2 is X and y2 is y
+        assert not X.flags.writeable and not y.flags.writeable
+        with pytest.raises(ValueError):
+            X[0, 0] = 1.0
+
+    def test_materialize_instance_returns_fresh_writable_arrays(self, cold_cache):
+        cached, _, _ = experiment._prepare_instance(ISOLATED, 5)
+        X, y, _ = materialize_instance(ISOLATED, 5)
+        assert X is not cached and X.flags.writeable and y.flags.writeable
+        np.testing.assert_array_equal(X, cached)
+
+    def test_edited_meta_does_not_leak(self, cold_cache):
+        first = run_experiment(isolated_spec(method="lewis"))
+        expected = body(run_experiment(isolated_spec(method="uniform")))
+        first.environment["instance_meta"]["opt"] = -1.0
+        first.environment["instance_meta"]["note"] = "edited"
+        assert body(run_experiment(isolated_spec(method="uniform"))) == expected
+
+    def test_numpy_integers_in_the_descriptor(self, cold_cache):
+        plain = run_experiment(isolated_spec()).environment
+        cold_cache()
+        spec = isolated_spec(instance={**ISOLATED, "n": np.int64(200), "d": np.int32(4)})
+        assert run_experiment(spec).environment == plain
+        assert run_experiment(spec).environment == plain  # from the cache
+
+    def test_file_instance_is_read_every_time(self, tmp_path, cold_cache):
+        X = np.random.default_rng(2).standard_normal((60, 3))
+        write_matrix_csv(tmp_path / "x.csv", X)
+        write_labels(tmp_path / "y.txt", X.sum(axis=1) + 1.0)
+        spec = outlier_spec(instance={"x_file": str(tmp_path / "x.csv"),
+                                      "y_file": str(tmp_path / "y.txt")}, trials=1)
+        before = run_experiment(spec).environment["opt"]
+        write_labels(tmp_path / "y.txt", 3.0 * X.sum(axis=1) + 1.0)
+        after = run_experiment(spec).environment["opt"]
+        assert after != before
+
+    def test_failed_preparation_is_not_cached(self, cold_cache, generated, monkeypatch):
+        original = experiment.make_isolated_instance
+
+        def failing(*args, **kwargs):
+            raise RankDeficiencyError("planted failure")
+
+        monkeypatch.setattr(experiment, "make_isolated_instance", failing)
+        with pytest.raises(RankDeficiencyError, match="planted failure"):
+            run_experiment(isolated_spec())
+        monkeypatch.setattr(experiment, "make_isolated_instance", original)
+        run_experiment(isolated_spec())
+        assert len(generated) == 1
+
+    def test_refusals_keep_their_order(self, cold_cache, generated):
+        with pytest.raises(DataError, match="unknown instance fields"):
+            run_experiment(isolated_spec(instance={**ISOLATED, "bogus": 1}, budgets=[2]))
+        assert generated == []
+        run_experiment(isolated_spec())
+        with pytest.raises(DataError, match=r"^budget 2 below column count 4; refused$"):
+            run_experiment(isolated_spec(budgets=[2, 40]))  # from the cache
+        assert len(generated) == 1
+
+    def test_timing_reports_instance_seconds(self, cold_cache):
+        for _ in range(2):  # generated, then from the cache
+            timing = run_experiment(isolated_spec()).timing
+            assert set(timing) == {"total_seconds", "instance_seconds"}
+            assert 0.0 <= timing["instance_seconds"] <= timing["total_seconds"]

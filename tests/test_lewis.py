@@ -1,8 +1,9 @@
 import math
+import re
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy.linalg import solve_triangular
 
@@ -221,6 +222,38 @@ class TestHeavyTailedProperties:
         assert abs(w[n] - 1.0) <= 1e-9  # the only row on its coordinate
         np.testing.assert_allclose(w[n + 1], w[0], rtol=1e-9)  # the copy of row 0
         np.testing.assert_allclose(w, plain_sweep_weights(X), rtol=5e-10)
+
+
+def row_scaled_t_design(seed, d, extra):
+    """Student-t(1.5) rows, each scaled by 10^U(-6, 6), with n = d + extra:
+    row norms across twelve decades and n close to d, where the defect of the
+    Lewis identity can floor near 1e-8, above the 1e-10 certificate."""
+    rng = np.random.default_rng(seed)
+    n = d + extra
+    return rng.standard_t(1.5, size=(n, d)) * 10.0 ** rng.uniform(-6, 6, size=(n, 1))
+
+
+class TestRowScaledNearSquare:
+    # over 400 such designs: 314 certify, 39 raise ConvergenceError and 47
+    # RankDeficiencyError; the examples pin one of each
+    @given(st.integers(0, 2**32 - 1), st.integers(2, 8), st.integers(0, 19))
+    @example(3, 2, 0)
+    @example(0, 7, 12)
+    @example(2, 4, 0)
+    @settings(max_examples=60, deadline=None)
+    def test_certifies_or_raises_a_numerical_error(self, seed, d, extra):
+        X = row_scaled_t_design(seed, d, extra)
+        cfg = LewisConfig()
+        try:
+            w = lewis_weights(X, cfg)
+        except RankDeficiencyError:
+            return
+        except ConvergenceError as e:
+            found = re.search(r"best (\S+), tol", str(e))
+            assert found, str(e)
+            assert cfg.tol < float(found.group(1)) <= e.residual
+            return
+        assert verify_fixed_point(X, w) <= cfg.tol
 
 
 @pytest.fixture
