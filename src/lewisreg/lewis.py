@@ -54,11 +54,15 @@ _ANDERSON_DEPTH = 5
 
 
 class ConvergenceError(RuntimeError):
-    """Fixed-point iteration failed to reach tolerance within max_iters."""
+    """Fixed-point iteration failed to reach tolerance within max_iters.
 
-    def __init__(self, msg: str, residual: float):
+    residual is the defect of the last iterate; best, when given, the
+    smallest defect any iterate reached."""
+
+    def __init__(self, msg: str, residual: float, best: float | None = None):
         super().__init__(msg)
         self.residual = residual
+        self.best = best
 
 
 @dataclass(frozen=True)
@@ -167,6 +171,7 @@ def lewis_weights(X, cfg: LewisConfig = LewisConfig()) -> WeightVector:
             f"Lewis weight iteration did not converge in {cfg.max_iters} sweeps "
             f"(final residual {residual:.3e}, best {best:.3e}, tol {cfg.tol:.1e})",
             residual,
+            best,
         )
 
     full = np.zeros(n)
