@@ -61,9 +61,7 @@ def _scan_matrix_csv(path) -> np.ndarray:
 def write_matrix_csv(path, X) -> None:
     X = np.asarray(X, dtype=np.float64)
     with open(path, "w", encoding="utf-8") as fh:
-        for row in X:
-            fh.write(",".join(repr(float(v)) for v in row))
-            fh.write("\n")
+        fh.writelines(",".join(map(repr, row.tolist())) + "\n" for row in X)
 
 
 def read_labels(path) -> np.ndarray:
@@ -85,9 +83,7 @@ def read_labels(path) -> np.ndarray:
 def write_labels(path, y) -> None:
     y = np.asarray(y, dtype=np.float64)
     with open(path, "w", encoding="utf-8") as fh:
-        for v in y:
-            fh.write(repr(float(v)))
-            fh.write("\n")
+        fh.writelines(f"{v!r}\n" for v in y.tolist())
 
 
 def json_bytes(obj) -> bytes:

@@ -28,13 +28,15 @@ from dataclasses import dataclass
 import numpy as np
 
 from .linalg import (
+    MIN_PIVOT_REL,
     DataError,
     RankDeficiencyError,
     as_design_matrix,
     as_vector,
-    spd_factorize,
     weighted_gram,
 )
+# unused here, but perfbench/spans.py wraps lewisreg.lad.spd_factorize
+from .linalg import spd_factorize  # noqa: F401
 
 __all__ = [
     "LadProblem",
@@ -226,23 +228,37 @@ def solve_lad(prob: LadProblem, tol: float = 1e-8, max_iters: int = 2000) -> Lad
         raise DataError("tol must be positive")
     if max_iters < 0:
         raise DataError("max_iters must be nonnegative")
-    keep = prob.weights > 0
+    w = prob.weights
+    keep = w > 0
     b = prob.b[keep]
-    w = prob.weights[keep]
+    w = w[keep]
     d = prob.A.shape[1]
     m = b.shape[0]
     if m < d:
         raise RankDeficiencyError("fewer positively weighted rows than columns")
     # solve in column-equilibrated coordinates; residuals are unchanged and
     # the coefficients map back through the scales
-    col_scale = np.abs(prob.A[keep]).max(axis=0)
+    A = prob.A[keep]
+    col_scale = np.abs(A).max(axis=0)
     if np.any(col_scale == 0):
         raise RankDeficiencyError("an all-zero column on the weighted support")
-    A = prob.A[keep] / col_scale
+    A = A / col_scale
 
-    # weighted least-squares start; doubles as the support rank check
-    F = spd_factorize(weighted_gram(A, w))
-    r = A @ F.solve(A.T @ (w * b)) - b
+    # weighted least-squares start, only to order rows for the start basis,
+    # and the support rank check: with D G D = L L^T at unit diagonal, every
+    # Cholesky pivot of G is >= min_k G_kk / (D G D)^-1_kk (column k factored
+    # last), so this refuses wherever spd_factorize, at the same tolerance, would
+    G = weighted_gram(A, w)
+    g = G.diagonal()
+    D = 1.0 / np.sqrt(g)
+    try:
+        L_inv = np.linalg.inv(np.linalg.cholesky(G * D[:, None] * D))
+        last_pivots = g / np.einsum("ij,ij->j", L_inv, L_inv)
+    except np.linalg.LinAlgError:  # a pivot at or below zero
+        last_pivots = np.zeros(d)
+    if not np.all(last_pivots >= MIN_PIVOT_REL * np.max(g)):
+        raise RankDeficiencyError("positively weighted rows are rank deficient to tolerance")
+    r = A @ (D * (L_inv.T @ (L_inv @ (D * (A.T @ (w * b)))))) - b
     beta, status, s_full, pivots = _l1_simplex(A, b, w, _greedy_basis(A, r), tol, max_iters)
     cert_norm = float(np.max(np.abs(A.T @ (w * s_full))))
     beta_out = beta / col_scale

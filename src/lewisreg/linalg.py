@@ -9,7 +9,9 @@ row weights span many orders of magnitude.
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.linalg.lapack import dpstrf, dtrtri, dtrtrs
+
+# scipy.linalg.lapack is imported inside the functions that call it: loading
+# it costs about 0.25 s, which the full LAD solve and the generators never need
 
 __all__ = [
     "DataError",
@@ -133,26 +135,9 @@ class SpdFactorization:
     lower: np.ndarray = field(repr=False)
     perm: np.ndarray = field(repr=False)
 
-    def solve(self, b: np.ndarray) -> np.ndarray:
-        """A^{-1} b by two O(d^2) LAPACK triangular solves on the F-ordered
-        L^T: the same dtrtrs calls, with the same flags, that solve_triangular
-        makes for the C-ordered L and for L^T, so the same bits."""
-        b = np.asarray(b, dtype=np.float64)
-        if b.shape[0] != self.dim:
-            raise ValueError(f"rhs has length {b.shape[0]}, expected {self.dim}")
-        if not np.all(np.isfinite(b)):
-            raise ValueError("rhs has non-finite entries")
-        Lt = self.lower.T
-        u, info_l = dtrtrs(Lt, b[self.perm], lower=0, trans=1, overwrite_b=1)
-        v, info_u = dtrtrs(Lt, u, lower=0, trans=0, overwrite_b=1)
-        if info_l or info_u:
-            raise np.linalg.LinAlgError(f"triangular solve failed: info {info_l}, {info_u}")
-        out = np.empty_like(b)
-        out[self.perm] = v
-        return out
-
 
 def spd_factorize(A: np.ndarray, *, min_pivot_rel: float = MIN_PIVOT_REL) -> SpdFactorization:
+    from scipy.linalg.lapack import dpstrf
     A = np.asarray(A, dtype=np.float64)
     if A.ndim != 2 or A.shape[0] != A.shape[1]:
         raise ValueError(f"expected a square matrix, got shape {A.shape}")
@@ -181,6 +166,7 @@ def row_quadratic_forms(F: SpdFactorization, M: np.ndarray) -> np.ndarray:
     the F-ordered L^T) and one GEMM."""
     if M.shape[1] != F.dim:
         raise ValueError("column count does not match factorization dimension")
+    from scipy.linalg.lapack import dtrtri
     Lt_inv, info = dtrtri(F.lower.T, lower=0)
     if info:
         raise np.linalg.LinAlgError(f"triangular inverse failed: info {info}")

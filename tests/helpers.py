@@ -1,6 +1,7 @@
 """Test-side helpers: checks and round trips that only the tests use."""
 
 import numpy as np
+from scipy.linalg import solve_triangular
 
 from lewisreg.lad import l1_norm
 from lewisreg.linalg import SpdFactorization, as_design_matrix, as_vector
@@ -53,3 +54,11 @@ def reconstruct(F: SpdFactorization) -> np.ndarray:
     R = np.empty((F.dim, F.dim))
     R[np.ix_(F.perm, F.perm)] = F.lower @ F.lower.T
     return R
+
+
+def factor_solve(F: SpdFactorization, b) -> np.ndarray:
+    """A^{-1} b through the factor F of A, by two triangular solves."""
+    u = solve_triangular(F.lower, np.asarray(b, dtype=np.float64)[F.perm], lower=True)
+    out = np.empty(F.dim)
+    out[F.perm] = solve_triangular(F.lower.T, u, lower=False)
+    return out

@@ -42,6 +42,41 @@ class TestDataIO:
         write_matrix_csv(path2, again)
         assert path.read_bytes() == path2.read_bytes()
 
+    def test_matrix_bytes_match_per_element_writer(self, tmp_path):
+        def per_element(path, X):  # the writer before rows went through tolist
+            with open(path, "w", encoding="utf-8") as fh:
+                for row in np.asarray(X, dtype=np.float64):
+                    fh.write(",".join(repr(float(v)) for v in row))
+                    fh.write("\n")
+
+        rng = np.random.default_rng(3)
+        X = rng.standard_normal((30, 4)) * 10.0 ** rng.integers(-300, 300, size=(30, 4))
+        X[0] = [-0.0, 5e-324, 1e308, 3.0]
+        X[1] = [0.0, -1e308, -5e-324, -12.0]
+        X[2] = [1e16, 2.0 ** 60, 0.1, 1.0 / 3.0]
+        small = rng.standard_normal((5, 3))
+        for M in (X, X[:, :1], X[:1], small.astype(np.float32), np.arange(12).reshape(4, 3)):
+            fast, reference = tmp_path / "fast.csv", tmp_path / "reference.csv"
+            write_matrix_csv(fast, M)
+            per_element(reference, M)
+            assert fast.read_bytes() == reference.read_bytes()
+
+    def test_label_bytes_match_per_element_writer(self, tmp_path):
+        def per_element(path, y):  # the writer before labels went through tolist
+            with open(path, "w", encoding="utf-8") as fh:
+                for v in np.asarray(y, dtype=np.float64):
+                    fh.write(repr(float(v)))
+                    fh.write("\n")
+
+        rng = np.random.default_rng(4)
+        y = rng.standard_normal(30) * 10.0 ** rng.integers(-300, 300, size=30)
+        y[:8] = [-0.0, 0.0, 5e-324, -5e-324, 1e308, -1e308, 7.0, 2.0 ** 60]
+        for v in (y, y[:1], np.arange(5)):
+            fast, reference = tmp_path / "fast.txt", tmp_path / "reference.txt"
+            write_labels(fast, v)
+            per_element(reference, v)
+            assert fast.read_bytes() == reference.read_bytes()
+
     def test_labels_round_trip_exact(self, tmp_path):
         rng = np.random.default_rng(1)
         y = rng.standard_normal(11)
@@ -158,6 +193,14 @@ class TestSolveCommand:
         assert sol["beta"] == [1.0]
         assert sol["objective"] == 10.0
         assert sol["labels_queried"] == 3
+
+    def test_full_mode_rank_deficient_exit_3(self, tmp_path):
+        x, y = tmp_path / "x.csv", tmp_path / "y.txt"
+        x.write_text("1.0,2.0\n2.0,4.0\n3.0,6.0\n")
+        y.write_text("1.0\n2.0\n3.0\n")
+        res = run_cli("solve", str(x), str(y), "--mode", "full")
+        assert res.returncode == 3
+        assert res.stderr.startswith("numerical failure: ")
 
     def test_active_deterministic(self, tmp_path):
         rng = np.random.default_rng(3)
@@ -312,6 +355,36 @@ class TestGenCommand:
                            "--out-y", str(tmp_path / f"y{name}.txt")).returncode == 0
         assert (tmp_path / "xa.csv").read_bytes() == (tmp_path / "xb.csv").read_bytes()
         assert (tmp_path / "ya.txt").read_bytes() == (tmp_path / "yb.txt").read_bytes()
+
+
+class TestStartup:
+    def test_full_solve_and_gen_never_load_scipy(self, median_instance, tmp_path):
+        """import lewisreg, a full solve and gen run without scipy; the weights
+        command loads its LAPACK kernels on first use in the same process."""
+        x, y = median_instance
+        script = f"""
+import sys
+import lewisreg
+from lewisreg.cli import main
+
+def scipy_modules():
+    return sorted(m for m in sys.modules if m == "scipy" or m.startswith("scipy."))
+
+print("import", scipy_modules())
+code = main(["solve", {str(x)!r}, {str(y)!r}, "--mode", "full", "--out", {str(tmp_path / "s.json")!r}])
+print("solve", code, scipy_modules())
+code = main(["gen", "outlier", "--n", "30", "--d", "3", "--out-x", {str(tmp_path / "x.csv")!r},
+             "--out-y", {str(tmp_path / "y.txt")!r}])
+print("gen", code, scipy_modules())
+code = main(["weights", {str(tmp_path / "x.csv")!r}, "--out", {str(tmp_path / "w.json")!r}])
+print("weights", code, "scipy.linalg.lapack" in sys.modules)
+"""
+        res = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True)
+        assert res.returncode == 0, res.stderr
+        assert res.stdout.splitlines() == ["import []", "solve 0 []", "gen 0 []",
+                                           "weights 0 True"]
+        blob = json.loads((tmp_path / "w.json").read_text())
+        assert blob["n"] == 30 and blob["check"]["fixed_point_residual"] <= 1e-9
 
 
 class TestUsageErrors:

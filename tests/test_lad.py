@@ -248,6 +248,28 @@ class TestSolveLad:
         A = np.array([[1.0, 1.0], [2.0, 2.0], [3.0, 3.0]])
         with pytest.raises(RankDeficiencyError):
             solve_lad(LadProblem(A, np.ones(3)))
+        # a dependent column under row weights and column scales 1e-6 and 1e6,
+        # the scales the unit-diagonal scaling of the Gram takes out; the same
+        # designs with an independent column are solved
+        rng = np.random.default_rng(14)
+        B = rng.standard_normal((40, 3))
+        b = rng.standard_normal(40)
+        dependent = np.column_stack([B, B[:, 0] - 2.0 * B[:, 2]])
+        independent = np.column_stack([B, rng.standard_normal(40)])
+        weights = [None, rng.random(40) + 0.1, 10.0 ** rng.uniform(-6, 6, 40)]
+        for scales in ([1.0, 1.0, 1.0, 1.0], [1e-6, 1.0, 1e6, 1.0], [1e6, 1e-6, 1.0, 1e6]):
+            for w in weights:
+                with pytest.raises(RankDeficiencyError):
+                    solve_lad(LadProblem(dependent * scales, b, w))
+                assert solve_lad(LadProblem(independent * scales, b, w)).status == "optimal"
+        # dependent on the positively weighted rows only
+        C = independent.copy()
+        C[:10, 3] = C[:10, 0] + C[:10, 1]
+        w = np.ones(40)
+        w[10:] = 0.0
+        with pytest.raises(RankDeficiencyError):
+            solve_lad(LadProblem(C, b, w))
+        assert solve_lad(LadProblem(C, b)).status == "optimal"
 
     def test_fewer_rows_than_columns_rejected(self):
         with pytest.raises(RankDeficiencyError):
