@@ -14,22 +14,13 @@ from .linalg import (
 )
 from .lewis import (
     ConvergenceError,
-    LewisConfig,
-    check_row_addition_monotonicity,
     lewis_weights,
     recommended_budget,
     sampling_values,
     verify_fixed_point,
 )
-from .sketch import (
-    RngStream,
-    Sketch,
-    apply_to_columns,
-    draw_sketch,
-    embedding_distortion,
-    identity_sketch,
-)
-from .lad import LadProblem, LadSolution, l1_norm, objective, solve_lad, weighted_median_1d
+from .sketch import RngStream, Sketch, draw_sketch
+from .lad import LadProblem, LadSolution, l1_norm, objective, solve_lad
 from .active import (
     ActiveResult,
     FileBackedLabelOracle,

@@ -54,10 +54,6 @@ class LabelOracle:
         self.query_log: list[int] = []
 
     @property
-    def query_count(self) -> int:
-        return len(self.query_log)
-
-    @property
     def n(self) -> int:
         raise NotImplementedError
 
@@ -117,12 +113,14 @@ class FileBackedLabelOracle(LabelOracle):
     def _lookup(self, i: int) -> float:
         with open(self._path, "rb") as fh:
             fh.seek(self._offsets[i])
-            raw = fh.readline().strip()
-        self.lines_read += 1
-        try:
-            return float(raw)
-        except ValueError:
-            raise DataError(f"label line {i + 1} is not a real number: {raw!r}")
+            raw = fh.readline()
+            self.lines_read += 1
+            try:
+                return float(raw)
+            except ValueError:  # name the file line, counting blank lines too
+                fh.seek(0)
+                lineno = fh.read(self._offsets[i]).count(b"\n") + 1
+        raise DataError(f"{self._path}: line {lineno}: could not parse a real number")
 
 
 @dataclass(frozen=True)
@@ -218,7 +216,6 @@ def augmented_lewis_weights(X, y) -> WeightVector:
 def sketch_and_solve_known_y(X, y, eps: float, delta: float, rng: RngStream,
                              regime: str = "high_prob",
                              budget_override: int | None = None,
-                             enforce_guarantee: bool = True,
                              solver_tol: float = 1e-8,
                              weights: WeightVector | None = None) -> ActiveResult:
     """Sketch-and-solve with all labels available.
@@ -226,16 +223,13 @@ def sketch_and_solve_known_y(X, y, eps: float, delta: float, rng: RngStream,
     Samples by the Lewis weights of the augmented matrix [X y]
     (augmented_lewis_weights, unless given as weights), so rows whose labels
     dominate the residual geometry are seen by the sampler. For eps < 1/3 the
-    sketched minimizer is within a (1 + 4 eps) factor; larger eps is refused
-    unless enforce_guarantee=False.
+    sketched minimizer is within a (1 + 4 eps) factor; larger eps samples
+    the same way, without that guarantee.
     """
     X = as_design_matrix(X)
     y = as_vector(y, length=X.shape[0])
     n, d = X.shape
     N = _budget(eps, delta, regime, budget_override, d + 1, d)
-    if enforce_guarantee and eps >= 1.0 / 3.0:
-        raise DataError("eps must be below 1/3 for the fixed-factor guarantee; "
-                        "pass enforce_guarantee=False to sample anyway")
     w = augmented_lewis_weights(X, y) if weights is None else _given_weights(weights, n)
     return sample_and_solve(X, InMemoryLabelOracle(y), sampling_values(w, N),
                             rng, solver_tol)

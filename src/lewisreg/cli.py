@@ -31,7 +31,7 @@ from .instances import (
     two_coin_instances,
 )
 from .lad import LadProblem, objective, solve_lad
-from .lewis import ConvergenceError, LewisConfig, lewis_weights, verify_fixed_point
+from .lewis import ConvergenceError, lewis_weights, verify_fixed_point
 from .linalg import RankDeficiencyError, leverage_scores
 from .sketch import RngStream
 
@@ -120,7 +120,7 @@ def _build_parser() -> _Parser:
 def cmd_weights(args) -> int:
     X = read_matrix_csv(args.x_file)
     if args.kind == "lewis":
-        w = lewis_weights(X, LewisConfig(tol=args.tol))
+        w = lewis_weights(X, args.tol)
         check = {"fixed_point_residual": verify_fixed_point(X, w)}
     else:
         w = leverage_scores(X)
@@ -157,7 +157,6 @@ def cmd_solve(args) -> int:
         rng = trial_stream(args.seed, 0, budget if budget is not None else -1)
         res = sketch_and_solve_known_y(X, y, args.eps, args.delta, rng,
                                        regime=args.regime, budget_override=budget,
-                                       enforce_guarantee=False,
                                        solver_tol=args.solver_tol)
         full_obj = objective(LadProblem(X, y), res.beta_hat)
         out.update(beta=[float(v) for v in res.beta_hat], objective=full_obj,
@@ -241,11 +240,11 @@ def cmd_gen(args) -> int:
 def main(argv=None) -> int:
     parser = _build_parser()
     args = parser.parse_args(argv)
-    # refusals of input are DataError; any other ValueError is a bug and
-    # propagates
+    # refusals of input are DataError, and a path that cannot be opened is an
+    # OSError; any other ValueError is a bug and propagates
     try:
         return args.func(args)
-    except (DataError, FileNotFoundError) as e:
+    except (DataError, OSError) as e:
         print(f"data error: {e}", file=sys.stderr)
         return 2
     except (RankDeficiencyError, ConvergenceError) as e:

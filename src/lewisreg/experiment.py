@@ -110,6 +110,8 @@ class ExperimentSpec:
 
     @classmethod
     def from_json_dict(cls, obj: dict) -> "ExperimentSpec":
+        if not isinstance(obj, dict):
+            raise DataError(f"spec must be a JSON object, got {obj!r}")
         known = {f for f in cls.__dataclass_fields__}
         extra = set(obj) - known
         if extra:
@@ -262,10 +264,11 @@ def _prepare_instance(desc: dict, seed: int) -> tuple[np.ndarray, np.ndarray, di
     return X, y, copy.deepcopy(meta)
 
 
-def wilson_interval(successes: int, n: int, z: float = 1.959963984540054):
+def wilson_interval(successes: int, n: int):
     """95 percent Wilson score interval for a binomial proportion."""
     if n < 1:
         raise ValueError("need at least one trial")
+    z = 1.959963984540054  # the 97.5th percentile of the standard normal
     phat = successes / n
     z2 = z * z
     denom = 1.0 + z2 / n
@@ -327,7 +330,6 @@ def _run_trial(X, y, opt, method, weights, budget, eps, delta, trial, seed,
         elif method == "known_y_augmented":
             res = sketch_and_solve_known_y(X, y, eps, delta, rng,
                                            budget_override=budget,
-                                           enforce_guarantee=False,
                                            solver_tol=solver_tol,
                                            weights=weights)
         else:

@@ -43,7 +43,6 @@ __all__ = [
     "LadSolution",
     "l1_norm",
     "objective",
-    "weighted_median_1d",
     "solve_lad",
 ]
 
@@ -97,27 +96,6 @@ def objective(prob: LadProblem, beta) -> float:
     beta = as_vector(beta, length=prob.A.shape[1])
     r = prob.A @ beta - prob.b
     return math.fsum(prob.weights * np.abs(r))
-
-
-def weighted_median_1d(values, weights) -> float:
-    """A minimizer of sum_i w_i |v_i - beta| over scalar beta.
-
-    When the minimizers form an interval, returns its left endpoint.
-    """
-    v = as_vector(values)
-    w = as_vector(weights, length=v.shape[0])
-    if v.shape[0] == 0:
-        raise ValueError("empty input")
-    if np.any(w < 0):
-        raise ValueError("weights must be nonnegative")
-    total = float(np.sum(w))
-    if total <= 0:
-        raise ValueError("weights must not all be zero")
-    order = np.argsort(v, kind="stable")
-    cum = np.cumsum(w[order])
-    half = 0.5 * total
-    k = int(np.searchsorted(cum, half - 1e-12 * total, side="left"))
-    return float(v[order][k])
 
 
 def _greedy_basis(A: np.ndarray, r: np.ndarray) -> np.ndarray:

@@ -1,4 +1,4 @@
-"""L1 Lewis weights by fixed-point iteration, plus their structural checks.
+"""L1 Lewis weights by fixed-point iteration.
 
 The weights w of a matrix X are defined implicitly by
 
@@ -20,8 +20,6 @@ and O(5 n) for the mixing.
 """
 
 import math
-from dataclasses import dataclass
-from typing import NamedTuple
 
 import numpy as np
 
@@ -38,12 +36,9 @@ from .linalg import (
 )
 
 __all__ = [
-    "LewisConfig",
     "ConvergenceError",
     "lewis_weights",
     "verify_fixed_point",
-    "MonotonicityCheck",
-    "check_row_addition_monotonicity",
     "sampling_values",
     "recommended_budget",
 ]
@@ -52,9 +47,15 @@ __all__ = [
 # Anderson mixing depth: how many past differences each sweep combines.
 _ANDERSON_DEPTH = 5
 
+# Sweeps lewis_weights runs before it raises ConvergenceError.
+MAX_SWEEPS = 200
+
+# The constant C that recommended_budget multiplies its asymptotic rate by.
+BUDGET_CONSTANT = 4.0
+
 
 class ConvergenceError(RuntimeError):
-    """Fixed-point iteration failed to reach tolerance within max_iters.
+    """Fixed-point iteration failed to reach tolerance within MAX_SWEEPS.
 
     residual is the defect of the last iterate; best, when given, the
     smallest defect any iterate reached."""
@@ -63,18 +64,6 @@ class ConvergenceError(RuntimeError):
         super().__init__(msg)
         self.residual = residual
         self.best = best
-
-
-@dataclass(frozen=True)
-class LewisConfig:
-    max_iters: int = 200
-    tol: float = 1e-10
-
-    def __post_init__(self):
-        if self.tol <= 0:
-            raise DataError("tol must be positive")
-        if self.max_iters < 1:
-            raise DataError("max_iters must be at least 1")
 
 
 def _fixed_point_defect(X: np.ndarray, w: np.ndarray) -> tuple[float, np.ndarray]:
@@ -89,7 +78,7 @@ def _fixed_point_defect(X: np.ndarray, w: np.ndarray) -> tuple[float, np.ndarray
     return float(defect.max()), q
 
 
-def lewis_weights(X, cfg: LewisConfig = LewisConfig()) -> WeightVector:
+def lewis_weights(X, tol: float = 1e-10) -> WeightVector:
     """Compute the L1 Lewis weights of X.
 
     Starting from w = 1, each sweep evaluates q(w) and the defect of the
@@ -111,22 +100,24 @@ def lewis_weights(X, cfg: LewisConfig = LewisConfig()) -> WeightVector:
     ----------
     X : array_like, shape (n, d)
         Full column rank after all-zero rows are removed.
-    cfg : LewisConfig
-        Iteration budget and the fixed-point residual threshold.
+    tol : float
+        The fixed-point residual threshold.
 
     Returns
     -------
     WeightVector with kind "lewis": entries in (0, 1] for nonzero rows, exactly
     0 for all-zero rows, summing to d over the nonzero rows. Its max relative
-    defect, as verify_fixed_point measures it, is at most cfg.tol.
+    defect, as verify_fixed_point measures it, is at most tol.
 
     Raises
     ------
     RankDeficiencyError
         If the nonzero rows do not span all d columns to pivot tolerance.
     ConvergenceError
-        If the residual is still above tolerance after max_iters sweeps.
+        If the residual is still above tolerance after MAX_SWEEPS sweeps.
     """
+    if tol <= 0:
+        raise DataError("tol must be positive")
     X = as_design_matrix(X)
     n, d = X.shape
     nonzero = (X != 0).any(axis=1)
@@ -144,9 +135,9 @@ def lewis_weights(X, cfg: LewisConfig = LewisConfig()) -> WeightVector:
 
     u, w = np.zeros(rows), np.ones(rows)
     residual = math.inf
-    for _ in range(cfg.max_iters):
+    for _ in range(MAX_SWEEPS):
         residual, q = _fixed_point_defect(Xa, w)
-        if residual <= cfg.tol:
+        if residual <= tol:
             break
         g = 0.5 * np.log(q)
         f = g - u
@@ -168,8 +159,8 @@ def lewis_weights(X, cfg: LewisConfig = LewisConfig()) -> WeightVector:
         w = np.exp(u)
     else:
         raise ConvergenceError(
-            f"Lewis weight iteration did not converge in {cfg.max_iters} sweeps "
-            f"(final residual {residual:.3e}, best {best:.3e}, tol {cfg.tol:.1e})",
+            f"Lewis weight iteration did not converge in {MAX_SWEEPS} sweeps "
+            f"(final residual {residual:.3e}, best {best:.3e}, tol {tol:.1e})",
             residual,
             best,
         )
@@ -195,30 +186,6 @@ def verify_fixed_point(X, w) -> float:
     return defect
 
 
-class MonotonicityCheck(NamedTuple):
-    ok: bool
-    max_violation: float
-
-
-def check_row_addition_monotonicity(X, extra_rows, *, slack: float = 1e-7,
-                                    cfg: LewisConfig = LewisConfig()) -> MonotonicityCheck:
-    """Do the original rows' Lewis weights stay put or drop when rows are added?
-
-    Returns (ok, max_violation) where the violation is the largest increase of
-    any original row's weight in the stacked matrix; ok means it is <= slack.
-    """
-    X = as_design_matrix(X)
-    extra = np.asarray(extra_rows, dtype=np.float64)
-    if extra.size == 0:
-        extra = extra.reshape(0, X.shape[1])
-    if extra.ndim != 2 or extra.shape[1] != X.shape[1]:
-        raise ValueError("extra rows must have the same column count as X")
-    w_before = lewis_weights(X, cfg).values
-    w_after = lewis_weights(np.vstack([X, extra]), cfg).values[: X.shape[0]]
-    violation = float(np.max(w_after - w_before))
-    return MonotonicityCheck(ok=violation <= slack, max_violation=violation)
-
-
 def sampling_values(w: WeightVector, N: int) -> WeightVector:
     """Scale an importance vector to sampling values summing to the budget N."""
     if not isinstance(w, WeightVector):
@@ -234,14 +201,14 @@ def sampling_values(w: WeightVector, N: int) -> WeightVector:
 
 
 def recommended_budget(d: int, eps: float, delta: float,
-                       regime: str = "high_prob", C: float = 4.0) -> int:
+                       regime: str = "high_prob") -> int:
     """Row budget for the sampling sketch.
 
     high_prob:      ceil(C * d/eps^2 * log(d/(eps*delta)))
     constant_prob:  ceil(C * d * log(max(d,2)) / eps^2)
 
-    C absorbs the constants hidden by the asymptotic statements; the default of
-    4 is an artifact choice meant to be swept by the experiment harness.
+    C = BUDGET_CONSTANT absorbs the constants hidden by the asymptotic
+    statements; its value of 4 is an artifact choice, not the paper's.
     """
     if d < 1:
         raise ValueError("d must be at least 1")
@@ -249,12 +216,10 @@ def recommended_budget(d: int, eps: float, delta: float,
         raise ValueError("eps must lie in (0, 1)")
     if not (0 < delta < 1):
         raise ValueError("delta must lie in (0, 1)")
-    if C <= 0:
-        raise ValueError("C must be positive")
     if regime == "high_prob":
-        value = C * d / eps**2 * math.log(d / (eps * delta))
+        value = BUDGET_CONSTANT * d / eps**2 * math.log(d / (eps * delta))
     elif regime == "constant_prob":
-        value = C * d * math.log(max(d, 2)) / eps**2
+        value = BUDGET_CONSTANT * d * math.log(max(d, 2)) / eps**2
     else:
         raise ValueError(f"unknown regime {regime!r}")
     return int(math.ceil(value))

@@ -128,7 +128,7 @@ class SpdFactorization:
     """Pivoted Cholesky factorization of a symmetric positive-definite matrix.
 
     Satisfies A[perm][:, perm] = L L^T. Refuses matrices whose smallest pivot
-    falls below min_pivot_rel times the largest diagonal entry.
+    falls below MIN_PIVOT_REL times the largest diagonal entry.
     """
 
     dim: int
@@ -136,7 +136,7 @@ class SpdFactorization:
     perm: np.ndarray = field(repr=False)
 
 
-def spd_factorize(A: np.ndarray, *, min_pivot_rel: float = MIN_PIVOT_REL) -> SpdFactorization:
+def spd_factorize(A: np.ndarray) -> SpdFactorization:
     from scipy.linalg.lapack import dpstrf
     A = np.asarray(A, dtype=np.float64)
     if A.ndim != 2 or A.shape[0] != A.shape[1]:
@@ -147,13 +147,13 @@ def spd_factorize(A: np.ndarray, *, min_pivot_rel: float = MIN_PIVOT_REL) -> Spd
     max_diag = float(np.max(A.diagonal())) if d else 0.0
     if max_diag <= 0:
         raise RankDeficiencyError("matrix has no positive diagonal entry")
-    c, piv, rank, info = dpstrf(A, lower=1, tol=min_pivot_rel * max_diag)
+    c, piv, rank, info = dpstrf(A, lower=1, tol=MIN_PIVOT_REL * max_diag)
     if info < 0:
         raise ValueError(f"factorization failed with LAPACK code {info}")
     if rank < d:
         raise RankDeficiencyError(
             f"matrix is rank deficient to tolerance: rank {rank} < {d} "
-            f"(min pivot below {min_pivot_rel:.1e} x max diagonal)"
+            f"(min pivot below {MIN_PIVOT_REL:.1e} x max diagonal)"
         )
     L = np.tril(c)
     perm = np.asarray(piv, dtype=np.intp) - 1
@@ -176,8 +176,9 @@ def row_quadratic_forms(F: SpdFactorization, M: np.ndarray) -> np.ndarray:
     return np.einsum("ij,ij->i", Z, Z)
 
 
-def orthonormal_column_basis(X: np.ndarray, rtol: float = 1e-12) -> np.ndarray:
-    """Orthonormal basis of the column space of X at the detected rank.
+def orthonormal_column_basis(X: np.ndarray) -> np.ndarray:
+    """Orthonormal basis of the column space of X at the detected rank: the
+    number of singular values above 1e-12 times the largest.
 
     Row importance scores (leverage, Lewis) depend only on the column space,
     so callers may substitute this basis when X itself is column-rank
@@ -186,7 +187,7 @@ def orthonormal_column_basis(X: np.ndarray, rtol: float = 1e-12) -> np.ndarray:
     U, s, _ = np.linalg.svd(np.asarray(X, dtype=np.float64), full_matrices=False)
     if s.size == 0 or s[0] <= 0:
         raise RankDeficiencyError("matrix has no nonzero columns")
-    rank = int(np.sum(s > rtol * s[0]))
+    rank = int(np.sum(s > 1e-12 * s[0]))
     return U[:, :rank]
 
 

@@ -15,16 +15,13 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .linalg import WeightVector, as_design_matrix
+from .linalg import WeightVector
 
 __all__ = [
     "RngStream",
     "Sketch",
     "build_alias_table",
     "draw_sketch",
-    "identity_sketch",
-    "apply_to_columns",
-    "embedding_distortion",
 ]
 
 RNG_ALGORITHM = "philox4x64 keyed by sha256(seed, stream, substream)"
@@ -155,45 +152,3 @@ def draw_sketch(p: WeightVector, N: int, rng: RngStream) -> Sketch:
     scales = 1.0 / values[idx]
     return Sketch(source_n=n, indices=idx, scales=scales,
                   seed=(rng.seed, rng.stream, rng.substream))
-
-
-def identity_sketch(n: int) -> Sketch:
-    """The deterministic sketch with draws (k, 1) in order; applies as identity."""
-    return Sketch(source_n=n, indices=np.arange(n, dtype=np.intp),
-                  scales=np.ones(n), seed=None)
-
-
-def apply_to_columns(S: Sketch, M) -> np.ndarray:
-    """Row k of the output is scale_k times row i_k of M (matrix or vector)."""
-    A = np.asarray(M, dtype=np.float64)
-    if A.shape[0] != S.source_n:
-        raise ValueError(f"operand has {A.shape[0]} rows, sketch expects {S.source_n}")
-    if A.ndim == 1:
-        return A[S.indices] * S.scales
-    if A.ndim == 2:
-        return A[S.indices] * S.scales[:, None]
-    raise ValueError("operand must be a vector or a matrix")
-
-
-def embedding_distortion(S: Sketch, X, probes: int, rng: RngStream) -> float:
-    """Largest observed |  ||S X b||_1 - 1 | over random probe directions b,
-    each normalized so ||X b||_1 = 1.
-
-    This is a lower bound on the true subspace distortion (the max over the
-    whole column space), not a certificate.
-    """
-    X = as_design_matrix(X)
-    if probes < 1:
-        raise ValueError("need at least one probe")
-    g = rng.generator()
-    d = X.shape[1]
-    B = g.standard_normal((d, probes))
-    Y = X @ B
-    norms = np.abs(Y).sum(axis=0)
-    ok = norms > 0
-    if not np.any(ok):
-        raise ValueError("all probes collapsed to zero; X may be zero")
-    Y = Y[:, ok] / norms[ok]
-    SY = Y[S.indices] * S.scales[:, None]
-    sketched = np.abs(SY).sum(axis=0)
-    return float(np.max(np.abs(sketched - 1.0)))

@@ -1,11 +1,100 @@
-"""Test-side helpers: checks and round trips that only the tests use."""
+"""Test-side helpers: oracles, checks and round trips that only the tests use."""
+
+from typing import NamedTuple
 
 import numpy as np
 from scipy.linalg import solve_triangular
 
 from lewisreg.lad import l1_norm
+from lewisreg.lewis import lewis_weights
 from lewisreg.linalg import SpdFactorization, as_design_matrix, as_vector
-from lewisreg.sketch import Sketch, apply_to_columns
+from lewisreg.sketch import RngStream, Sketch
+
+
+def identity_sketch(n: int) -> Sketch:
+    """The deterministic sketch with draws (k, 1) in order; applies as identity."""
+    return Sketch(source_n=n, indices=np.arange(n, dtype=np.intp),
+                  scales=np.ones(n), seed=None)
+
+
+def apply_to_columns(S: Sketch, M) -> np.ndarray:
+    """Row k of the output is scale_k times row i_k of M (matrix or vector)."""
+    A = np.asarray(M, dtype=np.float64)
+    if A.shape[0] != S.source_n:
+        raise ValueError(f"operand has {A.shape[0]} rows, sketch expects {S.source_n}")
+    if A.ndim == 1:
+        return A[S.indices] * S.scales
+    if A.ndim == 2:
+        return A[S.indices] * S.scales[:, None]
+    raise ValueError("operand must be a vector or a matrix")
+
+
+def embedding_distortion(S: Sketch, X, probes: int, rng: RngStream) -> float:
+    """Largest observed |  ||S X b||_1 - 1 | over random probe directions b,
+    each normalized so ||X b||_1 = 1.
+
+    This is a lower bound on the true subspace distortion (the max over the
+    whole column space), not a certificate.
+    """
+    X = as_design_matrix(X)
+    if probes < 1:
+        raise ValueError("need at least one probe")
+    g = rng.generator()
+    d = X.shape[1]
+    B = g.standard_normal((d, probes))
+    Y = X @ B
+    norms = np.abs(Y).sum(axis=0)
+    ok = norms > 0
+    if not np.any(ok):
+        raise ValueError("all probes collapsed to zero; X may be zero")
+    Y = Y[:, ok] / norms[ok]
+    SY = Y[S.indices] * S.scales[:, None]
+    sketched = np.abs(SY).sum(axis=0)
+    return float(np.max(np.abs(sketched - 1.0)))
+
+
+class MonotonicityCheck(NamedTuple):
+    ok: bool
+    max_violation: float
+
+
+def check_row_addition_monotonicity(X, extra_rows, *, slack: float = 1e-7) -> MonotonicityCheck:
+    """Do the original rows' Lewis weights stay put or drop when rows are added?
+
+    Returns (ok, max_violation) where the violation is the largest increase of
+    any original row's weight in the stacked matrix; ok means it is <= slack.
+    """
+    X = as_design_matrix(X)
+    extra = np.asarray(extra_rows, dtype=np.float64)
+    if extra.size == 0:
+        extra = extra.reshape(0, X.shape[1])
+    if extra.ndim != 2 or extra.shape[1] != X.shape[1]:
+        raise ValueError("extra rows must have the same column count as X")
+    w_before = lewis_weights(X).values
+    w_after = lewis_weights(np.vstack([X, extra])).values[: X.shape[0]]
+    violation = float(np.max(w_after - w_before))
+    return MonotonicityCheck(ok=violation <= slack, max_violation=violation)
+
+
+def weighted_median_1d(values, weights) -> float:
+    """A minimizer of sum_i w_i |v_i - beta| over scalar beta.
+
+    When the minimizers form an interval, returns its left endpoint.
+    """
+    v = as_vector(values)
+    w = as_vector(weights, length=v.shape[0])
+    if v.shape[0] == 0:
+        raise ValueError("empty input")
+    if np.any(w < 0):
+        raise ValueError("weights must be nonnegative")
+    total = float(np.sum(w))
+    if total <= 0:
+        raise ValueError("weights must not all be zero")
+    order = np.argsort(v, kind="stable")
+    cum = np.cumsum(w[order])
+    half = 0.5 * total
+    k = int(np.searchsorted(cum, half - 1e-12 * total, side="left"))
+    return float(v[order][k])
 
 
 def relative_error_gap(X, y, S: Sketch, beta_star, beta) -> float:

@@ -27,7 +27,7 @@ from lewisreg.instances import (
     sample_pairs,
     two_coin_instances,
 )
-from lewisreg.lad import LadProblem, objective, solve_lad, weighted_median_1d
+from lewisreg.lad import LadProblem, objective, solve_lad
 from lewisreg.lewis import (
     lewis_weights,
     recommended_budget,
@@ -35,7 +35,9 @@ from lewisreg.lewis import (
     verify_fixed_point,
 )
 from lewisreg.linalg import WeightVector
-from lewisreg.sketch import RngStream, draw_sketch, embedding_distortion
+from lewisreg.sketch import RngStream, draw_sketch
+
+from helpers import check_row_addition_monotonicity, embedding_distortion, weighted_median_1d
 
 
 def report(num: int, ok: bool, detail: str):
@@ -104,7 +106,6 @@ def test_criterion_2_stacking_law():
 
 
 def test_criterion_3_row_addition_monotonicity():
-    from lewisreg.lewis import check_row_addition_monotonicity
     g = np.random.default_rng(303)
     worst = -math.inf
     all_ok = True
@@ -126,7 +127,7 @@ def test_criterion_4_subspace_embedding():
     rng = RngStream(404)
     X = rng.derive("X").generator().standard_normal((500, 5))
     eps = 0.5
-    N = recommended_budget(5, eps, 0.1, "constant_prob", C=4)
+    N = recommended_budget(5, eps, 0.1, "constant_prob")
     p = sampling_values(lewis_weights(X), N)
     good = 0
     for t in range(100):
@@ -179,7 +180,7 @@ def test_criterion_6_main_guarantee(outlier_instance):
     t0 = time.perf_counter()
     inst = outlier_instance
     eps = 0.25
-    N = recommended_budget(10, eps, 0.1, "constant_prob", C=4)
+    N = recommended_budget(10, eps, 0.1, "constant_prob")
     successes = 0
     max_distinct = 0
     for t in range(100):
@@ -201,7 +202,7 @@ def test_criterion_6_main_guarantee(outlier_instance):
 def test_criterion_7_known_y_mode(outlier_instance):
     inst = outlier_instance
     eps = 0.25
-    N = recommended_budget(10, eps, 0.1, "constant_prob", C=4)
+    N = recommended_budget(10, eps, 0.1, "constant_prob")
     act, aug = 0, 0
     for t in range(100):
         res_a = active_solve(inst.X, InMemoryLabelOracle(inst.y), eps, 0.1,

@@ -423,8 +423,13 @@ class TestErrorClassification:
          "'uniform', 'leverage_l2_baseline', 'known_y_augmented')"),
         (["gen", "reduced", "--family", "hidden_coordinate", "--d", "3", "--hidden-index", "7",
           "--out-x", "{out}", "--out-y", "{out}"], "hidden_index must name a coordinate"),
+        (["experiment", "{number_spec}"], "spec must be a JSON object, got 5"),
+        (["experiment", "{null_spec}"], "spec must be a JSON object, got None"),
+        (["weights", "{x}", "--out", "{dir}"], "[Errno 21] Is a directory: '{dir}'"),
+        (["weights", "{dir}", "--out", "{out}"], "[Errno 21] Is a directory: '{dir}'"),
     ], ids=["weights_tol", "solver_tol", "eps", "budget", "nan_design", "gen_n_below_d",
-            "spec_method", "gen_hidden_index"])
+            "spec_method", "gen_hidden_index", "spec_number", "spec_null",
+            "output_is_directory", "input_is_directory"])
     def test_refusal_exit_2_with_message(self, median_instance, tmp_path, capsys,
                                          argv, message):
         x, y = median_instance
@@ -434,10 +439,13 @@ class TestErrorClassification:
         spec.write_text(json.dumps({
             "instance": {"x_file": str(x), "y_file": str(y)}, "method": "nope",
             "budgets": [2], "eps": 0.5, "delta": 0.1, "trials": 1, "seed": 0}))
-        paths = {"x": x, "y": y, "nan_x": nan_x, "spec": spec,
-                 "out": tmp_path / "out.json"}
+        number_spec, null_spec = tmp_path / "number.json", tmp_path / "null.json"
+        number_spec.write_text("5\n")
+        null_spec.write_text("null\n")
+        paths = {"x": x, "y": y, "nan_x": nan_x, "spec": spec, "number_spec": number_spec,
+                 "null_spec": null_spec, "dir": tmp_path, "out": tmp_path / "out.json"}
         assert main([a.format(**paths) for a in argv]) == 2
-        assert capsys.readouterr().err.strip() == f"data error: {message}"
+        assert capsys.readouterr().err.strip() == f"data error: {message.format(**paths)}"
 
     @pytest.mark.parametrize("overrides, message", [
         ({"instance": {"family": "outlier", "n": "abc", "d": 2}},

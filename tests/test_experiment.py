@@ -283,7 +283,6 @@ def one_shot_trials(spec: ExperimentSpec) -> list[dict]:
                 elif spec.method == "known_y_augmented":
                     res = sketch_and_solve_known_y(X, y, spec.eps, spec.delta, rng,
                                                    budget_override=budget,
-                                                   enforce_guarantee=False,
                                                    solver_tol=spec.solver_tol)
                 else:
                     p = (sampling_values(leverage_scores(X), budget)

@@ -20,11 +20,12 @@ from lewisreg.lad import (
     l1_norm,
     objective,
     solve_lad,
-    weighted_median_1d,
 )
 from lewisreg.lewis import lewis_weights, sampling_values
 from lewisreg.linalg import DataError, RankDeficiencyError, WeightVector
 from lewisreg.sketch import RngStream, draw_sketch
+
+from helpers import weighted_median_1d
 
 
 def breakpoint_scan_median(values, weights):

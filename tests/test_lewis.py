@@ -11,9 +11,7 @@ from lewisreg import linalg
 from lewisreg.experiment import materialize_instance
 from lewisreg.lewis import (
     ConvergenceError,
-    LewisConfig,
     _fixed_point_defect,
-    check_row_addition_monotonicity,
     lewis_weights,
     recommended_budget,
     sampling_values,
@@ -25,6 +23,11 @@ from lewisreg.linalg import (
     spd_factorize,
     weighted_gram,
 )
+
+from helpers import check_row_addition_monotonicity
+
+# lewis_weights' default fixed-point residual threshold
+TOL = 1e-10
 
 
 def random_tall(rng, n, d):
@@ -39,15 +42,15 @@ def triangular_solve_forms(Xe, w):
     return np.einsum("ij,ij->j", Z, Z)
 
 
-def plain_sweep_weights(X, cfg=LewisConfig()):
+def plain_sweep_weights(X):
     """Reference Lewis weights by the unaccelerated map w <- sqrt(q), with
     lewis_weights' start, zero-row rule, column scaling and stopping test."""
     nonzero = np.abs(X).max(axis=1) > 0
     Xe = X[nonzero] / np.abs(X[nonzero]).max(axis=0)
     w = np.ones(Xe.shape[0])
-    for _ in range(cfg.max_iters):
+    for _ in range(lewis_module.MAX_SWEEPS):
         q = triangular_solve_forms(Xe, w)
-        if np.max(np.abs(w * w - q) / (w * w)) <= cfg.tol:
+        if np.max(np.abs(w * w - q) / (w * w)) <= TOL:
             break
         w = np.sqrt(q)
     else:
@@ -244,16 +247,15 @@ class TestRowScaledNearSquare:
     @settings(max_examples=60, deadline=None)
     def test_certifies_or_raises_a_numerical_error(self, seed, d, extra):
         X = row_scaled_t_design(seed, d, extra)
-        cfg = LewisConfig()
         try:
-            w = lewis_weights(X, cfg)
+            w = lewis_weights(X)
         except RankDeficiencyError:
             return
         except ConvergenceError as e:
             assert f"best {e.best:.3e}, tol" in str(e), str(e)
-            assert cfg.tol < e.best <= e.residual
+            assert TOL < e.best <= e.residual
             return
-        assert verify_fixed_point(X, w) <= cfg.tol
+        assert verify_fixed_point(X, w) <= TOL
 
 
 @pytest.fixture
@@ -347,12 +349,12 @@ class TestSweepsAndSafeguards:
             np.testing.assert_allclose(sweeps[k + 1][0], anderson_step(sweeps, k, 5),
                                        rtol=1e-10)
 
-    def test_budget_exhausted_raises(self, gram_calls):
+    def test_budget_exhausted_raises(self, gram_calls, monkeypatch):
         X = np.random.default_rng(3).standard_t(1.5, size=(2000, 6))
-        cfg = LewisConfig(max_iters=3)
+        monkeypatch.setattr(lewis_module, "MAX_SWEEPS", 3)
         with pytest.raises(ConvergenceError) as info:
-            lewis_weights(X, cfg)
-        assert info.value.residual > cfg.tol
+            lewis_weights(X)
+        assert info.value.residual > TOL
         assert len(gram_calls) == 3
 
 
@@ -367,9 +369,8 @@ class TestVerifyFixedPoint:
     def test_self_consistency(self):
         rng = np.random.default_rng(7)
         X = random_tall(rng, 15, 4)
-        cfg = LewisConfig()
-        w = lewis_weights(X, cfg)
-        assert verify_fixed_point(X, w) <= 100 * cfg.tol
+        w = lewis_weights(X)
+        assert verify_fixed_point(X, w) <= 100 * TOL
 
     def test_dimension_mismatch(self):
         with pytest.raises(ValueError):
@@ -430,12 +431,12 @@ class TestSamplingValues:
 
 class TestRecommendedBudget:
     def test_constant_prob_arithmetic(self):
-        assert recommended_budget(2, 0.5, 0.1, "constant_prob", C=4) == \
+        assert recommended_budget(2, 0.5, 0.1, "constant_prob") == \
             math.ceil(4 * 2 * math.log(2) / 0.25) == 23
 
     def test_high_prob_arithmetic(self):
         expected = math.ceil(4 * 10 / 0.0625 * math.log(10 / 0.0125))
-        assert recommended_budget(10, 0.25, 0.05, "high_prob", C=4) == expected
+        assert recommended_budget(10, 0.25, 0.05, "high_prob") == expected
 
     def test_monotone_decreasing_in_eps(self):
         budgets = [recommended_budget(5, eps, 0.1, "high_prob")

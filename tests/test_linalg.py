@@ -167,7 +167,7 @@ class TestQuadraticForm:
             assert q[i] == pytest.approx(row_quadratic_forms(F, M[i][None])[0], rel=1e-12)
 
     @pytest.mark.parametrize("design", ["gaussian", "student_t", "unequilibrated"])
-    def test_row_quadratic_forms_match_dense_solve(self, design):
+    def test_row_quadratic_forms_match_dense_solve(self, design, monkeypatch):
         rng = np.random.default_rng(12)
         n, d = 400, 6
         if design == "gaussian":
@@ -179,7 +179,8 @@ class TestQuadraticForm:
         G = weighted_gram(M, np.ones(n))
         # the unequilibrated Gram has condition near 1e24, which the default
         # pivot tolerance refuses; the kernel must stay accurate regardless
-        F = spd_factorize(G, min_pivot_rel=1e-30)
+        monkeypatch.setattr("lewisreg.linalg.MIN_PIVOT_REL", 1e-30)
+        F = spd_factorize(G)
         if design == "unequilibrated":
             assert not np.array_equal(F.perm, np.arange(d))
         expected = np.einsum("ij,ji->i", M, np.linalg.solve(G, M.T))

@@ -12,14 +12,17 @@ from lewisreg.sketch import (
     RNG_ALGORITHM,
     RngStream,
     Sketch,
-    apply_to_columns,
     build_alias_table,
     draw_sketch,
-    embedding_distortion,
-    identity_sketch,
 )
 
-from helpers import sketch_from_json_dict, sketch_to_json_dict
+from helpers import (
+    apply_to_columns,
+    embedding_distortion,
+    identity_sketch,
+    sketch_from_json_dict,
+    sketch_to_json_dict,
+)
 
 
 def sampling(values, budget):
@@ -303,7 +306,7 @@ class TestEmbeddingDistortion:
         rng = RngStream(10)
         X = rng.derive("X").generator().standard_normal((500, 5))
         w = lewis_weights(X)
-        N = recommended_budget(5, 0.5, 0.1, "constant_prob", C=4)
+        N = recommended_budget(5, 0.5, 0.1, "constant_prob")
         p = sampling_values(w, N)
         hits = 0
         for t in range(20):
