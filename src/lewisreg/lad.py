@@ -14,10 +14,13 @@ solve_lad minimizes sum_i w_i |a_i^T beta - b_i| in three steps:
    broken as if b were b + e h for a fixed generic h and an infinitesimal
    e > 0. Every step then strictly lowers the perturbed objective, so no
    basis repeats and the simplex reaches a certificate from any start.
+   Residuals, signs and A^T (w s) are carried along each step, one pass
+   over A per pivot, and recomputed from scratch before a vertex certifies.
 
 The final basis gives the dual vector: the signs of the nonbasic residuals
-and the basis multipliers. A certified vertex is a global minimizer of the
-convex objective; the start basis only sets how many pivots that takes.
+and the basis multipliers. A vertex whose multipliers pass and whose duality
+gap closes (to tol times the objective, up to rounding) is a global minimizer
+of the convex objective; the start basis only sets how many pivots it takes.
 Minimizers need not be unique; callers should compare objectives, not
 coefficient vectors.
 """
@@ -87,7 +90,7 @@ class LadSolution:
     objective: float
     optimality_gap_estimate: float
     iterations: int  # simplex pivots
-    status: str  # "optimal" | "max_iter"
+    status: str  # "optimal" | "uncertified" (the duality gap stayed open) | "max_iter"
     certificate_infnorm: float
 
 
@@ -117,22 +120,43 @@ def _greedy_basis(A: np.ndarray, r: np.ndarray) -> np.ndarray:
     raise RankDeficiencyError("could not assemble an invertible basis")
 
 
-def _entering_row(t, t_e, rise, need):
+def _entering_row(t, need, gather):
     """Index of the first breakpoint, in the order of t then t_e, at which
     the running sum of rise reaches need, or of the last breakpoint if none
-    does. The sum usually gets there within a few dozen of many thousands of
-    breakpoints, so only those with t up to the k-th smallest (ties included)
-    are ordered: that set is a head of the full order, and k grows 8-fold
-    until the sum reaches need inside it."""
+    does; gather(idx) returns (t_e[idx], rise[idx]). The sum usually gets
+    there within a few dozen of many thousands of breakpoints, so only those
+    with t up to the k-th smallest (ties included) are gathered and ordered:
+    that set is a head of the full order, and k grows 8-fold until the sum
+    reaches need inside it."""
     k = 64
     while True:
         head = (np.flatnonzero(t <= np.partition(t, k - 1)[k - 1]) if k < t.size
                 else np.arange(t.size))
-        order = head[np.lexsort((t_e[head], t[head]))]
-        j = int(np.searchsorted(np.cumsum(rise[order]), need, side="left"))
+        t_e, rise = gather(head)
+        order = np.lexsort((t_e, t[head]))
+        j = int(rise[order].cumsum().searchsorted(need, side="left"))
         if j < order.size or order.size == t.size:
-            return order[min(j, order.size - 1)]
+            return head[order[min(j, order.size - 1)]]
         k *= 8
+
+
+def _vertex(A, rhs, w, basis):
+    """From scratch at a basis: X = A_B^-1 rhs_B, residuals r, rho, signs s, g = A^T (w s)."""
+    X = np.linalg.solve(A[basis], rhs[basis])
+    r, rho = (A @ X - rhs).T.copy()
+    r[basis] = rho[basis] = 0.0
+    # a residual is zero when it is within rounding of its terms; zeros are
+    # made exact, so that repeated rows stay bit-identical along the steps
+    r[np.abs(r) <= 1e-13 * (np.abs(A) @ np.abs(X[:, 0]) + np.abs(rhs[:, 0]))] = 0.0
+    s = np.sign(np.where(r == 0.0, rho, r))  # zero on the basis, where rho is zero too
+    return X, r, rho, s, A.T @ (w * s)
+
+
+def _step(X, r, rho, u, c, t, t_e):
+    """Move the state in place by t + e t_e along u, where c = A u."""
+    X += u[:, None] * (t, t_e)
+    r += t * c
+    rho += t_e * c
 
 
 def _l1_simplex(A, b, w, basis, tol, max_pivots):
@@ -143,53 +167,56 @@ def _l1_simplex(A, b, w, basis, tol, max_pivots):
     m, d = A.shape
     # column 0 is b, column 1 the tie-breaking direction h
     rhs = np.column_stack([b, np.random.default_rng(_TIE_SEED).random(m)])
-    abs_A, abs_b = np.abs(A), np.abs(b)
-    best = None
-    status = "max_iter"
-    for pivots in range(max_pivots + 1):
+    # the carried zero test bounds |A| @ |x| by ||a_i||_1 max|x|
+    row_l1, abs_b = 1e-13 * np.abs(A).sum(axis=1), 1e-13 * np.abs(b)
+    best, status, pivots, scratch = (math.inf, basis), "max_iter", 0, True
+    while True:
+        if scratch:
+            X, r, rho, s, g = _vertex(A, rhs, w, basis)
         AB = A[basis]
-        X = np.linalg.solve(AB, rhs[basis])
-        R = A @ X - rhs
-        R[basis] = 0.0
-        r, rho = R[:, 0], R[:, 1]
-        # a residual is zero when it is within rounding of its terms
-        zero = np.abs(r) <= 1e-13 * (abs_A @ np.abs(X[:, 0]) + abs_b)
-        # sign of the perturbed residual r + e rho
-        s = np.sign(np.where(zero, rho, r))
-        s[basis] = 0.0
-        sigma = -np.linalg.solve(AB.T, A.T @ (w * s)) / w[basis]
-        obj = float(np.sum(w * np.abs(r)))
-        p = int(np.argmax(np.abs(sigma)))
-        certified = abs(sigma[p]) <= 1.0 + tol
-        if certified or best is None or obj < best[0]:
-            best = (obj, X[:, 0], s, sigma, basis)
-        if certified:
-            status = "optimal"
-            break
+        sigma = -np.linalg.solve(AB.T, g) / w[basis]
+        p = int(np.abs(sigma).argmax())
+        if abs(sigma[p]) <= 1.0 + tol:
+            if scratch:
+                status = "optimal"
+                break
+            scratch = True  # certify only from state computed from scratch
+            continue
+        obj = float(w @ np.abs(r))
+        if obj < best[0]:
+            best = (obj, basis)
         if pivots == max_pivots:
             break
         # move basis row p off zero in the descent direction: A_B u = sign e_p
-        e = np.zeros(d)
-        e[p] = np.sign(sigma[p])
-        c = A @ np.linalg.solve(AB, e)
-        c[basis] = 0.0
-        c[np.abs(c) <= 1e-12 * float(np.max(np.abs(c)))] = 0.0
-        # rows whose perturbed residual moves toward zero; their breakpoints
-        # t = -(r + e rho) / c are positive, ordered by real part then e part
-        cross = np.flatnonzero(s * c < 0)
+        u = np.sign(sigma[p]) * np.linalg.solve(AB, np.eye(d)[p])
+        c = A @ u
+        cut = np.abs(c)
+        cut[basis] = 0.0
+        # rows whose perturbed residual moves toward zero, by more than the
+        # rounding of c; breakpoints t = -(r + e rho) / c, by real then e part
+        cross = (s * c < -1e-12 * cut.max()).nonzero()[0]
         if cross.size == 0:
             break
-        t = np.where(zero[cross], 0.0, -r[cross] / c[cross])
+        t = -r[cross] / c[cross]
         # the slope starts at -w_p (|sigma_p| - 1) and rises by 2 w_i |c_i|
         # at each breakpoint passed; enter the row where it turns nonnegative
-        need = w[basis[p]] * (abs(sigma[p]) - 1.0)
+        j = _entering_row(t, w[basis[p]] * (abs(sigma[p]) - 1.0), lambda head: (
+            -rho[cross[head]] / c[cross[head]], 2.0 * w[cross[head]] * np.abs(c[cross[head]])))
         basis = basis.copy()
-        basis[p] = cross[_entering_row(t, -rho[cross] / c[cross],
-                                       2.0 * w[cross] * np.abs(c[cross]), need)]
-    _, beta, s, sigma, basis = best
-    s = s.copy()
+        q = basis[p] = cross[j]
+        _step(X, r, rho, u, c, t[j], -rho[q] / c[q])
+        r[basis] = rho[basis] = 0.0
+        r[np.abs(r) <= row_l1 * np.abs(X[:, 0]).max() + abs_b] = 0.0
+        s_old, s = s, np.sign(np.where(r == 0.0, rho, r))
+        changed = (s != s_old).nonzero()[0]
+        g = g + A[changed].T @ (w[changed] * (s[changed] - s_old[changed]))
+        pivots, scratch = pivots + 1, False
+    if status != "optimal":
+        basis = best[1]
+        X, r, rho, s, g = _vertex(A, rhs, w, basis)
+        sigma = -np.linalg.solve(A[basis].T, g) / w[basis]
     s[basis] = np.clip(sigma, -1.0, 1.0)
-    return beta, status, s, pivots
+    return X[:, 0], status, s, pivots
 
 
 def solve_lad(prob: LadProblem, tol: float = 1e-8, max_iters: int = 2000) -> LadSolution:
@@ -198,9 +225,10 @@ def solve_lad(prob: LadProblem, tol: float = 1e-8, max_iters: int = 2000) -> Lad
     max_iters is the simplex's pivot budget; LadSolution.iterations counts
     the pivots taken. Raises RankDeficiencyError when A is rank deficient on
     the rows with positive weight. A solution with status "optimal" is a
-    vertex whose dual vector has basis multipliers within [-1 - tol, 1 + tol].
-    "max_iter" means the budget ran out without that certificate; the vertex
-    with the smallest objective seen is returned.
+    vertex whose dual vector has basis multipliers within [-1 - tol, 1 + tol]
+    and a duality gap within tol times the objective plus its residuals'
+    rounding; "uncertified", one whose multipliers pass while the gap is open.
+    "max_iter" means the budget ran out first; the best vertex seen is returned.
     """
     if tol <= 0:
         raise DataError("tol must be positive")
@@ -242,14 +270,11 @@ def solve_lad(prob: LadProblem, tol: float = 1e-8, max_iters: int = 2000) -> Lad
     beta_out = beta / col_scale
     obj = objective(prob, beta_out)
 
-    # dual lower bound from the certificate vector: f(x) >= -s.b - ||A^T s||_inf ||x||_1
-    dual = -float(s_full * w @ b)
-    gap = max(0.0, obj - dual) + cert_norm * max(1.0, float(np.sum(np.abs(beta))))
-    return LadSolution(
-        beta=beta_out,
-        objective=obj,
-        optimality_gap_estimate=gap,
-        iterations=pivots,
-        status=status,
-        certificate_infnorm=cert_norm,
-    )
+    # objective minus the dual bound f(x) >= -s.(w b) - ||A^T (w s)||_inf ||x||_1;
+    # rounding is what the zero test allows the residuals: all the gap of a 0 minimum
+    gap = obj + math.fsum(s_full * w * b) + cert_norm * l1_norm(beta)
+    rounding = 1e-13 * math.fsum(w * (np.abs(A) @ np.abs(beta) + np.abs(b)))
+    if status == "optimal" and obj > 0.0 and gap > tol * obj + rounding:
+        status = "uncertified"
+    return LadSolution(beta=beta_out, objective=obj, optimality_gap_estimate=max(0.0, gap),
+                       iterations=pivots, status=status, certificate_infnorm=cert_norm)

@@ -157,6 +157,73 @@ PINNED_SKETCHED_SOLUTION = {
 EARLIER_PINNED_OBJECTIVE = "0x1.199148f9a700dp+17"
 
 
+def outlier_problem():
+    """The cli-full benchmark recipe at 20 000 x 10: Gaussian rows, Gaussian
+    noise and three 1e6 label outliers."""
+    g = np.random.default_rng(20000)
+    X = g.standard_normal((20000, 10))
+    y = X @ g.standard_normal(10) + g.standard_normal(20000)
+    y[g.choice(20000, 3, replace=False)] += 1e6 * np.where(g.random(3) < 0.5, -1.0, 1.0)
+    return LadProblem(X, y)
+
+
+def long_line_search_problem():
+    """A 5000 x 80 design with label outliers and 1000 repeated rows."""
+    g = np.random.default_rng(0)
+    X = g.standard_normal((4000, 80))
+    y = X @ g.standard_normal(80) + g.standard_normal(4000)
+    y[g.choice(4000, 3, replace=False)] += 1e6 * np.where(g.random(3) < 0.5, -1.0, 1.0)
+    repeat = g.integers(0, 4000, 1000)
+    return LadProblem(np.vstack([X, X[repeat]]), np.concatenate([y, y[repeat]]))
+
+
+# full solves as recorded with the simplex that recomputed its state from
+# scratch at every pivot; carrying the state along the steps keeps every bit
+PINNED_FULL_SOLUTIONS = {
+    "outlier_problem": {
+        "beta": [
+            "0x1.9923e42db18adp+1", "-0x1.67edb2c53864ep-3", "-0x1.0c89b4dc48ba0p+0",
+            "-0x1.ed3b797549858p+0", "-0x1.1d64a718594dcp+1", "0x1.5de03dbe46b0ap+0",
+            "0x1.b06e8327e4815p-1", "0x1.6f2b66951bbd1p-1", "-0x1.9a5df72057892p-1",
+            "-0x1.f04ab2fe248ecp-1"],
+        "objective": "0x1.702625aaf82fap+21",
+        "iterations": 65,
+    },
+    "long_line_search_problem": {
+        "beta": [
+            "0x1.abc6182022e6bp-3", "0x1.2b1ac75dc0e4ep+0", "0x1.9e11c1fb9d6e8p-1",
+            "0x1.52ac057d3dfcap+0", "0x1.a0449c41c60e4p-1", "-0x1.a8dfae9da0626p-1",
+            "-0x1.1f614d0454492p-2", "0x1.befd0df294ef4p-1", "-0x1.8a364e2dafeb1p-1",
+            "0x1.d5508fa836275p-1", "-0x1.3db569ece960fp-1", "-0x1.c01c35ee69854p+0",
+            "-0x1.923019cd731c6p-5", "0x1.5beafd55d5efdp+0", "0x1.07831575fb617p+1",
+            "0x1.87f8b437b0c0ep+0", "-0x1.e7a5f149c982cp-2", "-0x1.e80bd8c278385p-5",
+            "-0x1.03c3fa7a2ef0bp+0", "-0x1.32333817be499p-1", "-0x1.e41d94277a3dap-2",
+            "0x1.ab5f7d0f93ab7p-3", "0x1.50267bed696a0p-1", "0x1.1dafb134eaf5cp+1",
+            "-0x1.bad8580fd8599p-1", "0x1.0d7a10e0e3008p+0", "-0x1.aedf645156639p-1",
+            "0x1.c279cfeb9d9a2p-4", "0x1.b38aef40955bcp-4", "0x1.6de3496a07460p-1",
+            "-0x1.269a86e1f30f0p-1", "0x1.c7052049b2487p-2", "0x1.4b3f9b3a2ebf8p-3",
+            "-0x1.22ac0716f6edbp-1", "0x1.36995c7a88ea7p-3", "0x1.8f51ecb543730p-1",
+            "0x1.9878892f245eap+0", "-0x1.470d42a6de770p+0", "-0x1.6d4eeaa2e9310p-1",
+            "0x1.5226e8cc54663p-3", "-0x1.50e230f380e50p-1", "-0x1.db41e5da1de59p-4",
+            "0x1.46aa592f1abfbp+0", "-0x1.8439094bcf84dp-2", "-0x1.c1316f653f787p-1",
+            "0x1.1b0d867d41490p+0", "-0x1.52760c3fe4289p+0", "-0x1.98f974461ca06p-1",
+            "-0x1.e1711edac4b1fp-1", "0x1.3fddc9064dfc7p+0", "-0x1.303c318e29c88p-2",
+            "0x1.9d75c5596b6a6p-1", "-0x1.1154f00a69d36p+0", "0x1.1b3c6b3237b5bp-5",
+            "0x1.8f8057e307762p-2", "-0x1.0e25224aedb00p-2", "0x1.dd11c9ca31ba0p-1",
+            "-0x1.412b999431806p+0", "0x1.1fc4bea133a6cp-2", "0x1.59aced67fa9b8p+0",
+            "-0x1.3aa2ab1cc3d37p+0", "-0x1.b98fd2f70a0c2p-1", "-0x1.5d78b5553d268p-2",
+            "-0x1.21f44bf5fa772p-2", "0x1.60dc4d8f29ae6p+0", "0x1.3e66a1ac5f7a7p-1",
+            "0x1.830435826dbe0p-3", "-0x1.fc599d09984abp+0", "0x1.a7930b57ba26bp-3",
+            "0x1.13a058a7cc833p+0", "-0x1.2c1ba732b990dp-5", "0x1.04e7bbe86224ap-2",
+            "0x1.9a7575e6d4d69p-3", "0x1.684073a494e9cp-2", "-0x1.eb4e0dbd823d7p-1",
+            "-0x1.5c5831d63757cp-1", "0x1.8e18e8e990cbfp+0", "-0x1.d2ac223ba304fp-2",
+            "-0x1.bd6958b000f50p-1", "0x1.ad67a59bec711p+0"],
+        "objective": "0x1.e8c0d80aa46c8p+21",
+        "iterations": 660,
+    },
+}
+
+
 class TestSolveLad:
     def test_sketched_solve_bit_identical_to_pin(self):
         sol = solve_lad(pinned_sketched_problem())
@@ -165,6 +232,16 @@ class TestSolveLad:
         assert sol.iterations == PINNED_SKETCHED_SOLUTION["iterations"]
         assert sol.status == PINNED_SKETCHED_SOLUTION["status"]
         assert sol.objective <= float.fromhex(EARLIER_PINNED_OBJECTIVE) * (1 + 1e-8)
+
+    @pytest.mark.parametrize("problem", [outlier_problem, long_line_search_problem],
+                             ids=lambda f: f.__name__)
+    def test_full_solve_bit_identical_to_pin(self, problem):
+        sol = solve_lad(problem())
+        pin = PINNED_FULL_SOLUTIONS[problem.__name__]
+        assert [float(v).hex() for v in sol.beta] == pin["beta"]
+        assert sol.objective.hex() == pin["objective"]
+        assert sol.iterations == pin["iterations"]
+        assert sol.status == "optimal"
 
     def test_negative_row_weight_is_data_error(self):
         with pytest.raises(DataError, match="row weights must be nonnegative"):
@@ -364,7 +441,7 @@ def family_problem(family, seed):
     return LadProblem(X, y, w)
 
 
-def highs_optimum(prob):
+def highs_dual_lp(prob):
     """max b.s subject to A^T s = 0, |s| <= w: the LP dual of the weighted LAD
     problem, whose optimum equals the LAD minimum."""
     res = linprog(-prob.b, A_eq=prob.A.T, b_eq=np.zeros(prob.A.shape[1]),
@@ -372,7 +449,55 @@ def highs_optimum(prob):
                   options={"primal_feasibility_tolerance": 1e-7,
                            "dual_feasibility_tolerance": 1e-7})
     assert res.status == 0, res.message
-    return -float(res.fun)
+    return res
+
+
+def highs_optimum(prob):
+    return -float(highs_dual_lp(prob).fun)
+
+
+def highs_upper_bound(prob):
+    """The objective at HiGHS's LAD coefficients (up to sign, the multipliers
+    of A^T s = 0): an upper bound on the minimum whatever HiGHS's tolerances."""
+    beta = highs_dual_lp(prob).eqlin.marginals
+    return min(objective(prob, beta), objective(prob, -beta))
+
+
+def near_repeated_column_problem(seed):
+    """A small design with one column a copy of another plus 10^U(-6,-3)
+    noise, so that its Gram is just inside the pivot tolerance, rows scaled
+    by 10^U(-6,6), label noise by 10^U(-4,4), and row weights 10^U(-3,3) in
+    about half the designs."""
+    g = np.random.default_rng([78, seed])
+    d = int(g.integers(2, 7))
+    m = int(g.integers(d + 1, 6 * d))
+    A = g.standard_normal((m, d))
+    i, j = g.choice(d, 2, replace=False)
+    A[:, j] = A[:, i] + 10.0 ** g.uniform(-6, -3) * g.standard_normal(m)
+    A *= 10.0 ** g.uniform(-6, 6, (m, 1))
+    b = A @ g.standard_normal(d) + g.standard_normal(m) * 10.0 ** g.uniform(-4, 4, m)
+    w = 10.0 ** g.uniform(-3, 3, m) if g.random() < 0.5 else None
+    return LadProblem(A, b, w)
+
+
+# From a scan of near_repeated_column_problem over seeds 0-5999 (2100 solved,
+# the rest refused as rank deficient): every solved design whose final basis,
+# in the simplex's column-equilibrated coordinates, has condition >= 1e8 ...
+ILL_CONDITIONED_BASIS_SEEDS = [
+    221, 400, 505, 888, 893, 904, 918, 964, 979, 1164, 1187, 1250, 1718, 2060, 2079,
+    2178, 2183, 2300, 2944, 2952, 3018, 3088, 3129, 3557, 3681, 4015, 4517, 4669, 4741,
+    4987, 5500, 5673, 5730, 5753, 5761, 5878]
+# ... and designs whose gap is above tol times the objective only through the
+# rounding of huge basis rows: the objective at HiGHS's coefficients is lower
+# by 3e-8 to 1.5e-2 of it, but by less than half of residual_rounding below
+ROUNDING_GAP_SEEDS = [1786, 2009, 3125, 3382, 4243, 4685, 5759]
+
+
+def residual_rounding(prob, beta):
+    """eps times sum_i w_i (|a_i| |beta| + |b_i|): one rounding unit of the
+    objective's residuals."""
+    terms = prob.weights * (np.abs(prob.A) @ np.abs(beta) + np.abs(prob.b))
+    return np.finfo(float).eps * math.fsum(terms)
 
 
 def simplex_from_random_basis(prob, seed):
@@ -457,6 +582,81 @@ class TestSimplexCertifies:
         with pytest.raises(DataError, match="max_iters must be nonnegative"):
             solve_lad(prob, max_iters=-1)
 
+    def test_ill_conditioned_bases_certify_truthfully(self, monkeypatch):
+        conds = []
+        vertex = lad_module._vertex
+
+        def recording_vertex(A, rhs, w, basis):
+            conds.append(np.linalg.cond(A[basis]))
+            return vertex(A, rhs, w, basis)
+
+        monkeypatch.setattr(lad_module, "_vertex", recording_vertex)
+        for seed in ILL_CONDITIONED_BASIS_SEEDS + ROUNDING_GAP_SEEDS:
+            prob = near_repeated_column_problem(seed)
+            sol = solve_lad(prob)
+            if seed in ILL_CONDITIONED_BASIS_SEEDS:
+                assert conds[-1] >= 1e8  # the basis the returned vertex came from
+            if sol.status == "optimal":
+                bound = highs_upper_bound(prob) * (1 + 1e-8)
+                assert sol.objective <= bound + residual_rounding(prob, sol.beta)
+
+    @pytest.mark.parametrize("m, d", [(4, 4), (40, 40), (2000, 10), (5000, 40)])
+    def test_zero_minimum_is_optimal(self, m, d):
+        """A square A, or weighted rows with b in the range of A: the minimum
+        is 0 and the objective only the rounding of the residuals, which must
+        not leave the gap open."""
+        g = np.random.default_rng([m, d])
+        A = g.standard_normal((m, d)) * 10.0 ** g.uniform(-1, 1, (m, 1))
+        b = 1e5 * g.standard_normal(m) if m == d else A @ g.standard_normal(d)
+        sol = solve_lad(LadProblem(A, b, 10.0 ** g.uniform(-3, 3, m)))
+        assert sol.objective > 0.0  # rounding, so the gap test has something to close
+        assert sol.status == "optimal"
+
+    def test_open_gap_is_uncertified(self, monkeypatch):
+        """A vertex whose multipliers are said to pass while its dual bound is
+        far below the objective must not be called optimal."""
+        simplex = lad_module._l1_simplex
+
+        def start_vertex_claimed_optimal(A, b, w, basis, tol, max_pivots):
+            beta, _, s, pivots = simplex(A, b, w, basis, tol, 0)
+            return beta, "optimal", s, pivots
+
+        prob = random_problem(np.random.default_rng(8), m=60, d=4)
+        opt = solve_lad(prob).objective
+        monkeypatch.setattr(lad_module, "_l1_simplex", start_vertex_claimed_optimal)
+        sol = solve_lad(prob)
+        assert sol.objective > opt * (1 + 1e-6)
+        assert sol.status == "uncertified"
+        assert sol.optimality_gap_estimate >= sol.objective - opt
+
+    def test_drifted_state_is_refreshed_before_certifying(self, tall_sketches, monkeypatch):
+        """Corrupt the carried residuals by a relative 1e-6 at every step: a
+        vertex must certify only from state recomputed from scratch, and when
+        the recomputed multipliers fail, the simplex pivots on from there."""
+        step, vertex = lad_module._step, lad_module._vertex
+        g = np.random.default_rng(0)
+        calls = []
+
+        def drifting_step(X, r, rho, u, c, t, t_e):
+            step(X, r, rho, u, c, t, t_e)
+            r *= 1.0 + 1e-6 * g.standard_normal(r.size)
+
+        def counted_vertex(*args):
+            calls[-1] += 1
+            return vertex(*args)
+
+        monkeypatch.setattr(lad_module, "_step", drifting_step)
+        monkeypatch.setattr(lad_module, "_vertex", counted_vertex)
+        for prob in tall_sketches[:4]:
+            calls.append(0)
+            sol = solve_lad(prob)
+            if sol.status == "optimal":
+                opt = highs_optimum(prob)
+                assert abs(sol.objective - opt) <= 1e-7 * opt
+        # the first call builds the start state; two more in one solve mean a
+        # refresh ran, found the multipliers failing, and the simplex pivoted on
+        assert max(calls) >= 3
+
     def test_entering_row_matches_full_sort_on_tied_breakpoints(self):
         """40 equal breakpoints straddle each cut of the ordered head (the
         64th and the 512th): the head must take the whole group, so that the
@@ -470,30 +670,26 @@ class TestSimplexCertifies:
             t_e, rise = rng.random(t.size), np.ones(t.size)
             for need in [*(np.arange(cut - 25, cut + 25) + 0.5), t.size + 1.0]:
                 want, _ = entering_row_full_sort(t, t_e, rise, need)
-                assert lad_module._entering_row(t, t_e, rise, need) == want
+                got = lad_module._entering_row(t, need, lambda head: (t_e[head], rise[head]))
+                assert got == want
 
     def test_long_line_searches_and_many_pivots(self, monkeypatch):
-        """A 5000 x 80 design with label outliers and repeated rows, so that
-        breakpoints tie at the cuts of the ordered head: every line search
-        must enter the row the full lexsort picks, the first one passes more
-        than 512 breakpoints, and the solve needs more than 300 pivots."""
+        """long_line_search_problem repeats rows, so that breakpoints tie at
+        the cuts of the ordered head: every line search must enter the row
+        the full lexsort picks, the first one passes more than 512
+        breakpoints, and the solve needs more than 300 pivots."""
         entering_row = lad_module._entering_row
         passed = []
 
-        def checked_entering_row(t, t_e, rise, need):
-            want, j = entering_row_full_sort(t, t_e, rise, need)
-            got = entering_row(t, t_e, rise, need)
+        def checked_entering_row(t, need, gather):
+            want, j = entering_row_full_sort(t, *gather(np.arange(t.size)), need)
+            got = entering_row(t, need, gather)
             assert got == want
             passed.append(j)
             return got
 
         monkeypatch.setattr(lad_module, "_entering_row", checked_entering_row)
-        g = np.random.default_rng(0)
-        X = g.standard_normal((4000, 80))
-        y = X @ g.standard_normal(80) + g.standard_normal(4000)
-        y[g.choice(4000, 3, replace=False)] += 1e6 * np.where(g.random(3) < 0.5, -1.0, 1.0)
-        repeat = g.integers(0, 4000, 1000)
-        prob = LadProblem(np.vstack([X, X[repeat]]), np.concatenate([y, y[repeat]]))
+        prob = long_line_search_problem()
         sol = solve_lad(prob)
         assert passed[0] > 512
         assert sol.status == "optimal"
