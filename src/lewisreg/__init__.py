@@ -3,7 +3,7 @@ row sampling: importance weights, sampling sketches, a certified LAD solver,
 the active querying pipeline, instance generators, and an experiment harness.
 """
 
-__version__ = "0.1.0"
+__version__ = "0.2.0"
 
 from .linalg import (
     DataError,

@@ -10,17 +10,19 @@ A known-label variant samples by the Lewis weights of the augmented matrix
 [X y] instead, which sees label outliers and therefore carries the stronger
 fixed-factor guarantee for eps < 1/3.
 
-The weights depend only on X (or on [X y]), never on the draw, so a caller
-making many draws from one design computes them once and passes them in as
-weights=.
+Both sample by Lewis weights certified to SAMPLING_TOL and enlarge a
+recommended budget to match (see lewisreg.lewis). The weights depend only on
+X (or on [X y]), never on the draw, so a caller making many draws from one
+design computes them once and passes them in as weights=.
 """
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from .lad import LadProblem, solve_lad
-from .lewis import lewis_weights, recommended_budget, sampling_values
+from .lewis import SAMPLING_TOL, lewis_weights, recommended_budget, sampling_values
 from .linalg import (
     DataError,
     WeightVector,
@@ -165,13 +167,14 @@ def sample_and_solve(X, oracle: LabelOracle, values: WeightVector,
 
 def _budget(eps: float, delta: float, regime: str, budget_override: int | None,
             k: int, d: int) -> int:
-    """budget_override, or recommended_budget for k importance columns;
-    refused below the column count d of X. Checked before any weights."""
+    """budget_override exactly, or recommended_budget for k importance columns
+    over (1 - SAMPLING_TOL)^2, so that no row's expected draw count falls below
+    what exact weights would give it; refused below the column count d of X.
+    Checked before any weights."""
     if not (0 < eps < 1) or not (0 < delta < 1):
         raise DataError("eps and delta must lie in (0, 1)")
-    N = budget_override if budget_override is not None else recommended_budget(
-        k, eps, delta, regime
-    )
+    N = budget_override if budget_override is not None else math.ceil(
+        recommended_budget(k, eps, delta, regime) / (1 - SAMPLING_TOL) ** 2)
     if N < d:
         raise DataError(f"budget {N} below column count {d}; refused")
     return N
@@ -191,26 +194,28 @@ def active_solve(X, oracle: LabelOracle, eps: float, delta: float,
                  weights: WeightVector | None = None) -> ActiveResult:
     """Label-efficient LAD solve by Lewis-weight sampling.
 
-    Scales the Lewis weights of X (computed here unless given as weights) to
-    sampling values summing to the budget (recommended_budget(d, eps, delta,
-    regime) unless overridden) and hands them to sample_and_solve.
+    Scales the Lewis weights of X (computed here to SAMPLING_TOL unless given
+    as weights) to sampling values summing to the budget (recommended_budget(d,
+    eps, delta, regime) oversampled for that tolerance, unless overridden) and
+    hands them to sample_and_solve.
     """
     X = as_design_matrix(X)
     n, d = X.shape
     if oracle.n != n:
         raise ValueError("oracle length does not match the design matrix")
     N = _budget(eps, delta, regime, budget_override, d, d)
-    w = lewis_weights(X) if weights is None else _given_weights(weights, n)
+    w = lewis_weights(X, SAMPLING_TOL) if weights is None else _given_weights(weights, n)
     return sample_and_solve(X, oracle, sampling_values(w, N), rng, solver_tol)
 
 
 def augmented_lewis_weights(X, y) -> WeightVector:
-    """Lewis weights of the augmented matrix [X y], the known-label sampler."""
+    """Lewis weights of the augmented matrix [X y] to SAMPLING_TOL, the
+    known-label sampler."""
     X = as_design_matrix(X)
     y = as_vector(y, length=X.shape[0])
     # weights depend only on the column space, so a basis substitutes for
     # [X y] itself when y already lies in the span of X
-    return lewis_weights(orthonormal_column_basis(np.hstack([X, y[:, None]])))
+    return lewis_weights(orthonormal_column_basis(np.hstack([X, y[:, None]])), SAMPLING_TOL)
 
 
 def sketch_and_solve_known_y(X, y, eps: float, delta: float, rng: RngStream,

@@ -65,7 +65,8 @@ def _build_parser() -> _Parser:
     s.add_argument("--eps", type=float, default=0.25)
     s.add_argument("--delta", type=float, default=0.1)
     s.add_argument("--budget", type=int, default=None,
-                   help="sketch row count; default recommended_budget")
+                   help="sketch row count; default recommended_budget, oversampled "
+                        "for sampling-grade Lewis weights")
     s.add_argument("--regime", choices=["high_prob", "constant_prob"],
                    default="high_prob")
     s.add_argument("--seed", type=int, default=0)

@@ -51,7 +51,7 @@ from .instances import (
     two_coin_instances,
 )
 from .lad import LadProblem, l1_norm, objective, solve_lad
-from .lewis import ConvergenceError, sampling_values
+from .lewis import SAMPLING_TOL, ConvergenceError, sampling_values
 from .linalg import DataError, RankDeficiencyError, WeightVector, leverage_scores
 from .sketch import RngStream
 
@@ -281,7 +281,7 @@ def _sampling_weights(method, X, y) -> WeightVector | None:
     """The importance values a method samples by, once per spec; None for
     uniform. Looked up on lewisreg.active, where perfbench/spans.py wraps it."""
     if method == "lewis":
-        return active.lewis_weights(X)
+        return active.lewis_weights(X, SAMPLING_TOL)
     if method == "known_y_augmented":
         return active.augmented_lewis_weights(X, y)
     if method == "leverage_l2_baseline":

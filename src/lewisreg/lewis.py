@@ -14,6 +14,16 @@ identity itself, not as successive-iterate distance, and the vector returned
 is the iterate that passed that test, so it certifies the definition directly
 however the iterates were mixed.
 
+The samplers need far less than 1e-10. An iterate whose defect is at most
+gamma has |u - g(u)| <= -1/2 log(1 - gamma) in u = log w; as g contracts by
+1/2, |u - u*| <= |u - g(u)| + |u - u*| / 2, so w lies within a factor
+1/(1 - gamma) of the fixed point w* in every row, and its sum equals d only
+within that factor. Sampling by such weights with the budget enlarged by
+1/(1 - gamma)^2 gives every row at least the expected draws of exact weights,
+the property Cohen and Peng's sampling lemma asks of approximate weights. The
+samplers therefore stop at gamma = SAMPLING_TOL = 1e-2 (about 4-7 sweeps);
+lewis_weights' default and the weights command keep 1e-10.
+
 One sweep costs one blocked weighted Gram, one pivoted Cholesky of size d and
 one n x d x d product for all n quadratic forms, plus O(n d) elementwise work
 and O(5 n) for the mixing.
@@ -37,6 +47,7 @@ from .linalg import (
 
 __all__ = [
     "ConvergenceError",
+    "SAMPLING_TOL",
     "lewis_weights",
     "verify_fixed_point",
     "sampling_values",
@@ -49,6 +60,10 @@ _ANDERSON_DEPTH = 5
 
 # Sweeps lewis_weights runs before it raises ConvergenceError.
 MAX_SWEEPS = 200
+
+# Defect the samplers certify their Lewis weights to: each row is then within
+# a factor 1/(1 - SAMPLING_TOL) of its exact weight (see the module docstring).
+SAMPLING_TOL = 1e-2
 
 # The constant C that recommended_budget multiplies its asymptotic rate by.
 BUDGET_CONSTANT = 4.0
@@ -101,13 +116,16 @@ def lewis_weights(X, tol: float = 1e-10) -> WeightVector:
     X : array_like, shape (n, d)
         Full column rank after all-zero rows are removed.
     tol : float
-        The fixed-point residual threshold.
+        The fixed-point residual threshold gamma. The returned weights are
+        within a factor 1/(1 - gamma) of the exact ones in every row; the
+        samplers pass SAMPLING_TOL.
 
     Returns
     -------
-    WeightVector with kind "lewis": entries in (0, 1] for nonzero rows, exactly
-    0 for all-zero rows, summing to d over the nonzero rows. Its max relative
-    defect, as verify_fixed_point measures it, is at most tol.
+    WeightVector with kind "lewis": entries positive for nonzero rows (in
+    (0, 1] up to that factor), exactly 0 for all-zero rows, summing to d over
+    the nonzero rows up to that factor. Its max relative defect, as
+    verify_fixed_point measures it, is at most tol.
 
     Raises
     ------

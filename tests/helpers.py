@@ -1,14 +1,21 @@
 """Test-side helpers: oracles, checks and round trips that only the tests use."""
 
+import math
 from typing import NamedTuple
 
 import numpy as np
 from scipy.linalg import solve_triangular
 
 from lewisreg.lad import l1_norm
-from lewisreg.lewis import lewis_weights
+from lewisreg.lewis import SAMPLING_TOL, lewis_weights, recommended_budget
 from lewisreg.linalg import SpdFactorization, as_design_matrix, as_vector
 from lewisreg.sketch import RngStream, Sketch
+
+
+def oversampled_budget(k: int, eps: float, delta: float, regime: str) -> int:
+    """The recommended budget for k importance columns, enlarged by
+    1/(1 - SAMPLING_TOL)^2 for weights certified only to SAMPLING_TOL."""
+    return math.ceil(recommended_budget(k, eps, delta, regime) / (1 - SAMPLING_TOL) ** 2)
 
 
 def identity_sketch(n: int) -> Sketch:

@@ -37,7 +37,12 @@ from lewisreg.lewis import (
 from lewisreg.linalg import WeightVector
 from lewisreg.sketch import RngStream, draw_sketch
 
-from helpers import check_row_addition_monotonicity, embedding_distortion, weighted_median_1d
+from helpers import (
+    check_row_addition_monotonicity,
+    embedding_distortion,
+    oversampled_budget,
+    weighted_median_1d,
+)
 
 
 def report(num: int, ok: bool, detail: str):
@@ -180,7 +185,7 @@ def test_criterion_6_main_guarantee(outlier_instance):
     t0 = time.perf_counter()
     inst = outlier_instance
     eps = 0.25
-    N = recommended_budget(10, eps, 0.1, "constant_prob")
+    N = oversampled_budget(10, eps, 0.1, "constant_prob")
     successes = 0
     max_distinct = 0
     for t in range(100):

@@ -1,3 +1,5 @@
+import json
+
 import numpy as np
 import pytest
 
@@ -9,14 +11,15 @@ from lewisreg.active import (
     sample_and_solve,
     sketch_and_solve_known_y,
 )
-from lewisreg.dataio import DataError, read_labels
+from lewisreg.cli import main
+from lewisreg.dataio import DataError, read_labels, write_labels, write_matrix_csv
 from lewisreg.instances import make_outlier_instance
 from lewisreg.lad import LadProblem, objective
-from lewisreg.lewis import lewis_weights, sampling_values
+from lewisreg.lewis import SAMPLING_TOL, lewis_weights, recommended_budget, sampling_values
 from lewisreg.linalg import WeightVector, leverage_scores, orthonormal_column_basis
 from lewisreg.sketch import RngStream, draw_sketch
 
-from helpers import identity_sketch, relative_error_gap
+from helpers import identity_sketch, oversampled_budget, relative_error_gap
 
 
 def gaussian_instance(seed, n=200, d=4, noise=0.0):
@@ -125,6 +128,45 @@ class TestActiveSolve:
         np.testing.assert_array_equal(r1.sketch.indices, r2.sketch.indices)
 
 
+class TestBudget:
+    """A recommended budget is oversampled for the sampling-grade weights; an
+    override is drawn exactly."""
+
+    def test_active_solve_draws_the_oversampled_budget(self):
+        X, y, _ = gaussian_instance(18, n=150, d=3, noise=0.5)
+        res = active_solve(X, InMemoryLabelOracle(y), 0.4, 0.1, RngStream(3),
+                           regime="constant_prob")
+        assert res.n_draws == oversampled_budget(3, 0.4, 0.1, "constant_prob") == 85
+        assert recommended_budget(3, 0.4, 0.1, "constant_prob") == 83
+
+    def test_known_y_draws_the_oversampled_budget_of_d_plus_one(self):
+        X, y, _ = gaussian_instance(19, n=150, d=3, noise=0.5)
+        res = sketch_and_solve_known_y(X, y, 0.4, 0.1, RngStream(3),
+                                       regime="constant_prob")
+        assert res.n_draws == oversampled_budget(4, 0.4, 0.1, "constant_prob")
+
+    def test_cli_active_draws_the_oversampled_budget(self, tmp_path):
+        X, y, _ = gaussian_instance(20, n=300, d=2, noise=0.5)
+        write_matrix_csv(tmp_path / "x.csv", X)
+        write_labels(tmp_path / "y.txt", y)
+        out = tmp_path / "out.json"
+        assert main(["solve", str(tmp_path / "x.csv"), str(tmp_path / "y.txt"),
+                     "--mode", "active", "--out", str(out)]) == 0
+        N = oversampled_budget(2, 0.25, 0.1, "high_prob")
+        assert json.loads(out.read_text())["n_draws"] == N
+        assert N > recommended_budget(2, 0.25, 0.1, "high_prob")
+
+    @pytest.mark.parametrize("budget", [3, 40, 97])
+    def test_override_is_drawn_exactly(self, budget):
+        X, y, _ = gaussian_instance(21, n=150, d=3, noise=0.5)
+        res = active_solve(X, InMemoryLabelOracle(y), 0.4, 0.1, RngStream(4),
+                           budget_override=budget)
+        assert res.n_draws == budget
+        res = sketch_and_solve_known_y(X, y, 0.4, 0.1, RngStream(4),
+                                       budget_override=budget)
+        assert res.n_draws == budget
+
+
 class TestSampleAndSolve:
     def test_uniform_baseline_runs(self):
         X, y, _ = gaussian_instance(6, n=100, d=3, noise=0.3)
@@ -157,14 +199,16 @@ class TestSinglePath:
         a = active_solve(X, InMemoryLabelOracle(y), 0.4, 0.1, RngStream(7),
                          budget_override=40)
         b = sample_and_solve(X, InMemoryLabelOracle(y),
-                             sampling_values(lewis_weights(X), 40), RngStream(7))
+                             sampling_values(lewis_weights(X, SAMPLING_TOL), 40),
+                             RngStream(7))
         assert_same_result(a, b)
 
     def test_known_y_is_sample_and_solve_on_augmented_basis(self):
         X, y, _ = gaussian_instance(15, n=150, d=3, noise=0.5)
         y[4] += 1e4
         a = sketch_and_solve_known_y(X, y, 0.2, 0.1, RngStream(8), budget_override=40)
-        w = lewis_weights(orthonormal_column_basis(np.hstack([X, y[:, None]])))
+        w = lewis_weights(orthonormal_column_basis(np.hstack([X, y[:, None]])),
+                          SAMPLING_TOL)
         b = sample_and_solve(X, InMemoryLabelOracle(y), sampling_values(w, 40),
                              RngStream(8))
         assert_same_result(a, b)
@@ -173,7 +217,7 @@ class TestSinglePath:
         X, y, _ = gaussian_instance(17, n=150, d=3, noise=0.5)
         y[4] += 1e4
         a = active_solve(X, InMemoryLabelOracle(y), 0.4, 0.1, RngStream(9),
-                         budget_override=40, weights=lewis_weights(X))
+                         budget_override=40, weights=lewis_weights(X, SAMPLING_TOL))
         b = active_solve(X, InMemoryLabelOracle(y), 0.4, 0.1, RngStream(9),
                          budget_override=40)
         assert_same_result(a, b)

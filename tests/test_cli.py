@@ -1,3 +1,4 @@
+import hashlib
 import json
 import subprocess
 import sys
@@ -168,6 +169,18 @@ class TestWeightsCommand:
         x.write_text("1.0,2.0\n2.0,4.0\n3.0,6.0\n")
         res = run_cli("weights", str(x), "--out", str(tmp_path / "w.json"))
         assert res.returncode == 3
+
+    def test_default_certifies_to_1e_10_bytes_pinned(self, tmp_path):
+        # the samplers stop at SAMPLING_TOL; the weights command keeps 1e-10
+        x, out = tmp_path / "x.csv", tmp_path / "w.json"
+        write_matrix_csv(x, np.random.default_rng(31).standard_t(1.5, size=(40, 3)))
+        assert main(["weights", str(x), "--out", str(out)]) == 0
+        blob = out.read_bytes()
+        assert json.loads(blob)["check"]["fixed_point_residual"] <= 1e-10
+        assert hashlib.sha256(blob).hexdigest() == (
+            "c2c11c378a621be0c8e4fe13093e722a061288618e6fe1838713de4128bd3374")
+        assert main(["weights", str(x), "--tol", "1e-2", "--out", str(out)]) == 0
+        assert out.read_bytes() != blob
 
     def test_round_trip_bit_identical(self, tmp_path):
         rng = np.random.default_rng(2)

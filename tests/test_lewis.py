@@ -10,6 +10,7 @@ from lewisreg import lewis as lewis_module
 from lewisreg import linalg
 from lewisreg.experiment import materialize_instance
 from lewisreg.lewis import (
+    SAMPLING_TOL,
     ConvergenceError,
     _fixed_point_defect,
     lewis_weights,
@@ -28,6 +29,11 @@ from helpers import check_row_addition_monotonicity
 
 # lewis_weights' default fixed-point residual threshold
 TOL = 1e-10
+
+# A defect of at most gamma puts log w within -log(1 - gamma) of the fixed
+# point, so weights certified to SAMPLING_TOL lie within that of weights
+# certified to TOL, plus the TOL weights' own distance
+SAMPLING_LOG_FACTOR = -math.log1p(-SAMPLING_TOL) - math.log1p(-TOL)
 
 
 def random_tall(rng, n, d):
@@ -224,6 +230,16 @@ class TestHeavyTailedProperties:
         assert abs(w[n] - 1.0) <= 1e-9  # the only row on its coordinate
         np.testing.assert_allclose(w[n + 1], w[0], rtol=1e-9)  # the copy of row 0
         np.testing.assert_allclose(w, plain_sweep_weights(X), rtol=5e-10)
+        assert_within_sampling_factor(X, lewis_weights(X, SAMPLING_TOL).values, w)
+
+
+def assert_within_sampling_factor(X, w, ref):
+    """w certifies to SAMPLING_TOL and lies within its factor of ref, the
+    weights certified to TOL, in every row; both are zero on the same rows."""
+    assert verify_fixed_point(X, w) <= SAMPLING_TOL
+    nonzero = ref > 0
+    assert np.array_equal(w > 0, nonzero)
+    assert np.abs(np.log(w[nonzero] / ref[nonzero])).max() <= SAMPLING_LOG_FACTOR
 
 
 def row_scaled_t_design(seed, d, extra):
@@ -256,6 +272,27 @@ class TestRowScaledNearSquare:
             assert TOL < e.best <= e.residual
             return
         assert verify_fixed_point(X, w) <= TOL
+
+    # over another 400 such designs, 1e-10 gives 285 certified, 45
+    # ConvergenceError and 70 RankDeficiencyError, SAMPLING_TOL 330 certified
+    # and the same 70 RankDeficiencyError: the rounding floor near 1e-8 lies
+    # far below the sampling grade. The examples raise ConvergenceError at 1e-10
+    @given(st.integers(0, 2**32 - 1), st.integers(2, 8), st.integers(0, 19))
+    @example(68, 7, 3)
+    @example(0, 7, 12)
+    @settings(max_examples=60, deadline=None)
+    def test_sampling_grade_certifies(self, seed, d, extra):
+        X = row_scaled_t_design(seed, d, extra)
+        try:
+            w = lewis_weights(X, SAMPLING_TOL)
+        except RankDeficiencyError:
+            return
+        try:
+            ref = lewis_weights(X)
+        except ConvergenceError:
+            assert verify_fixed_point(X, w) <= SAMPLING_TOL
+            return
+        assert_within_sampling_factor(X, w.values, ref.values)
 
 
 @pytest.fixture

@@ -6,6 +6,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import lewisreg
+from lewisreg.active import InMemoryLabelOracle, active_solve
 from lewisreg.lewis import lewis_weights, recommended_budget, sampling_values
 from lewisreg.linalg import WeightVector
 from lewisreg.sketch import (
@@ -199,6 +201,35 @@ def test_draws_pinned_to_rng_algorithm():
     assert RNG_ALGORITHM in PINNED_DRAWS, "record the draws of the new RNG_ALGORITHM"
     assert pinned_draws_digest() == PINNED_DRAWS[RNG_ALGORITHM], (
         "the draws changed: bump RNG_ALGORITHM and pin the new digest")
+
+
+# Digest of active_draws_digest() under each lewisreg.__version__. The draws
+# of active_solve follow its Lewis weights as well as the RNG, so a change to
+# the weights that moves any draw must bump the version and record its digest
+# here, never overwrite an existing entry.
+PINNED_ACTIVE_DRAWS = {
+    "0.2.0": "68a74d4789c810893b3f03573cc1048524030eb1e94ce83da6fc20d420c31a27",
+}
+
+
+def active_draws_digest():
+    """sha256 of one active_solve sketch on a seeded Student-t design: its
+    indices, and its scales to 9 significant digits, so that the last-bit
+    differences of another BLAS do not move the digest."""
+    g = RngStream(2024).derive("pinned active design").generator()
+    X = g.standard_t(1.5, size=(2000, 5))
+    res = active_solve(X, InMemoryLabelOracle(X.sum(axis=1)), 0.25, 0.1,
+                       RngStream(7), budget_override=300)
+    h = hashlib.sha256(res.sketch.indices.astype("<i8").tobytes())
+    h.update(" ".join(f"{s:.8e}" for s in res.sketch.scales).encode())
+    return h.hexdigest()
+
+
+def test_active_draws_pinned_to_version():
+    assert lewisreg.__version__ in PINNED_ACTIVE_DRAWS, (
+        "record the active draws of the new version")
+    assert active_draws_digest() == PINNED_ACTIVE_DRAWS[lewisreg.__version__], (
+        "the active draws changed: bump lewisreg.__version__ and pin the new digest")
 
 
 class TestDrawSketch:
