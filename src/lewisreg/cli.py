@@ -21,15 +21,14 @@ from .dataio import (
     write_labels,
     write_matrix_csv,
 )
-from .experiment import ExperimentSpec, run_experiment, trial_stream
-from .instances import (
-    biased_hypercube_instance,
-    hidden_coordinate_instance,
-    make_isolated_instance,
-    make_outlier_instance,
-    reduce_to_matrix,
-    two_coin_instances,
+from .experiment import (
+    INSTANCE_FIELDS,
+    ExperimentSpec,
+    generate_instance,
+    run_experiment,
+    trial_stream,
 )
+from .instances import FAMILIES
 from .lad import LadProblem, objective, solve_lad
 from .lewis import ConvergenceError, lewis_weights, verify_fixed_point
 from .linalg import RankDeficiencyError, leverage_scores
@@ -83,32 +82,26 @@ def _build_parser() -> _Parser:
     g = sub.add_parser("gen", help="generate instance files")
     gsub = g.add_subparsers(dest="family", required=True, parser_class=_Parser)
 
-    go = gsub.add_parser("outlier")
-    go.add_argument("--n", type=int, required=True)
-    go.add_argument("--d", type=int, required=True)
-    go.add_argument("--magnitude", type=float, default=1e6)
-    go.add_argument("--noise-scale", type=float, default=1.0)
-    go.add_argument("--outliers", type=int, default=1)
-
-    gi = gsub.add_parser("isolated")
-    gi.add_argument("--n", type=int, required=True)
-    gi.add_argument("--d", type=int, required=True)
-    gi.add_argument("--magnitude", type=float, default=10.0)
-    gi.add_argument("--noise-scale", type=float, default=0.05)
-
-    gr = gsub.add_parser("reduced")
-    gr.add_argument("--family", dest="dist_family", required=True,
-                    choices=["biased_hypercube", "two_coin", "hidden_coordinate"])
-    gr.add_argument("--d", type=int, required=True)
-    gr.add_argument("--bias", type=float, default=0.1)
-    gr.add_argument("--which", type=int, default=0, choices=[0, 1],
-                    help="two_coin: which of the pair")
-    gr.add_argument("--hidden-index", type=int, default=0)
-    gr.add_argument("--eps", type=float, default=0.2)
-    gr.add_argument("--delta", type=float, default=0.1)
-    gr.add_argument("--constants", choices=["proof", "statement"], default="proof")
-
+    go, gi, gr = (gsub.add_parser(name) for name in ("outlier", "isolated", "reduced"))
+    for sp in (go, gi):
+        sp.add_argument("--n", type=int, required=True)
+        sp.add_argument("--noise-scale", type=float)
+    go.add_argument("--magnitude", dest="outlier_magnitude", type=float)
+    go.add_argument("--outliers", dest="n_outliers", type=int)
+    gi.add_argument("--magnitude", type=float)
+    gr.add_argument("--family", dest="dist_family", required=True, choices=FAMILIES)
+    gr.add_argument("--bias", type=float)
+    gr.add_argument("--which", type=int, choices=[0, 1], help="two_coin: which of the pair")
+    gr.add_argument("--hidden-index", type=int)
+    gr.add_argument("--eps", dest="reduction_eps", type=float)
+    gr.add_argument("--delta", dest="reduction_delta", type=float)
+    gr.add_argument("--constants", choices=["proof", "statement"])
+    # each flag's dest is its descriptor field, and its default the field's
+    for family, table in INSTANCE_FIELDS.items():
+        {"outlier": go, "isolated": gi}.get(family, gr).set_defaults(
+            **{key: default for key, (_, default) in table.items() if default is not None})
     for sp in (go, gi, gr):
+        sp.add_argument("--d", type=int, required=True)
         sp.add_argument("--seed", type=int, default=0)
         sp.add_argument("--out-x", required=True)
         sp.add_argument("--out-y", required=True)
@@ -142,41 +135,32 @@ def cmd_solve(args) -> int:
     X = read_matrix_csv(args.x_file)
     n, d = X.shape
     out: dict = {"mode": args.mode, "n": n, "d": d, "seed": args.seed}
-
-    if args.mode == "full":
+    if args.mode == "active":  # only queried label lines are ever read
+        oracle = FileBackedLabelOracle(args.y_file)
+        count = oracle.n
+    else:
         y = read_labels(args.y_file)
-        if y.shape[0] != n:
-            raise DataError(f"{args.y_file}: {y.shape[0]} labels for {n} rows")
+        count = y.shape[0]
+    if count != n:
+        raise DataError(f"{args.y_file}: {count} labels for {n} rows")
+    if args.mode == "full":
         sol = solve_lad(LadProblem(X, y), tol=args.solver_tol)
         out.update(beta=[float(v) for v in sol.beta], objective=sol.objective,
                    status=sol.status, labels_queried=n, n_draws=None)
-    elif args.mode == "sketch_known_y":
-        y = read_labels(args.y_file)
-        if y.shape[0] != n:
-            raise DataError(f"{args.y_file}: {y.shape[0]} labels for {n} rows")
-        budget = args.budget
-        rng = trial_stream(args.seed, 0, budget if budget is not None else -1)
-        res = sketch_and_solve_known_y(X, y, args.eps, args.delta, rng,
-                                       regime=args.regime, budget_override=budget,
-                                       solver_tol=args.solver_tol)
-        full_obj = objective(LadProblem(X, y), res.beta_hat)
-        out.update(beta=[float(v) for v in res.beta_hat], objective=full_obj,
-                   sketched_objective=res.sketched_objective, status=res.solver_status,
+    else:
+        rng = trial_stream(args.seed, 0, args.budget if args.budget is not None else -1)
+        options = {"regime": args.regime, "budget_override": args.budget,
+                   "solver_tol": args.solver_tol}
+        if args.mode == "sketch_known_y":
+            res = sketch_and_solve_known_y(X, y, args.eps, args.delta, rng, **options)
+            out.update(objective=objective(LadProblem(X, y), res.beta_hat),
+                       sketched_objective=res.sketched_objective)
+        else:
+            res = active_solve(X, oracle, args.eps, args.delta, rng, **options)
+            out.update(objective=res.sketched_objective, label_lines_read=oracle.lines_read,
+                       query_log=[int(i) for i in oracle.query_log])
+        out.update(beta=[float(v) for v in res.beta_hat], status=res.solver_status,
                    labels_queried=res.labels_queried, n_draws=res.n_draws)
-    else:  # active: only queried label lines are ever read
-        oracle = FileBackedLabelOracle(args.y_file)
-        if oracle.n != n:
-            raise DataError(f"{args.y_file}: {oracle.n} labels for {n} rows")
-        budget = args.budget
-        rng = trial_stream(args.seed, 0, budget if budget is not None else -1)
-        res = active_solve(X, oracle, args.eps, args.delta, rng,
-                           regime=args.regime, budget_override=budget,
-                           solver_tol=args.solver_tol)
-        out.update(beta=[float(v) for v in res.beta_hat],
-                   objective=res.sketched_objective,
-                   status=res.solver_status, labels_queried=res.labels_queried,
-                   n_draws=res.n_draws, label_lines_read=oracle.lines_read,
-                   query_log=[int(i) for i in oracle.query_log])
 
     out["timing_seconds"] = time.perf_counter() - t0
     if args.out:
@@ -200,37 +184,19 @@ def cmd_experiment(args) -> int:
 
 
 def cmd_gen(args) -> int:
-    rng = RngStream(args.seed).derive("gen", args.family)
-    meta: dict = {"family": args.family, "seed": args.seed}
-    if args.family == "outlier":
-        inst = make_outlier_instance(args.n, args.d, args.magnitude, rng,
-                                     n_outliers=args.outliers,
-                                     noise_scale=args.noise_scale)
-        X, y = inst.X, inst.y
-        meta.update(n=args.n, d=args.d, magnitude=args.magnitude,
-                    noise_scale=args.noise_scale, outliers=args.outliers,
-                    beta_star=[float(v) for v in inst.beta_star], opt=inst.opt)
-    elif args.family == "isolated":
-        inst = make_isolated_instance(args.n, args.d, rng,
-                                      magnitude=args.magnitude,
-                                      noise_scale=args.noise_scale)
-        X, y = inst.X, inst.y
-        meta.update(n=args.n, d=args.d, magnitude=args.magnitude,
-                    noise_scale=args.noise_scale,
-                    beta_star=[float(v) for v in inst.beta_star], opt=inst.opt)
-    else:  # reduced
-        if args.dist_family == "biased_hypercube":
-            dist = biased_hypercube_instance(args.d, args.bias, rng=rng)
-        elif args.dist_family == "two_coin":
-            dist = two_coin_instances(args.d, args.bias)[args.which]
-        else:
-            dist = hidden_coordinate_instance(args.d, args.hidden_index)
-        X, y = reduce_to_matrix(dist, args.eps, args.delta,
-                                rng.derive("reduction"), constants=args.constants)
-        meta.update(distribution=args.dist_family, d=args.d,
-                    n=int(X.shape[0]), eps=args.eps, delta=args.delta,
-                    constants=args.constants,
-                    beta_star=[float(v) for v in dist.beta_star])
+    family = args.dist_family if args.family == "reduced" else args.family
+    fields = {key: getattr(args, key) for key in INSTANCE_FIELDS[family]}
+    X, y, beta_star, opt = generate_instance(
+        family, fields, RngStream(args.seed).derive("gen", args.family))
+    meta = {"family": args.family, "seed": args.seed,
+            "beta_star": [float(v) for v in beta_star]}
+    if opt is None:
+        meta.update(distribution=family, d=args.d, n=int(X.shape[0]),
+                    eps=args.reduction_eps, delta=args.reduction_delta,
+                    constants=args.constants)
+    else:
+        names = {"outlier_magnitude": "magnitude", "n_outliers": "outliers"}  # meta keys
+        meta.update({names.get(k, k): v for k, v in fields.items()}, opt=opt)
     write_matrix_csv(args.out_x, X)
     write_labels(args.out_y, y)
     if args.meta:

@@ -17,7 +17,8 @@ so a trial draws the same rows as a one-shot call with the same stream.
 
 Comparing methods means running one spec per method on one (instance, seed),
 back to back in one process. run_experiment therefore keeps the last
-generated instance: the next spec on the same descriptor and seed reuses its
+generated instance: the next spec on the same family fields and seed (its
+descriptor resolved through INSTANCE_FIELDS, defaults filled in) reuses its
 X, y (read-only) and its planted reference optimum instead of generating the
 instance and solving it again. The report says how long preparing the
 instance took in timing["instance_seconds"]; nothing else in it changes.
@@ -26,7 +27,6 @@ itself caches nothing.
 """
 
 import copy
-import json
 import math
 import numbers
 import time
@@ -104,6 +104,9 @@ class ExperimentSpec:
             raise DataError("eps and delta must lie in (0, 1)")
         if self.workers < 1:
             raise DataError("workers must be at least 1")
+        tol = self.solver_tol
+        if isinstance(tol, bool) or not (isinstance(tol, numbers.Real) and 0 < tol < math.inf):
+            raise DataError(f"solver_tol must be a finite positive number, got {tol!r}")
 
     def to_json_dict(self) -> dict:
         return asdict(self)
@@ -137,6 +140,13 @@ def trial_stream(seed: int, trial: int, budget: int) -> RngStream:
     return RngStream(seed).derive("trial", trial, "budget", budget)
 
 
+def _integer(value) -> int:
+    """int(value), refusing bools and fractions, so a descriptor never truncates."""
+    if isinstance(value, bool) or isinstance(value, numbers.Real) and value % 1:
+        raise ValueError(f"must be an integer, got {value!r}")
+    return int(value)
+
+
 def _field(desc: dict, key: str, kind, default=None):
     """desc[key], or the default when one is given, converted by kind;
     DataError when a required field is missing or a value does not convert."""
@@ -148,16 +158,45 @@ def _field(desc: dict, key: str, kind, default=None):
         raise DataError(f"instance field {key!r}: {e}") from None
 
 
-_REDUCTION_FIELDS = ("reduction_eps", "reduction_delta", "constants")
+_REDUCTION = {"reduction_eps": (float, 0.2), "reduction_delta": (float, 0.1),
+              "constants": (str, "proof")}
 
-# the descriptor fields each generated family reads, beside "family"
-_FAMILY_FIELDS = {
-    "outlier": ("n", "d", "outlier_magnitude", "n_outliers", "noise_scale"),
-    "isolated": ("n", "d", "magnitude", "noise_scale"),
-    "biased_hypercube": ("d", "bias") + _REDUCTION_FIELDS,
-    "two_coin": ("d", "bias", "which") + _REDUCTION_FIELDS,
-    "hidden_coordinate": ("d", "hidden_index") + _REDUCTION_FIELDS,
+# For each generated family, the descriptor fields it reads beside "family",
+# in reading order, as key: (converter, default); a None default marks a
+# required field. materialize_instance and the gen command both read it.
+INSTANCE_FIELDS = {
+    "outlier": {"n": (_integer, None), "d": (_integer, None),
+                "outlier_magnitude": (float, 1e6), "n_outliers": (_integer, 1),
+                "noise_scale": (float, 1.0)},
+    "isolated": {"n": (_integer, None), "d": (_integer, None),
+                 "magnitude": (float, 10.0), "noise_scale": (float, 0.05)},
+    "biased_hypercube": {"d": (_integer, None), "bias": (float, 0.1), **_REDUCTION},
+    "two_coin": {"d": (_integer, None), "bias": (float, 0.1), "which": (_integer, 0),
+                 **_REDUCTION},
+    "hidden_coordinate": {"d": (_integer, None), "hidden_index": (_integer, 0),
+                          **_REDUCTION},
 }
+
+
+def generate_instance(family: str, fields: dict, rng: RngStream):
+    """(X, y, beta_star, opt) of a generated family from its resolved fields
+    (every key INSTANCE_FIELDS lists for it). opt is the certified full-data
+    optimum of the planted families and None for the reduced ones."""
+    if family == "outlier":
+        return make_outlier_instance(rng=rng, **fields)
+    if family == "isolated":
+        return make_isolated_instance(rng=rng, **fields)
+    if family == "biased_hypercube":
+        dist = biased_hypercube_instance(fields["d"], fields["bias"], rng=rng)
+    elif family == "two_coin":
+        if fields["which"] not in (0, 1):
+            raise DataError("which must be 0 or 1")
+        dist = two_coin_instances(fields["d"], fields["bias"])[fields["which"]]
+    else:
+        dist = hidden_coordinate_instance(fields["d"], fields["hidden_index"])
+    X, y = reduce_to_matrix(dist, fields["reduction_eps"], fields["reduction_delta"],
+                            rng.derive("reduction"), constants=fields["constants"])
+    return X, y, dist.beta_star, None
 
 
 def _refuse_unread(desc: dict, fields, what: str) -> None:
@@ -173,6 +212,17 @@ def _is_file_instance(desc: dict) -> bool:
     return "x_file" in desc or "y_file" in desc
 
 
+def _family_fields(desc: dict) -> tuple[str, dict]:
+    """(family, fields) of a generating descriptor, read through INSTANCE_FIELDS."""
+    family = desc.get("family")
+    if not isinstance(family, str) or family not in INSTANCE_FIELDS:
+        raise DataError(f"unrecognized instance descriptor: {desc!r}")
+    table = INSTANCE_FIELDS[family]
+    _refuse_unread(desc, ("family", *table), f"family {family!r}")
+    return family, {key: _field(desc, key, kind, default)
+                    for key, (kind, default) in table.items()}
+
+
 def materialize_instance(desc: dict, seed: int) -> tuple[np.ndarray, np.ndarray, dict]:
     """Build (X, y) from an instance descriptor, plus provenance metadata.
 
@@ -181,7 +231,6 @@ def materialize_instance(desc: dict, seed: int) -> tuple[np.ndarray, np.ndarray,
     A key the descriptor's kind does not read is refused. Every call builds
     fresh, writable arrays.
     """
-    meta: dict = {}
     if _is_file_instance(desc):
         _refuse_unread(desc, ("x_file", "y_file"), "file instances")
         if "x_file" not in desc or "y_file" not in desc:
@@ -190,49 +239,14 @@ def materialize_instance(desc: dict, seed: int) -> tuple[np.ndarray, np.ndarray,
         y = read_labels(desc["y_file"])
         if y.shape[0] != X.shape[0]:
             raise DataError("label count does not match row count")
-        meta["source"] = {"x_file": desc["x_file"], "y_file": desc["y_file"]}
-        return X, y, meta
+        return X, y, {"source": {"x_file": desc["x_file"], "y_file": desc["y_file"]}}
 
-    family = desc.get("family")
-    if not isinstance(family, str) or family not in _FAMILY_FIELDS:
-        raise DataError(f"unrecognized instance descriptor: {desc!r}")
-    _refuse_unread(desc, ("family",) + _FAMILY_FIELDS[family], f"family {family!r}")
-    rng = RngStream(seed).derive("instance")
-    if family == "outlier":
-        inst = make_outlier_instance(
-            _field(desc, "n", int), _field(desc, "d", int),
-            _field(desc, "outlier_magnitude", float, 1e6), rng,
-            n_outliers=_field(desc, "n_outliers", int, 1),
-            noise_scale=_field(desc, "noise_scale", float, 1.0),
-        )
-        meta["opt"] = inst.opt
-        return inst.X, inst.y, meta
-    if family == "isolated":
-        inst = make_isolated_instance(
-            _field(desc, "n", int), _field(desc, "d", int), rng,
-            magnitude=_field(desc, "magnitude", float, 10.0),
-            noise_scale=_field(desc, "noise_scale", float, 0.05),
-        )
-        meta["opt"] = inst.opt
-        return inst.X, inst.y, meta
-    d = _field(desc, "d", int)
-    if family == "biased_hypercube":
-        dist = biased_hypercube_instance(d, _field(desc, "bias", float), rng=rng)
-    elif family == "two_coin":
-        which = _field(desc, "which", int, 0)
-        if which not in (0, 1):
-            raise DataError("which must be 0 or 1")
-        dist = two_coin_instances(d, _field(desc, "bias", float))[which]
-    else:
-        dist = hidden_coordinate_instance(d, _field(desc, "hidden_index", int, 0))
-    X, y = reduce_to_matrix(
-        dist, _field(desc, "reduction_eps", float, 0.2),
-        _field(desc, "reduction_delta", float, 0.1),
-        rng.derive("reduction"),
-        constants=desc.get("constants", "proof"),
-    )
-    meta["beta_star"] = [float(v) for v in dist.beta_star]
-    return X, y, meta
+    family, fields = _family_fields(desc)
+    X, y, beta_star, opt = generate_instance(family, fields,
+                                             RngStream(seed).derive("instance"))
+    if opt is None:
+        return X, y, {"beta_star": [float(v) for v in beta_star]}
+    return X, y, {"opt": opt}
 
 
 # (key, X, y, meta) of the last generated instance run_experiment prepared.
@@ -243,19 +257,17 @@ _last_instance = None
 
 def _prepare_instance(desc: dict, seed: int) -> tuple[np.ndarray, np.ndarray, dict]:
     """materialize_instance(desc, seed), reusing the last generated instance
-    when desc and seed match it. Its X and y are shared read-only; meta is a
-    fresh copy per call, since run_experiment writes into it. File instances
-    are read afresh every time, and a call that raises caches nothing."""
+    when the same family fields and seed made it. Its X and y are shared
+    read-only; meta is a fresh copy per call, since run_experiment writes into
+    it. File instances are read afresh every time, and a call that raises
+    caches nothing."""
     global _last_instance
     if _is_file_instance(desc):
         return materialize_instance(desc, seed)
-    try:
-        key = (json.dumps(desc, sort_keys=True, default=repr), seed)
-    except TypeError:  # keys of mixed types do not sort; materialize refuses them
-        return materialize_instance(desc, seed)
+    family, fields = _family_fields(desc)
+    key = (family, tuple(fields.items()), seed)
     entry = _last_instance  # one read, so another thread's entry never mixes in
     if entry is None or entry[0] != key:
-        # built from desc itself, not the key, so numpy scalars keep working
         X, y, meta = materialize_instance(desc, seed)
         X.setflags(write=False)
         y.setflags(write=False)

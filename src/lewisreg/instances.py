@@ -76,6 +76,8 @@ class DistributionalInstance:
 
 def biased_hypercube_instance(d: int, bias: float, beta_star=None,
                               rng: RngStream | None = None) -> DistributionalInstance:
+    if d < 1:
+        raise DataError("d must be at least 1")
     if beta_star is None:
         if rng is None:
             raise ValueError("need beta_star or an rng to draw one")
@@ -89,6 +91,8 @@ def biased_hypercube_instance(d: int, bias: float, beta_star=None,
 def two_coin_instances(d: int, bias: float) -> tuple[DistributionalInstance,
                                                      DistributionalInstance]:
     """The all-minus-one and all-plus-one pair."""
+    if d < 1:
+        raise DataError("d must be at least 1")
     lo = DistributionalInstance(d=d, family="two_coin",
                                 beta_star=-np.ones(d), bias=bias)
     hi = DistributionalInstance(d=d, family="two_coin",
@@ -177,8 +181,12 @@ def make_outlier_instance(n: int, d: int, outlier_magnitude: float,
                           noise_scale: float = 1.0) -> PlantedInstance:
     """Gaussian design with a planted coefficient vector, additive noise, and
     a handful of huge label outliers. opt is the certified full-data minimum."""
+    if d < 1:
+        raise DataError("d must be at least 1")
     if n < d:
         raise DataError("need n >= d")
+    if not 0 <= n_outliers <= n:
+        raise DataError("n_outliers must lie in [0, n]")
     g = rng.generator()
     X = g.standard_normal((n, d))
     beta_star = g.standard_normal(d)

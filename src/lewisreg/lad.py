@@ -230,8 +230,10 @@ def solve_lad(prob: LadProblem, tol: float = 1e-8, max_iters: int = 2000) -> Lad
     rounding; "uncertified", one whose multipliers pass while the gap is open.
     "max_iter" means the budget ran out first; the best vertex seen is returned.
     """
-    if tol <= 0:
+    if not tol > 0:
         raise DataError("tol must be positive")
+    if tol == math.inf:
+        raise DataError("tol must be finite")
     if max_iters < 0:
         raise DataError("max_iters must be nonnegative")
     w = prob.weights

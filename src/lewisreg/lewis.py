@@ -93,6 +93,19 @@ def _fixed_point_defect(X: np.ndarray, w: np.ndarray) -> tuple[float, np.ndarray
     return float(defect.max()), q
 
 
+def _nonzero_rows(X: np.ndarray) -> tuple[np.ndarray, np.ndarray | slice]:
+    """The nonzero rows of a validated X with columns equilibrated, and their
+    index into X: a full slice when no row is zero, which spares the gather.
+    RankDeficiencyError when fewer than d rows are nonzero."""
+    nonzero = (X != 0).any(axis=1)
+    if nonzero.all():
+        nonzero = slice(None)
+    Xa = np.ascontiguousarray(X[nonzero])
+    if Xa.shape[0] < X.shape[1]:
+        raise RankDeficiencyError("fewer nonzero rows than columns")
+    return equilibrate_columns(Xa), nonzero  # weights are column-scaling invariant
+
+
 def lewis_weights(X, tol: float = 1e-10) -> WeightVector:
     """Compute the L1 Lewis weights of X.
 
@@ -116,9 +129,9 @@ def lewis_weights(X, tol: float = 1e-10) -> WeightVector:
     X : array_like, shape (n, d)
         Full column rank after all-zero rows are removed.
     tol : float
-        The fixed-point residual threshold gamma. The returned weights are
-        within a factor 1/(1 - gamma) of the exact ones in every row; the
-        samplers pass SAMPLING_TOL.
+        The fixed-point residual threshold gamma, in (0, 1). The returned
+        weights are within a factor 1/(1 - gamma) of the exact ones in every
+        row; the samplers pass SAMPLING_TOL.
 
     Returns
     -------
@@ -134,15 +147,12 @@ def lewis_weights(X, tol: float = 1e-10) -> WeightVector:
     ConvergenceError
         If the residual is still above tolerance after MAX_SWEEPS sweeps.
     """
-    if tol <= 0:
+    if not tol > 0:
         raise DataError("tol must be positive")
+    if not tol < 1:
+        raise DataError("tol must be below 1")
     X = as_design_matrix(X)
-    n, d = X.shape
-    nonzero = (X != 0).any(axis=1)
-    Xa = X[nonzero]
-    if Xa.shape[0] < d:
-        raise RankDeficiencyError("fewer nonzero rows than columns")
-    Xa = equilibrate_columns(Xa)  # weights are column-scaling invariant
+    Xa, nonzero = _nonzero_rows(X)
 
     m, rows = _ANDERSON_DEPTH, Xa.shape[0]
     dF, dG = np.empty((m, rows)), np.empty((m, rows))  # ring buffers of differences
@@ -183,7 +193,7 @@ def lewis_weights(X, tol: float = 1e-10) -> WeightVector:
             best,
         )
 
-    full = np.zeros(n)
+    full = np.zeros(X.shape[0])
     full[nonzero] = w
     return WeightVector(full, kind="lewis")
 
@@ -197,10 +207,10 @@ def verify_fixed_point(X, w) -> float:
     wv = w.values if isinstance(w, WeightVector) else as_vector(w)
     if wv.shape[0] != X.shape[0]:
         raise ValueError("weight length does not match row count")
-    nonzero = (X != 0).any(axis=1)
+    Xa, nonzero = _nonzero_rows(X)
     if np.any(wv[nonzero] <= 0):
         raise ValueError("weights must be positive on nonzero rows")
-    defect, _ = _fixed_point_defect(equilibrate_columns(X[nonzero]), wv[nonzero])
+    defect, _ = _fixed_point_defect(Xa, wv[nonzero])
     return defect
 
 

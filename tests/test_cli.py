@@ -1,5 +1,6 @@
 import hashlib
 import json
+import math
 import subprocess
 import sys
 
@@ -370,6 +371,49 @@ class TestGenCommand:
         assert (tmp_path / "ya.txt").read_bytes() == (tmp_path / "yb.txt").read_bytes()
 
 
+GEN_PINS = {
+    "outlier": (["outlier", "--n", "40", "--d", "3"], (
+        "201c5e1c118a47b734ef09367acfc675513cf76f24341ec8e281757b13312cbc",
+        "8375da5223a448803616f165e8d099c4d01f4f01424308afc09cf00b1da36ce0",
+        "49743b4457e9b81d0f4e99edf3dc4d8c8432bf020bad9793df480ca508efd1ca",
+    )),
+    "isolated": (["isolated", "--n", "30", "--d", "3", "--noise-scale", "0.5"], (
+        "c8d713c3d1f3f81c6d8fc17c71d5cffadf8fdeb29b3e9c19ef01b39b2f6209d9",
+        "b8f6c976fd161b2188df4712bf82f3051becd1d7d0647be1a1fa3689ad8ab6b7",
+        "c05aeeb2ba8c5ab6627bf25f1f7cf4c317ba6923e6549b3d6164a436beb7e726",
+    )),
+    "biased_hypercube": (["reduced", "--family", "biased_hypercube", "--d", "5",
+                          "--eps", "0.5", "--delta", "0.3"], (
+        "998229c4ef86ca71dc688cd8c0866b4e6b1d55fc48c8d43b64607537bad8bc90",
+        "4928472b9e1eff165bf0df0eac0ddc8a72b4e93a50a8db2dc10c3f01518697c8",
+        "962aab58904cf4eea2f2a7cc26776d4c3d9dced46fae35ca7722b6e2308f8fc7",
+    )),
+    "two_coin": (["reduced", "--family", "two_coin", "--d", "3", "--bias", "0.2",
+                  "--which", "1", "--eps", "0.5", "--delta", "0.3",
+                  "--constants", "statement"], (
+        "ff63331e05827d1a278ce986d2fc61bb5fdc9a2c5372c4942871eb0f18d1bf75",
+        "e1e0e9523611294fd16f54e950e4e3d0bfe2b70208527330c513540a57bdf9fa",
+        "681c4c47a86313365487dd643ed212c4b1da9e9ba305cc1e5a6c07c7df7bca64",
+    )),
+    "hidden_coordinate": (["reduced", "--family", "hidden_coordinate", "--d", "4",
+                           "--hidden-index", "2", "--eps", "0.5", "--delta", "0.3"], (
+        "9a2e130809ae473e3571f301de949bc4ce70cb89ac8de81854186a9afc5ca2f8",
+        "14922533681aec8d7202b9c9c7ccdedc2fca69953b0f24d7a2b6a64f46438d50",
+        "f8f7574a77a51f12080581ad7c4b693b9e13e00a753c5127df2ac54eac82a264",
+    )),
+}
+
+
+@pytest.mark.parametrize("family", sorted(GEN_PINS))
+def test_gen_files_pinned(family, tmp_path):
+    """gen's X, y and meta files for every family at seed 4, byte for byte."""
+    argv, digests = GEN_PINS[family]
+    paths = [tmp_path / name for name in ("x.csv", "y.txt", "meta.json")]
+    assert main(["gen", *argv, "--seed", "4", "--out-x", str(paths[0]),
+                 "--out-y", str(paths[1]), "--meta", str(paths[2])]) == 0
+    assert tuple(hashlib.sha256(p.read_bytes()).hexdigest() for p in paths) == digests
+
+
 class TestStartup:
     def test_full_solve_and_gen_never_load_scipy(self, median_instance, tmp_path):
         """import lewisreg, a full solve and gen run without scipy; the weights
@@ -440,9 +484,27 @@ class TestErrorClassification:
         (["experiment", "{null_spec}"], "spec must be a JSON object, got None"),
         (["weights", "{x}", "--out", "{dir}"], "[Errno 21] Is a directory: '{dir}'"),
         (["weights", "{dir}", "--out", "{out}"], "[Errno 21] Is a directory: '{dir}'"),
+        (["weights", "{x}", "--tol", "nan", "--out", "{out}"], "tol must be positive"),
+        (["weights", "{x}", "--tol", "1", "--out", "{out}"], "tol must be below 1"),
+        (["weights", "{x}", "--tol", "inf", "--out", "{out}"], "tol must be below 1"),
+        (["solve", "{x}", "{y}", "--solver-tol", "nan"], "tol must be positive"),
+        (["solve", "{x}", "{y}", "--solver-tol", "inf"], "tol must be finite"),
+        (["gen", "reduced", "--family", "biased_hypercube", "--d", "-1",
+          "--out-x", "{out}", "--out-y", "{out}"], "d must be at least 1"),
+        (["gen", "reduced", "--family", "two_coin", "--d", "-1",
+          "--out-x", "{out}", "--out-y", "{out}"], "d must be at least 1"),
+        (["gen", "outlier", "--n", "-5", "--d", "-6", "--out-x", "{out}", "--out-y", "{out}"],
+         "d must be at least 1"),
+        (["gen", "outlier", "--n", "5", "--d", "2", "--outliers", "6",
+          "--out-x", "{out}", "--out-y", "{out}"], "n_outliers must lie in [0, n]"),
+        (["gen", "outlier", "--n", "5", "--d", "2", "--outliers", "-1",
+          "--out-x", "{out}", "--out-y", "{out}"], "n_outliers must lie in [0, n]"),
     ], ids=["weights_tol", "solver_tol", "eps", "budget", "nan_design", "gen_n_below_d",
             "spec_method", "gen_hidden_index", "spec_number", "spec_null",
-            "output_is_directory", "input_is_directory"])
+            "output_is_directory", "input_is_directory", "weights_tol_nan",
+            "weights_tol_one", "weights_tol_inf", "solver_tol_nan", "solver_tol_inf",
+            "gen_biased_hypercube_negative_d", "gen_two_coin_negative_d",
+            "gen_outlier_negative_shape", "gen_outliers_above_n", "gen_outliers_negative"])
     def test_refusal_exit_2_with_message(self, median_instance, tmp_path, capsys,
                                          argv, message):
         x, y = median_instance
@@ -488,11 +550,31 @@ class TestErrorClassification:
           "budgets": [1]},
          "unknown instance fields for family 'outlier': ['magnitdue']; it reads "
          "['d', 'family', 'n', 'n_outliers', 'noise_scale', 'outlier_magnitude']"),
+        ({"solver_tol": "abc"}, "solver_tol must be a finite positive number, got 'abc'"),
+        ({"solver_tol": math.nan}, "solver_tol must be a finite positive number, got nan"),
+        ({"solver_tol": math.inf}, "solver_tol must be a finite positive number, got inf"),
+        ({"solver_tol": True}, "solver_tol must be a finite positive number, got True"),
+        ({"solver_tol": 0}, "solver_tol must be a finite positive number, got 0"),
+        ({"instance": {"family": "outlier", "n": 150.9, "d": 2}},
+         "instance field 'n': must be an integer, got 150.9"),
+        ({"instance": {"family": "outlier", "n": 40, "d": True}},
+         "instance field 'd': must be an integer, got True"),
+        ({"instance": {"family": "two_coin", "d": 3, "which": 0.5}},
+         "instance field 'which': must be an integer, got 0.5"),
+        ({"instance": {"family": "outlier", "n": -5, "d": -6}}, "d must be at least 1"),
+        ({"instance": {"family": "outlier", "n": 40, "d": 2, "n_outliers": 41}},
+         "n_outliers must lie in [0, n]"),
+        ({"instance": {"family": "outlier", "n": 40, "d": 2, "n_outliers": -1}},
+         "n_outliers must lie in [0, n]"),
+        ({"instance": {"family": "biased_hypercube", "d": -1}}, "d must be at least 1"),
     ], ids=["field_type", "missing_field", "spec_type", "trials_float", "trials_bool",
             "seed_bool", "workers_float", "budget_float", "budget_bool", "budget_repeated",
             "budget_below_d",
             "hidden_index", "which_2", "which_minus_1", "instance_list", "instance_bogus_key",
-            "misspelt_key_before_budget"])
+            "misspelt_key_before_budget", "solver_tol_string", "solver_tol_nan",
+            "solver_tol_inf", "solver_tol_bool", "solver_tol_zero", "field_fraction",
+            "field_bool", "which_fraction", "outlier_negative_shape", "outliers_above_n",
+            "outliers_negative", "biased_hypercube_negative_d"])
     def test_malformed_spec_exit_2(self, tmp_path, capsys, overrides, message):
         spec = {"instance": {"family": "outlier", "n": 40, "d": 2}, "method": "lewis",
                 "budgets": [10], "eps": 0.5, "delta": 0.1, "trials": 1, "seed": 0}

@@ -421,6 +421,13 @@ class TestInstanceOncePerProcess:
         run_experiment(isolated_spec(instance={**ISOLATED, "magnitude": 20.0}))
         assert len(generated) == 2
 
+    def test_same_fields_share_the_cache(self, cold_cache, generated):
+        # the cache keys on the fields after conversion, defaults filled in
+        plain = run_experiment(isolated_spec()).environment
+        same = {**ISOLATED, "n": 200.0, "noise_scale": 0.05}
+        assert run_experiment(isolated_spec(instance=same)).environment == plain
+        assert len(generated) == 1
+
     @pytest.mark.parametrize("method", METHODS)
     def test_cached_report_matches_cold_run(self, cold_cache, method):
         cold = body(run_experiment(isolated_spec(method=method)))

@@ -93,6 +93,13 @@ class TestLewisWeights:
         assert w.values[2] == 0.0
         assert abs(w.values.sum() - 2.0) <= 1e-6
 
+    def test_memory_layout_keeps_bytes(self):
+        # a design with no zero row is used in place, made C-contiguous first
+        X = np.random.default_rng(5).standard_t(1.5, size=(3000, 12))
+        w = lewis_weights(X).values
+        assert np.array_equal(lewis_weights(np.asfortranarray(X)).values, w)
+        assert verify_fixed_point(np.asfortranarray(X), w) == verify_fixed_point(X, w)
+
     def test_range(self):
         rng = np.random.default_rng(2)
         X = random_tall(rng, 30, 4)
