@@ -21,6 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .dataio import parse_real, text_lines
 from .lad import LadProblem, solve_lad
 from .lewis import SAMPLING_TOL, lewis_weights, recommended_budget, sampling_values
 from .linalg import (
@@ -88,41 +89,26 @@ class InMemoryLabelOracle(LabelOracle):
 
 
 class FileBackedLabelOracle(LabelOracle):
-    """Oracle over a labels file, one real per line, read lazily by offset.
+    """Oracle over a labels file, one real per line, parsed lazily.
 
-    Construction scans the file once for line offsets without parsing any
-    values; each distinct query then seeks and parses exactly one line.
-    lines_read counts parsed label lines.
+    Construction reads the file's nonblank lines (dataio.text_lines, the
+    reader read_labels uses too) without parsing any value; each distinct
+    query then parses exactly one line. lines_read counts parsed label lines.
     """
 
     def __init__(self, path):
         super().__init__()
         self._path = str(path)
+        self._lines = text_lines(path)
         self.lines_read = 0
-        offsets = []
-        with open(self._path, "rb") as fh:
-            pos = 0
-            for line in fh:
-                if line.strip():
-                    offsets.append(pos)
-                pos += len(line)
-        self._offsets = offsets
 
     @property
     def n(self) -> int:
-        return len(self._offsets)
+        return len(self._lines)
 
     def _lookup(self, i: int) -> float:
-        with open(self._path, "rb") as fh:
-            fh.seek(self._offsets[i])
-            raw = fh.readline()
-            self.lines_read += 1
-            try:
-                return float(raw)
-            except ValueError:  # name the file line, counting blank lines too
-                fh.seek(0)
-                lineno = fh.read(self._offsets[i]).count(b"\n") + 1
-        raise DataError(f"{self._path}: line {lineno}: could not parse a real number")
+        self.lines_read += 1
+        return parse_real(self._path, *self._lines[i])
 
 
 @dataclass(frozen=True)

@@ -1,6 +1,7 @@
-"""File formats: headerless CSV matrices, one-label-per-line files, and
-deterministic JSON. Floats are serialized with repr, the shortest decimal
-string that round-trips to the same double, so write/read cycles are exact.
+"""File formats: headerless CSV matrices, one-label-per-line files (a
+one-column CSV) and deterministic JSON, all UTF-8 text. Floats are serialized
+with repr, the shortest decimal string that round-trips to the same double,
+so write/read cycles are exact.
 """
 
 import json
@@ -22,6 +23,34 @@ __all__ = [
 ]
 
 
+def _read_text(path) -> str:
+    """The UTF-8 text of a file, its CRLF and CR line ends read as LF;
+    DataError naming the line of the first byte that is not UTF-8."""
+    try:
+        with open(path, encoding="utf-8") as fh:  # universal newlines
+            return fh.read()
+    except UnicodeDecodeError as e:  # one read decodes, so e.object is the whole file
+        head = e.object[:e.start]
+        lineno = head.count(b"\n") + head.count(b"\r") - head.count(b"\r\n") + 1
+        raise DataError(f"{path}: line {lineno}: not UTF-8 text") from None
+
+
+def text_lines(path) -> list[tuple[int, str]]:
+    """(line number, stripped text) of every nonblank line of a UTF-8 text
+    file whose lines end in LF, CRLF or CR: the one line reader, used by the
+    CSV rescan and by the file-backed label oracle."""
+    lines = map(str.strip, _read_text(path).split("\n"))
+    return [(lineno, text) for lineno, text in enumerate(lines, start=1) if text]
+
+
+def parse_real(path, lineno: int, text: str) -> float:
+    """float(text), or a DataError naming the file line it came from."""
+    try:
+        return float(text)
+    except ValueError:
+        raise DataError(f"{path}: line {lineno}: could not parse a real number") from None
+
+
 def read_matrix_csv(path) -> np.ndarray:
     """Read a headerless CSV of reals with np.loadtxt. On any input it refuses
     (an empty file warns instead), rescan line by line to name the bad line."""
@@ -30,29 +59,22 @@ def read_matrix_csv(path) -> np.ndarray:
             warnings.simplefilter("error", UserWarning)
             return np.loadtxt(path, delimiter=",", comments=None, ndmin=2,
                               dtype=np.float64, encoding="utf-8")
-    except (ValueError, UserWarning):
+    except (ValueError, UserWarning):  # UnicodeDecodeError is a ValueError
         return _scan_matrix_csv(path)
 
 
 def _scan_matrix_csv(path) -> np.ndarray:
     rows: list[list[float]] = []
     width = None
-    with open(path, "r", encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            line = line.strip()
-            if not line:
-                continue
-            parts = line.split(",")
-            if width is None:
-                width = len(parts)
-            elif len(parts) != width:
-                raise DataError(
-                    f"{path}: line {lineno}: expected {width} columns, got {len(parts)}"
-                )
-            try:
-                rows.append([float(p) for p in parts])
-            except ValueError:
-                raise DataError(f"{path}: line {lineno}: could not parse a real number")
+    for lineno, line in text_lines(path):
+        parts = line.split(",")
+        if width is None:
+            width = len(parts)
+        elif len(parts) != width:
+            raise DataError(
+                f"{path}: line {lineno}: expected {width} columns, got {len(parts)}"
+            )
+        rows.append([parse_real(path, lineno, p) for p in parts])
     if not rows:
         raise DataError(f"{path}: no data rows")
     return np.array(rows, dtype=np.float64)
@@ -65,19 +87,12 @@ def write_matrix_csv(path, X) -> None:
 
 
 def read_labels(path) -> np.ndarray:
-    values = []
-    with open(path, "r", encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            line = line.strip()
-            if not line:
-                continue
-            try:
-                values.append(float(line))
-            except ValueError:
-                raise DataError(f"{path}: line {lineno}: could not parse a real number")
-    if not values:
-        raise DataError(f"{path}: no labels")
-    return np.array(values, dtype=np.float64)
+    """A labels file, one real per line: a one-column CSV."""
+    Y = read_matrix_csv(path)
+    if Y.shape[1] != 1:  # then every line has that width, the first one too
+        lineno, _ = text_lines(path)[0]
+        raise DataError(f"{path}: line {lineno}: expected one label, got {Y.shape[1]} columns")
+    return Y[:, 0]
 
 
 def write_labels(path, y) -> None:
@@ -98,8 +113,7 @@ def write_json(path, obj) -> None:
 
 
 def read_json(path):
-    with open(path, "r", encoding="utf-8") as fh:
-        try:
-            return json.load(fh)
-        except json.JSONDecodeError as e:
-            raise DataError(f"{path}: invalid JSON: {e}")
+    try:
+        return json.loads(_read_text(path))
+    except json.JSONDecodeError as e:
+        raise DataError(f"{path}: invalid JSON: {e}") from None

@@ -89,24 +89,27 @@ class ExperimentSpec:
         if self.method not in METHODS:
             raise DataError(f"unknown method {self.method!r}; choose from {METHODS}")
         for name in ("trials", "seed", "workers"):
-            object.__setattr__(self, name, _as_int(name, getattr(self, name)))
+            object.__setattr__(self, name, _integer(name, getattr(self, name)))
         if self.trials < 1:
             raise DataError("trials must be at least 1")
         if not self.budgets:
             raise DataError("need at least one budget")
         object.__setattr__(self, "budgets",
-                           [_as_int("budgets entry", b) for b in self.budgets])
+                           [_integer("budgets entry", b) for b in self.budgets])
         if self.budgets != sorted(self.budgets):
             raise DataError("budgets must be sorted ascending")
         if len(set(self.budgets)) != len(self.budgets):
             raise DataError("budgets must not repeat")
-        if not (0 < self.eps < 1) or not (0 < self.delta < 1):
+        # the reals are checked, not stored converted, so the report keeps them as given
+        eps, delta, tol = (_real(name, getattr(self, name))
+                           for name in ("eps", "delta", "solver_tol"))
+        if not (0 < eps < 1) or not (0 < delta < 1):
             raise DataError("eps and delta must lie in (0, 1)")
         if self.workers < 1:
             raise DataError("workers must be at least 1")
-        tol = self.solver_tol
-        if isinstance(tol, bool) or not (isinstance(tol, numbers.Real) and 0 < tol < math.inf):
-            raise DataError(f"solver_tol must be a finite positive number, got {tol!r}")
+        if not 0 < tol < math.inf:
+            raise DataError(f"solver_tol must be a finite positive number, "
+                            f"got {self.solver_tol!r}")
 
     def to_json_dict(self) -> dict:
         return asdict(self)
@@ -115,24 +118,13 @@ class ExperimentSpec:
     def from_json_dict(cls, obj: dict) -> "ExperimentSpec":
         if not isinstance(obj, dict):
             raise DataError(f"spec must be a JSON object, got {obj!r}")
-        known = {f for f in cls.__dataclass_fields__}
-        extra = set(obj) - known
+        extra = set(obj) - set(cls.__dataclass_fields__)
         if extra:
             raise DataError(f"unknown spec fields: {sorted(extra)}")
         try:
             return cls(**obj)
-        except DataError:
-            raise
-        except (TypeError, ValueError) as e:  # a field of the wrong type
+        except TypeError as e:  # a missing field, or budgets that are not a list
             raise DataError(f"malformed spec: {e}") from None
-
-
-def _as_int(name: str, value) -> int:
-    """value as an int; DataError for anything but an integer (bools and
-    integral floats included), so a spec never silently truncates."""
-    if isinstance(value, bool) or not isinstance(value, numbers.Integral):
-        raise DataError(f"{name} must be an integer, got {value!r}")
-    return int(value)
 
 
 def trial_stream(seed: int, trial: int, budget: int) -> RngStream:
@@ -140,38 +132,46 @@ def trial_stream(seed: int, trial: int, budget: int) -> RngStream:
     return RngStream(seed).derive("trial", trial, "budget", budget)
 
 
-def _integer(value) -> int:
-    """int(value), refusing bools and fractions, so a descriptor never truncates."""
-    if isinstance(value, bool) or isinstance(value, numbers.Real) and value % 1:
-        raise ValueError(f"must be an integer, got {value!r}")
+def _integer(name: str, value) -> int:
+    """value as an int; DataError for bools, strings and numbers with a
+    fractional part, so a field never silently truncates or parses text."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Real) or value % 1:
+        raise DataError(f"{name} must be an integer, got {value!r}")
     return int(value)
 
 
+def _real(name: str, value) -> float:
+    """value as a float; DataError for bools, strings and other non-numbers."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Real):
+        raise DataError(f"{name} must be a real number, got {value!r}")
+    return float(value)
+
+
 def _field(desc: dict, key: str, kind, default=None):
-    """desc[key], or the default when one is given, converted by kind;
-    DataError when a required field is missing or a value does not convert."""
-    try:
-        return kind(desc[key] if default is None else desc.get(key, default))
-    except KeyError:
-        raise DataError(f"instance descriptor has no {key!r} field") from None
-    except (TypeError, ValueError) as e:
-        raise DataError(f"instance field {key!r}: {e}") from None
+    """desc[key], or the default when one is given, converted by kind unless
+    that is None; DataError when a required field is missing or a value does
+    not convert."""
+    if default is None and key not in desc:
+        raise DataError(f"instance descriptor has no {key!r} field")
+    value = desc.get(key, default)
+    return value if kind is None else kind(f"instance field {key!r}:", value)
 
 
-_REDUCTION = {"reduction_eps": (float, 0.2), "reduction_delta": (float, 0.1),
-              "constants": (str, "proof")}
+_REDUCTION = {"reduction_eps": (_real, 0.2), "reduction_delta": (_real, 0.1),
+              "constants": (None, "proof")}
 
 # For each generated family, the descriptor fields it reads beside "family",
-# in reading order, as key: (converter, default); a None default marks a
-# required field. materialize_instance and the gen command both read it.
+# in reading order, as key: (converter, default). A None default marks a
+# required field; a None converter passes the value on as given (constants,
+# which reduce_to_matrix checks). materialize_instance and gen both read it.
 INSTANCE_FIELDS = {
     "outlier": {"n": (_integer, None), "d": (_integer, None),
-                "outlier_magnitude": (float, 1e6), "n_outliers": (_integer, 1),
-                "noise_scale": (float, 1.0)},
+                "outlier_magnitude": (_real, 1e6), "n_outliers": (_integer, 1),
+                "noise_scale": (_real, 1.0)},
     "isolated": {"n": (_integer, None), "d": (_integer, None),
-                 "magnitude": (float, 10.0), "noise_scale": (float, 0.05)},
-    "biased_hypercube": {"d": (_integer, None), "bias": (float, 0.1), **_REDUCTION},
-    "two_coin": {"d": (_integer, None), "bias": (float, 0.1), "which": (_integer, 0),
+                 "magnitude": (_real, 10.0), "noise_scale": (_real, 0.05)},
+    "biased_hypercube": {"d": (_integer, None), "bias": (_real, 0.1), **_REDUCTION},
+    "two_coin": {"d": (_integer, None), "bias": (_real, 0.1), "which": (_integer, 0),
                  **_REDUCTION},
     "hidden_coordinate": {"d": (_integer, None), "hidden_index": (_integer, 0),
                           **_REDUCTION},
@@ -238,7 +238,7 @@ def materialize_instance(desc: dict, seed: int) -> tuple[np.ndarray, np.ndarray,
         X = read_matrix_csv(desc["x_file"])
         y = read_labels(desc["y_file"])
         if y.shape[0] != X.shape[0]:
-            raise DataError("label count does not match row count")
+            raise DataError(f"{desc['y_file']}: {y.shape[0]} labels for {X.shape[0]} rows")
         return X, y, {"source": {"x_file": desc["x_file"], "y_file": desc["y_file"]}}
 
     family, fields = _family_fields(desc)

@@ -36,6 +36,7 @@ from .linalg import (
     RankDeficiencyError,
     as_design_matrix,
     as_vector,
+    equilibrate_columns,
     weighted_gram,
 )
 # unused here, but perfbench/spans.py wraps lewisreg.lad.spd_factorize
@@ -246,11 +247,10 @@ def solve_lad(prob: LadProblem, tol: float = 1e-8, max_iters: int = 2000) -> Lad
         raise RankDeficiencyError("fewer positively weighted rows than columns")
     # solve in column-equilibrated coordinates; residuals are unchanged and
     # the coefficients map back through the scales
-    A = prob.A[keep]
-    col_scale = np.abs(A).max(axis=0)
-    if np.any(col_scale == 0):
-        raise RankDeficiencyError("an all-zero column on the weighted support")
-    A = A / col_scale
+    try:
+        A, col_scale = equilibrate_columns(prob.A[keep])
+    except RankDeficiencyError:  # the message trial records carry
+        raise RankDeficiencyError("an all-zero column on the weighted support") from None
 
     # weighted least-squares start, only to order rows for the start basis,
     # and the support rank check: with D G D = L L^T at unit diagonal, every

@@ -103,7 +103,7 @@ def _nonzero_rows(X: np.ndarray) -> tuple[np.ndarray, np.ndarray | slice]:
     Xa = np.ascontiguousarray(X[nonzero])
     if Xa.shape[0] < X.shape[1]:
         raise RankDeficiencyError("fewer nonzero rows than columns")
-    return equilibrate_columns(Xa), nonzero  # weights are column-scaling invariant
+    return equilibrate_columns(Xa)[0], nonzero  # weights are column-scaling invariant
 
 
 def lewis_weights(X, tol: float = 1e-10) -> WeightVector:
@@ -204,12 +204,12 @@ def verify_fixed_point(X, w) -> float:
     Pure check: zero rows must carry weight 0, nonzero rows positive weight.
     """
     X = as_design_matrix(X)
-    wv = w.values if isinstance(w, WeightVector) else as_vector(w)
-    if wv.shape[0] != X.shape[0]:
-        raise ValueError("weight length does not match row count")
+    wv = as_vector(w.values if isinstance(w, WeightVector) else w, length=X.shape[0])
     Xa, nonzero = _nonzero_rows(X)
     if np.any(wv[nonzero] <= 0):
         raise ValueError("weights must be positive on nonzero rows")
+    if np.count_nonzero(wv) > np.count_nonzero(wv[nonzero]):
+        raise ValueError("weights must be 0 on all-zero rows")
     defect, _ = _fixed_point_defect(Xa, wv[nonzero])
     return defect
 

@@ -110,16 +110,13 @@ def weighted_gram(X: np.ndarray, row_scale: np.ndarray) -> np.ndarray:
     n, d = X.shape
     if row_scale.shape[0] != n:
         raise ValueError("row scale length does not match row count")
-    if n <= _GRAM_BLOCK:
-        G = X.T @ (X * row_scale[:, None])
-    else:
-        blocks = []
-        for start in range(0, n, _GRAM_BLOCK):
-            Xb = X[start : start + _GRAM_BLOCK]
-            sb = row_scale[start : start + _GRAM_BLOCK]
-            blocks.append(Xb.T @ (Xb * sb[:, None]))
-        # np.sum over the stacked axis reduces pairwise
-        G = np.sum(np.stack(blocks), axis=0)
+    blocks = []
+    for start in range(0, n, _GRAM_BLOCK):
+        Xb = X[start : start + _GRAM_BLOCK]
+        sb = row_scale[start : start + _GRAM_BLOCK]
+        blocks.append(Xb.T @ (Xb * sb[:, None]))
+    # np.sum over the stacked axis reduces pairwise
+    G = np.sum(np.stack(blocks), axis=0)
     return 0.5 * (G + G.T)
 
 
@@ -191,13 +188,14 @@ def orthonormal_column_basis(X: np.ndarray) -> np.ndarray:
     return U[:, :rank]
 
 
-def equilibrate_columns(X: np.ndarray) -> np.ndarray:
-    """Scale columns to unit max-abs. Row importance scores are invariant
-    under column scaling, so this only conditions the gram matrices."""
+def equilibrate_columns(X: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """X with its columns scaled to unit max-abs, and the column scales.
+    Row importance scores and LAD residuals are invariant under column
+    scaling, so this only conditions the Gram matrices."""
     col_scale = np.abs(X).max(axis=0)
     if np.any(col_scale == 0):
         raise RankDeficiencyError("matrix has an all-zero column")
-    return X / col_scale
+    return X / col_scale, col_scale
 
 
 def leverage_scores(X) -> WeightVector:
@@ -206,7 +204,7 @@ def leverage_scores(X) -> WeightVector:
     Scores lie in [0, 1] and sum to d for full-column-rank X. Raises
     RankDeficiencyError when X is rank deficient to pivot tolerance.
     """
-    X = equilibrate_columns(as_design_matrix(X))
+    X, _ = equilibrate_columns(as_design_matrix(X))
     G = weighted_gram(X, np.ones(X.shape[0]))
     F = spd_factorize(G)
     l = row_quadratic_forms(F, X)

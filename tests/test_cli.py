@@ -7,6 +7,7 @@ import sys
 import numpy as np
 import pytest
 
+from lewisreg.active import FileBackedLabelOracle
 from lewisreg.cli import main
 from lewisreg.dataio import (
     DataError,
@@ -97,6 +98,13 @@ class TestDataIO:
         path.write_text("1.0,2.0\nx,3.0\n")
         with pytest.raises(DataError, match="line 2"):
             read_matrix_csv(path)
+
+    def test_labels_with_commas_name_the_line(self, tmp_path):
+        path = tmp_path / "y.txt"
+        path.write_text("\n1.0,2.0\n3.0,4.0\n")
+        with pytest.raises(DataError) as info:
+            read_labels(path)
+        assert str(info.value) == f"{path}: line 2: expected one label, got 2 columns"
 
     def test_empty_file_is_data_error(self, tmp_path):
         path = tmp_path / "empty.csv"
@@ -414,6 +422,95 @@ def test_gen_files_pinned(family, tmp_path):
     assert tuple(hashlib.sha256(p.read_bytes()).hexdigest() for p in paths) == digests
 
 
+X_BYTES = b"1\n2\n3\n"
+
+# (X.csv bytes, y.txt bytes, refusal message or None): line ends, blank-looking
+# lines and undecodable bytes, which full and active mode must treat alike
+ODD_INPUTS = {
+    "lf": (X_BYTES, b"2\n4\n6\n", None),
+    "crlf": (b"1\r\n2\r\n3\r\n", b"2\r\n4\r\n6\r\n", None),
+    "cr": (b"1\r2\r3\r", b"2\r4\r6\r", None),
+    "nbsp_line": (X_BYTES, "2\n4\n\u00a0\n6\n".encode(), None),
+    "non_utf8_x": (b"1\n2\n\xff3\n", b"2\n4\n6\n", "{x}: line 3: not UTF-8 text"),
+    "non_utf8_y": (X_BYTES, b"2\r\n4\xff\r\n6\r\n", "{y}: line 2: not UTF-8 text"),
+}
+
+
+class TestOddInputs:
+    @pytest.mark.parametrize("case", sorted(ODD_INPUTS))
+    def test_full_and_active_mode_agree(self, case, tmp_path, capsys):
+        x_bytes, y_bytes, message = ODD_INPUTS[case]
+        x, y = tmp_path / "x.csv", tmp_path / "y.txt"
+        x.write_bytes(x_bytes)
+        y.write_bytes(y_bytes)
+        for mode in ("full", "active"):
+            code = main(["solve", str(x), str(y), "--mode", mode, "--budget", "3"])
+            out, err = capsys.readouterr()
+            if message is None:
+                assert code == 0 and err == ""
+                assert json.loads(out)["beta"] == [2.0]
+            else:
+                assert code == 2
+                assert err == f"data error: {message.format(x=x, y=y)}\n"
+
+    @pytest.mark.parametrize("case", sorted(ODD_INPUTS))
+    def test_label_readers_count_alike(self, case, tmp_path):
+        y = tmp_path / "y.txt"
+        y.write_bytes(ODD_INPUTS[case][1])
+        try:
+            labels = read_labels(y)
+        except DataError as e:
+            with pytest.raises(DataError) as info:
+                FileBackedLabelOracle(y)
+            assert str(info.value) == str(e)
+        else:
+            oracle = FileBackedLabelOracle(y)
+            assert len(labels) == oracle.n == 3
+            assert [oracle.query(i) for i in range(3)] == labels.tolist() == [2.0, 4.0, 6.0]
+
+    def test_non_utf8_spec_is_a_data_error(self, tmp_path, capsys):
+        spec = tmp_path / "spec.json"
+        spec.write_bytes(b'{\r\n"method": "lewis\xff"}\r\n')
+        assert main(["experiment", str(spec)]) == 2
+        assert capsys.readouterr().err == f"data error: {spec}: line 2: not UTF-8 text\n"
+
+    def test_label_count_message_is_shared(self, tmp_path, capsys):
+        x, y, spec = tmp_path / "x.csv", tmp_path / "y.txt", tmp_path / "spec.json"
+        x.write_bytes(X_BYTES)
+        y.write_bytes(b"2\n4\n")
+        spec.write_text(json.dumps({
+            "instance": {"x_file": str(x), "y_file": str(y)}, "method": "lewis",
+            "budgets": [2], "eps": 0.5, "delta": 0.1, "trials": 1, "seed": 0}))
+        for argv in (["solve", str(x), str(y)], ["solve", str(x), str(y), "--mode", "active"],
+                     ["experiment", str(spec)]):
+            assert main(argv) == 2
+            assert capsys.readouterr().err == f"data error: {y}: 2 labels for 3 rows\n"
+
+
+def test_every_text_open_names_its_encoding(tmp_path):
+    """Each command runs with EncodingWarning, raised by a text open that
+    falls back on the locale's encoding, turned into an error."""
+    x, y = tmp_path / "x.csv", tmp_path / "y.txt"
+    write_matrix_csv(x, np.random.default_rng(8).standard_normal((30, 2)))
+    write_labels(y, np.random.default_rng(9).standard_normal(30))
+    spec = tmp_path / "spec.json"
+    spec.write_text(json.dumps({
+        "instance": {"x_file": str(x), "y_file": str(y)}, "method": "lewis",
+        "budgets": [10], "eps": 0.5, "delta": 0.1, "trials": 1, "seed": 0,
+        "output": str(tmp_path / "run")}), encoding="utf-8")
+    commands = [["weights", str(x), "--out", str(tmp_path / "w.json")],
+                *(["solve", str(x), str(y), "--mode", mode, "--budget", "10"]
+                  for mode in ("full", "sketch_known_y", "active")),
+                ["experiment", str(spec)],
+                ["gen", "outlier", "--n", "20", "--d", "2", "--out-x", str(tmp_path / "gx.csv"),
+                 "--out-y", str(tmp_path / "gy.txt"), "--meta", str(tmp_path / "meta.json")]]
+    for argv in commands:
+        res = subprocess.run([sys.executable, "-X", "warn_default_encoding",
+                              "-W", "error::EncodingWarning", "-m", "lewisreg", *argv],
+                             capture_output=True, text=True, encoding="utf-8")
+        assert res.returncode == 0, (argv, res.stderr)
+
+
 class TestStartup:
     def test_full_solve_and_gen_never_load_scipy(self, median_instance, tmp_path):
         """import lewisreg, a full solve and gen run without scipy; the weights
@@ -524,14 +621,14 @@ class TestErrorClassification:
 
     @pytest.mark.parametrize("overrides, message", [
         ({"instance": {"family": "outlier", "n": "abc", "d": 2}},
-         "instance field 'n': invalid literal for int() with base 10: 'abc'"),
+         "instance field 'n': must be an integer, got 'abc'"),
         ({"instance": {"family": "isolated", "n": 30}},
          "instance descriptor has no 'd' field"),
         ({"trials": "3"}, "trials must be an integer, got '3'"),
         ({"trials": 2.5}, "trials must be an integer, got 2.5"),
         ({"trials": True}, "trials must be an integer, got True"),
         ({"seed": True}, "seed must be an integer, got True"),
-        ({"workers": 2.0}, "workers must be an integer, got 2.0"),
+        ({"workers": 1.5}, "workers must be an integer, got 1.5"),
         ({"budgets": [10, 20.7]}, "budgets entry must be an integer, got 20.7"),
         ({"budgets": [10, False]}, "budgets entry must be an integer, got False"),
         ({"budgets": [10, 10]}, "budgets must not repeat"),
@@ -550,10 +647,10 @@ class TestErrorClassification:
           "budgets": [1]},
          "unknown instance fields for family 'outlier': ['magnitdue']; it reads "
          "['d', 'family', 'n', 'n_outliers', 'noise_scale', 'outlier_magnitude']"),
-        ({"solver_tol": "abc"}, "solver_tol must be a finite positive number, got 'abc'"),
+        ({"solver_tol": "abc"}, "solver_tol must be a real number, got 'abc'"),
         ({"solver_tol": math.nan}, "solver_tol must be a finite positive number, got nan"),
         ({"solver_tol": math.inf}, "solver_tol must be a finite positive number, got inf"),
-        ({"solver_tol": True}, "solver_tol must be a finite positive number, got True"),
+        ({"solver_tol": True}, "solver_tol must be a real number, got True"),
         ({"solver_tol": 0}, "solver_tol must be a finite positive number, got 0"),
         ({"instance": {"family": "outlier", "n": 150.9, "d": 2}},
          "instance field 'n': must be an integer, got 150.9"),
@@ -567,6 +664,16 @@ class TestErrorClassification:
         ({"instance": {"family": "outlier", "n": 40, "d": 2, "n_outliers": -1}},
          "n_outliers must lie in [0, n]"),
         ({"instance": {"family": "biased_hypercube", "d": -1}}, "d must be at least 1"),
+        ({"instance": {"family": "outlier", "n": "30", "d": 2}},
+         "instance field 'n': must be an integer, got '30'"),
+        ({"eps": True}, "eps must be a real number, got True"),
+        ({"delta": "0.1"}, "delta must be a real number, got '0.1'"),
+        ({"instance": {"family": "outlier", "n": 40, "d": 2, "outlier_magnitude": True}},
+         "instance field 'outlier_magnitude': must be a real number, got True"),
+        ({"instance": {"family": "isolated", "n": 40, "d": 2, "magnitude": "10"}},
+         "instance field 'magnitude': must be a real number, got '10'"),
+        ({"instance": {"family": "two_coin", "d": 2, "constants": 5}},
+         "constants must be 'statement' or 'proof'"),
     ], ids=["field_type", "missing_field", "spec_type", "trials_float", "trials_bool",
             "seed_bool", "workers_float", "budget_float", "budget_bool", "budget_repeated",
             "budget_below_d",
@@ -574,7 +681,9 @@ class TestErrorClassification:
             "misspelt_key_before_budget", "solver_tol_string", "solver_tol_nan",
             "solver_tol_inf", "solver_tol_bool", "solver_tol_zero", "field_fraction",
             "field_bool", "which_fraction", "outlier_negative_shape", "outliers_above_n",
-            "outliers_negative", "biased_hypercube_negative_d"])
+            "outliers_negative", "biased_hypercube_negative_d", "field_numeric_string",
+            "eps_bool", "delta_string", "real_field_bool", "real_field_string",
+            "constants_number"])
     def test_malformed_spec_exit_2(self, tmp_path, capsys, overrides, message):
         spec = {"instance": {"family": "outlier", "n": 40, "d": 2}, "method": "lewis",
                 "budgets": [10], "eps": 0.5, "delta": 0.1, "trials": 1, "seed": 0}

@@ -73,6 +73,17 @@ class TestSpecValidation:
             ExperimentSpec.from_json_dict({**outlier_spec().to_json_dict(),
                                            "bogus": 1})
 
+    def test_integral_floats_and_numpy_scalars_accepted_alike(self):
+        # spec and descriptor fields follow one rule per JSON type
+        spec = outlier_spec(trials=3.0, budgets=[np.float64(15.0), 30], eps=np.float64(0.25))
+        assert spec == outlier_spec()
+        assert type(spec.trials) is int and type(spec.budgets[0]) is int
+        plain = {"family": "outlier", "n": 80, "d": 3, "outlier_magnitude": 100.0}
+        X, y, meta = materialize_instance({**plain, "n": 80.0, "d": np.int64(3),
+                                           "outlier_magnitude": np.float32(100.0)}, seed=1)
+        X0, y0, meta0 = materialize_instance(plain, seed=1)
+        assert np.array_equal(X, X0) and np.array_equal(y, y0) and meta == meta0
+
 
 class TestWilson:
     def test_midpoint(self):

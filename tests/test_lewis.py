@@ -420,6 +420,15 @@ class TestVerifyFixedPoint:
         with pytest.raises(ValueError):
             verify_fixed_point(np.eye(2), np.ones(3))
 
+    def test_zero_rows_must_carry_zero_weight(self):
+        X = np.vstack([np.eye(2), np.zeros((1, 2))])
+        assert verify_fixed_point(X, np.array([1.0, 1.0, 0.0])) <= 1e-12
+        for bad in (5.0, -1.0):
+            with pytest.raises(ValueError, match="^weights must be 0 on all-zero rows$"):
+                verify_fixed_point(X, np.array([1.0, 1.0, bad]))
+        with pytest.raises(ValueError, match="^weights must be positive on nonzero rows$"):
+            verify_fixed_point(X, np.array([0.0, 1.0, 0.0]))
+
 
 class TestMonotonicity:
     def test_duplicate_identity_drops_to_half(self):
