@@ -6,6 +6,7 @@ so write/read cycles are exact.
 
 import json
 import warnings
+from collections.abc import Sequence
 
 import numpy as np
 
@@ -35,12 +36,39 @@ def _read_text(path) -> str:
         raise DataError(f"{path}: line {lineno}: not UTF-8 text") from None
 
 
-def text_lines(path) -> list[tuple[int, str]]:
-    """(line number, stripped text) of every nonblank line of a UTF-8 text
-    file whose lines end in LF, CRLF or CR: the one line reader, used by the
-    CSV rescan and by the file-backed label oracle."""
-    lines = map(str.strip, _read_text(path).split("\n"))
-    return [(lineno, text) for lineno, text in enumerate(lines, start=1) if text]
+class TextLines(Sequence):
+    """(line number, stripped text) of every nonblank line of a text whose
+    lines end in LF. The text is held once, with the offset at which each
+    line starts and the indices of the nonblank lines; a line is cut out
+    and stripped when it is read."""
+
+    def __init__(self, text: str):
+        lines = text.split("\n")
+        lengths = np.fromiter(map(len, lines), np.int64, len(lines))
+        self._text = text
+        self._starts = np.zeros(len(lines) + 1, dtype=np.int64)
+        np.cumsum(lengths + 1, out=self._starts[1:])
+        self._nonblank = np.flatnonzero(
+            (lengths > 0) & ~np.fromiter(map(str.isspace, lines), bool, len(lines)))
+
+    def __len__(self) -> int:
+        return self._nonblank.size
+
+    def _line(self, k: int) -> tuple[int, str]:
+        return k + 1, self._text[self._starts[k]:self._starts[k + 1] - 1].strip()
+
+    def __getitem__(self, i: int) -> tuple[int, str]:
+        return self._line(int(self._nonblank[i]))
+
+    def __iter__(self):
+        return map(self._line, self._nonblank.tolist())
+
+
+def text_lines(path) -> TextLines:
+    """The nonblank lines of a UTF-8 text file whose lines end in LF, CRLF or
+    CR: the one line reader, used by the CSV rescan and by the file-backed
+    label oracle."""
+    return TextLines(_read_text(path))
 
 
 def parse_real(path, lineno: int, text: str) -> float:

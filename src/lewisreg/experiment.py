@@ -90,6 +90,8 @@ class ExperimentSpec:
             raise DataError(f"unknown method {self.method!r}; choose from {METHODS}")
         for name in ("trials", "seed", "workers"):
             object.__setattr__(self, name, _integer(name, getattr(self, name)))
+        if self.output is not None:
+            _text("output", self.output)
         if self.trials < 1:
             raise DataError("trials must be at least 1")
         if not self.budgets:
@@ -145,6 +147,14 @@ def _real(name: str, value) -> float:
     if isinstance(value, bool) or not isinstance(value, numbers.Real):
         raise DataError(f"{name} must be a real number, got {value!r}")
     return float(value)
+
+
+def _text(name: str, value) -> str:
+    """value if it is a string; DataError otherwise, so that a number is
+    never taken for a file descriptor or a path prefix."""
+    if not isinstance(value, str):
+        raise DataError(f"{name} must be a string, got {value!r}")
+    return value
 
 
 def _field(desc: dict, key: str, kind, default=None):
@@ -235,11 +245,12 @@ def materialize_instance(desc: dict, seed: int) -> tuple[np.ndarray, np.ndarray,
         _refuse_unread(desc, ("x_file", "y_file"), "file instances")
         if "x_file" not in desc or "y_file" not in desc:
             raise DataError("file instances need both x_file and y_file")
-        X = read_matrix_csv(desc["x_file"])
-        y = read_labels(desc["y_file"])
+        x_file, y_file = (_field(desc, key, _text) for key in ("x_file", "y_file"))
+        X = read_matrix_csv(x_file)
+        y = read_labels(y_file)
         if y.shape[0] != X.shape[0]:
-            raise DataError(f"{desc['y_file']}: {y.shape[0]} labels for {X.shape[0]} rows")
-        return X, y, {"source": {"x_file": desc["x_file"], "y_file": desc["y_file"]}}
+            raise DataError(f"{y_file}: {y.shape[0]} labels for {X.shape[0]} rows")
+        return X, y, {"source": {"x_file": x_file, "y_file": y_file}}
 
     family, fields = _family_fields(desc)
     X, y, beta_star, opt = generate_instance(family, fields,

@@ -14,8 +14,17 @@ solve_lad minimizes sum_i w_i |a_i^T beta - b_i| in three steps:
    broken as if b were b + e h for a fixed generic h and an infinitesimal
    e > 0. Every step then strictly lowers the perturbed objective, so no
    basis repeats and the simplex reaches a certificate from any start.
-   Residuals, signs and A^T (w s) are carried along each step, one pass
-   over A per pivot, and recomputed from scratch before a vertex certifies.
+   Residuals, signs and A^T (w s) are carried along each step and
+   recomputed from scratch before a vertex certifies.
+
+A pivot makes one pass over A, c = A u, and a few elementwise passes over
+all m rows: the crossing test and the crossing rows' breakpoints, the
+partition that picks a head of them, the step of the residuals, the
+objective and a screen for the zero test. The rest costs what the step
+passes: the line search orders only the head, whose size starts from what
+the last search needed, and the zero test, the signs and A^T (w s) are
+redone only on the rows the screen keeps, the rows a step can move to zero
+or across it, with the same bits as a pass over all m rows.
 
 The final basis gives the dual vector: the signs of the nonbasic residuals
 and the basis multipliers. A vertex whose multipliers pass and whose duality
@@ -52,11 +61,13 @@ __all__ = [
 
 # seed of the tie-breaking direction h (see the module docstring)
 _TIE_SEED = 0x1AD
+# the fewest breakpoints a line search starts from
+_HEAD = 64
 
 
 def l1_norm(v) -> float:
     """Compensated (exact) sum of absolute values."""
-    return math.fsum(np.abs(np.asarray(v, dtype=np.float64)))
+    return math.fsum(np.abs(np.asarray(v, dtype=np.float64)).tolist())
 
 
 @dataclass(frozen=True)
@@ -99,56 +110,73 @@ def objective(prob: LadProblem, beta) -> float:
     """sum_i w_i |a_i^T beta - b_i|, with a compensated final reduction."""
     beta = as_vector(beta, length=prob.A.shape[1])
     r = prob.A @ beta - prob.b
-    return math.fsum(prob.weights * np.abs(r))
+    return math.fsum((prob.weights * np.abs(r)).tolist())
+
+
+def _head(x: np.ndarray, k: int) -> np.ndarray:
+    """Indices, in index order, of the entries of x up to its k-th smallest,
+    ties included: a head of x's sorted order, whatever breaks its ties."""
+    if k >= x.size:
+        return np.arange(x.size)
+    return np.flatnonzero(x <= np.partition(x, k - 1)[k - 1])
 
 
 def _greedy_basis(A: np.ndarray, r: np.ndarray) -> np.ndarray:
     """Sorted indices of the first d linearly independent rows in order of
-    increasing |r_i|."""
-    d = A.shape[1]
-    Q = np.zeros((d, 0))
-    basis = []
-    for i in np.argsort(np.abs(r), kind="stable"):
-        a = A[i]
-        resid = a - Q @ (Q.T @ a)
-        resid = resid - Q @ (Q.T @ resid)
-        nrm = float(np.linalg.norm(resid))
-        if nrm > 1e-10 * max(float(np.linalg.norm(a)), 1e-300):
-            Q = np.hstack([Q, (resid / nrm)[:, None]])
-            basis.append(int(i))
-            if len(basis) == d:
-                return np.sort(np.array(basis, dtype=np.intp))
-    raise RankDeficiencyError("could not assemble an invertible basis")
-
-
-def _entering_row(t, need, gather):
-    """Index of the first breakpoint, in the order of t then t_e, at which
-    the running sum of rise reaches need, or of the last breakpoint if none
-    does; gather(idx) returns (t_e[idx], rise[idx]). The sum usually gets
-    there within a few dozen of many thousands of breakpoints, so only those
-    with t up to the k-th smallest (ties included) are gathered and ordered:
-    that set is a head of the full order, and k grows 8-fold until the sum
-    reaches need inside it."""
-    k = 64
+    increasing |r_i|, ties by index. Only a head of that order is sorted,
+    from d rows, 8-fold larger while it holds dependent rows."""
+    m, d = A.shape
+    abs_r, k = np.abs(r), d
     while True:
-        head = (np.flatnonzero(t <= np.partition(t, k - 1)[k - 1]) if k < t.size
-                else np.arange(t.size))
-        t_e, rise = gather(head)
-        order = np.lexsort((t_e, t[head]))
-        j = int(rise[order].cumsum().searchsorted(need, side="left"))
-        if j < order.size or order.size == t.size:
-            return head[order[min(j, order.size - 1)]]
+        head = _head(abs_r, k)
+        Q, basis = np.zeros((d, 0)), []
+        for i in head[np.argsort(abs_r[head], kind="stable")]:
+            a = A[i]
+            resid = a - Q @ (Q.T @ a)
+            resid = resid - Q @ (Q.T @ resid)
+            nrm = float(np.linalg.norm(resid))
+            if nrm > 1e-10 * max(float(np.linalg.norm(a)), 1e-300):
+                Q = np.hstack([Q, (resid / nrm)[:, None]])
+                basis.append(int(i))
+                if len(basis) == d:
+                    return np.sort(np.array(basis, dtype=np.intp))
+        if head.size == m:
+            raise RankDeficiencyError("could not assemble an invertible basis")
         k *= 8
 
 
-def _vertex(A, rhs, w, basis):
+def _entering_row(t, need, gather, k):
+    """(index, rank) of the first breakpoint, in the order of t then t_e, at
+    which the running sum of rise reaches need, or of the last breakpoint if
+    none does; gather(idx) returns (t_e[idx], rise[idx]). Only the
+    breakpoints with t up to the k-th smallest (ties included) are gathered
+    and ordered: that set is a head of the full order, and k grows 8-fold
+    until the sum reaches need inside it. The simplex starts k at twice the
+    rank the last search returned: the ranks fall from thousands to a few
+    along a solve. A head without ties in t is ordered by t alone."""
+    while True:
+        head = _head(t, k)
+        t_h = t[head]
+        t_e, rise = gather(head)
+        order = t_h.argsort()
+        t_sorted = t_h[order]
+        if (t_sorted[1:] == t_sorted[:-1]).any():  # ties in t: order them by t_e, then index
+            order = np.lexsort((t_e, t_h))
+        j = int(rise[order].cumsum().searchsorted(need, side="left"))
+        if j < order.size or order.size == t.size:
+            j = min(j, order.size - 1)
+            return head[order[j]], j
+        k *= 8
+
+
+def _vertex(A, abs_A, rhs, w, basis):
     """From scratch at a basis: X = A_B^-1 rhs_B, residuals r, rho, signs s, g = A^T (w s)."""
     X = np.linalg.solve(A[basis], rhs[basis])
     r, rho = (A @ X - rhs).T.copy()
     r[basis] = rho[basis] = 0.0
     # a residual is zero when it is within rounding of its terms; zeros are
     # made exact, so that repeated rows stay bit-identical along the steps
-    r[np.abs(r) <= 1e-13 * (np.abs(A) @ np.abs(X[:, 0]) + np.abs(rhs[:, 0]))] = 0.0
+    r[np.abs(r) <= 1e-13 * (abs_A @ np.abs(X[:, 0]) + np.abs(rhs[:, 0]))] = 0.0
     s = np.sign(np.where(r == 0.0, rho, r))  # zero on the basis, where rho is zero too
     return X, r, rho, s, A.T @ (w * s)
 
@@ -160,6 +188,30 @@ def _step(X, r, rho, u, c, t, t_e):
     rho += t_e * c
 
 
+def _settle(A, w, X, r, rho, s, g, zero_test):
+    """After a step, with r and rho zeroed on the basis: zero the residuals
+    within rounding of their terms and update s in place, and return g =
+    A^T (w s) updated on the rows whose sign changed. zero_test is
+    (1e-13 ||a_i||_1, 1e-13 |b_i|) and their maxima: the carried test bounds
+    |A| @ |x| by ||a_i||_1 max|x|. Rows with r_i s_i above the largest
+    threshold keep r_i and s_i (s_i is nonzero, r_i has its sign and is
+    above its own threshold), so the work is done on the other rows alone:
+    the breakpoints passed, the rows that left or entered the basis and the
+    rows at zero."""
+    row_l1, abs_b, row_l1_max, abs_b_max = zero_test
+    x_max = np.abs(X[:, 0]).max()
+    near = (r * s <= row_l1_max * x_max + abs_b_max).nonzero()[0]
+    r_near = r[near]
+    zero = np.abs(r_near) <= row_l1[near] * x_max + abs_b[near]
+    r[near[zero]] = 0.0
+    s_near = np.sign(np.where(zero, rho[near], r_near))
+    flip = s_near != s[near]
+    changed, s_new = near[flip], s_near[flip]
+    g = g + A[changed].T @ (w[changed] * (s_new - s[changed]))
+    s[changed] = s_new
+    return g
+
+
 def _l1_simplex(A, b, w, basis, tol, max_pivots):
     """Pivot from the given basis until every basis multiplier lies in
     [-1 - tol, 1 + tol], or max_pivots pivots. Returns (beta, status, s,
@@ -168,12 +220,14 @@ def _l1_simplex(A, b, w, basis, tol, max_pivots):
     m, d = A.shape
     # column 0 is b, column 1 the tie-breaking direction h
     rhs = np.column_stack([b, np.random.default_rng(_TIE_SEED).random(m)])
-    # the carried zero test bounds |A| @ |x| by ||a_i||_1 max|x|
-    row_l1, abs_b = 1e-13 * np.abs(A).sum(axis=1), 1e-13 * np.abs(b)
-    best, status, pivots, scratch = (math.inf, basis), "max_iter", 0, True
+    abs_A = np.abs(A)
+    row_l1, abs_b = 1e-13 * abs_A.sum(axis=1), 1e-13 * np.abs(b)
+    zero_test = (row_l1, abs_b, row_l1.max(), abs_b.max())
+    eye = np.eye(d)
+    best, status, pivots, scratch, k = (math.inf, basis), "max_iter", 0, True, _HEAD
     while True:
         if scratch:
-            X, r, rho, s, g = _vertex(A, rhs, w, basis)
+            X, r, rho, s, g = _vertex(A, abs_A, rhs, w, basis)
         AB = A[basis]
         sigma = -np.linalg.solve(AB.T, g) / w[basis]
         p = int(np.abs(sigma).argmax())
@@ -189,7 +243,7 @@ def _l1_simplex(A, b, w, basis, tol, max_pivots):
         if pivots == max_pivots:
             break
         # move basis row p off zero in the descent direction: A_B u = sign e_p
-        u = np.sign(sigma[p]) * np.linalg.solve(AB, np.eye(d)[p])
+        u = math.copysign(1.0, sigma[p]) * np.linalg.solve(AB, eye[p])
         c = A @ u
         cut = np.abs(c)
         cut[basis] = 0.0
@@ -199,22 +253,25 @@ def _l1_simplex(A, b, w, basis, tol, max_pivots):
         if cross.size == 0:
             break
         t = -r[cross] / c[cross]
+
+        def gather(head):
+            i = cross[head]
+            c_i = c[i]
+            return -rho[i] / c_i, 2.0 * w[i] * np.abs(c_i)
+
         # the slope starts at -w_p (|sigma_p| - 1) and rises by 2 w_i |c_i|
         # at each breakpoint passed; enter the row where it turns nonnegative
-        j = _entering_row(t, w[basis[p]] * (abs(sigma[p]) - 1.0), lambda head: (
-            -rho[cross[head]] / c[cross[head]], 2.0 * w[cross[head]] * np.abs(c[cross[head]])))
+        j, passed = _entering_row(t, w[basis[p]] * (abs(sigma[p]) - 1.0), gather, k)
+        k = max(_HEAD, 2 * passed)
         basis = basis.copy()
         q = basis[p] = cross[j]
         _step(X, r, rho, u, c, t[j], -rho[q] / c[q])
         r[basis] = rho[basis] = 0.0
-        r[np.abs(r) <= row_l1 * np.abs(X[:, 0]).max() + abs_b] = 0.0
-        s_old, s = s, np.sign(np.where(r == 0.0, rho, r))
-        changed = (s != s_old).nonzero()[0]
-        g = g + A[changed].T @ (w[changed] * (s[changed] - s_old[changed]))
+        g = _settle(A, w, X, r, rho, s, g, zero_test)
         pivots, scratch = pivots + 1, False
     if status != "optimal":
         basis = best[1]
-        X, r, rho, s, g = _vertex(A, rhs, w, basis)
+        X, r, rho, s, g = _vertex(A, abs_A, rhs, w, basis)
         sigma = -np.linalg.solve(A[basis].T, g) / w[basis]
     s[basis] = np.clip(sigma, -1.0, 1.0)
     return X[:, 0], status, s, pivots
@@ -274,8 +331,8 @@ def solve_lad(prob: LadProblem, tol: float = 1e-8, max_iters: int = 2000) -> Lad
 
     # objective minus the dual bound f(x) >= -s.(w b) - ||A^T (w s)||_inf ||x||_1;
     # rounding is what the zero test allows the residuals: all the gap of a 0 minimum
-    gap = obj + math.fsum(s_full * w * b) + cert_norm * l1_norm(beta)
-    rounding = 1e-13 * math.fsum(w * (np.abs(A) @ np.abs(beta) + np.abs(b)))
+    gap = obj + math.fsum((s_full * w * b).tolist()) + cert_norm * l1_norm(beta)
+    rounding = 1e-13 * math.fsum((w * (np.abs(A) @ np.abs(beta) + np.abs(b))).tolist())
     if status == "optimal" and obj > 0.0 and gap > tol * obj + rounding:
         status = "uncertified"
     return LadSolution(beta=beta_out, objective=obj, optimality_gap_estimate=max(0.0, gap),

@@ -6,7 +6,7 @@ from typing import NamedTuple
 import numpy as np
 from scipy.linalg import solve_triangular
 
-from lewisreg.lad import l1_norm
+from lewisreg.lad import _TIE_SEED, l1_norm
 from lewisreg.lewis import SAMPLING_TOL, lewis_weights, recommended_budget
 from lewisreg.linalg import SpdFactorization, as_design_matrix, as_vector
 from lewisreg.sketch import RngStream, Sketch
@@ -158,3 +158,83 @@ def factor_solve(F: SpdFactorization, b) -> np.ndarray:
     out = np.empty(F.dim)
     out[F.perm] = solve_triangular(F.lower.T, u, lower=False)
     return out
+
+
+def full_pass_l1_simplex(A, b, w, basis, tol, max_pivots):
+    """Reference L1 simplex that passes over all m rows at every pivot: after
+    each step it runs the zero test on every residual, recomputes every sign
+    and updates A^T (w s) on the rows whose sign changed, and each line
+    search orders its head with a two-key lexsort, its head starting at 64
+    breakpoints. lewisreg.lad._l1_simplex must return the same bits from the
+    same start basis."""
+    m, d = A.shape
+    rhs = np.column_stack([b, np.random.default_rng(_TIE_SEED).random(m)])
+    abs_A = np.abs(A)
+
+    def vertex(basis):
+        X = np.linalg.solve(A[basis], rhs[basis])
+        r, rho = (A @ X - rhs).T.copy()
+        r[basis] = rho[basis] = 0.0
+        r[np.abs(r) <= 1e-13 * (abs_A @ np.abs(X[:, 0]) + np.abs(rhs[:, 0]))] = 0.0
+        s = np.sign(np.where(r == 0.0, rho, r))
+        return X, r, rho, s, A.T @ (w * s)
+
+    def entering_row(t, need, gather):
+        k = 64
+        while True:
+            head = (np.flatnonzero(t <= np.partition(t, k - 1)[k - 1]) if k < t.size
+                    else np.arange(t.size))
+            t_e, rise = gather(head)
+            order = np.lexsort((t_e, t[head]))
+            j = int(rise[order].cumsum().searchsorted(need, side="left"))
+            if j < order.size or order.size == t.size:
+                return head[order[min(j, order.size - 1)]]
+            k *= 8
+
+    row_l1, abs_b = 1e-13 * abs_A.sum(axis=1), 1e-13 * np.abs(b)
+    best, status, pivots, scratch = (math.inf, basis), "max_iter", 0, True
+    while True:
+        if scratch:
+            X, r, rho, s, g = vertex(basis)
+        AB = A[basis]
+        sigma = -np.linalg.solve(AB.T, g) / w[basis]
+        p = int(np.abs(sigma).argmax())
+        if abs(sigma[p]) <= 1.0 + tol:
+            if scratch:
+                status = "optimal"
+                break
+            scratch = True
+            continue
+        obj = float(w @ np.abs(r))
+        if obj < best[0]:
+            best = (obj, basis)
+        if pivots == max_pivots:
+            break
+        u = np.sign(sigma[p]) * np.linalg.solve(AB, np.eye(d)[p])
+        c = A @ u
+        cut = np.abs(c)
+        cut[basis] = 0.0
+        cross = (s * c < -1e-12 * cut.max()).nonzero()[0]
+        if cross.size == 0:
+            break
+        t = -r[cross] / c[cross]
+        j = entering_row(t, w[basis[p]] * (abs(sigma[p]) - 1.0), lambda head: (
+            -rho[cross[head]] / c[cross[head]], 2.0 * w[cross[head]] * np.abs(c[cross[head]])))
+        basis = basis.copy()
+        q = basis[p] = cross[j]
+        t_e = -rho[q] / c[q]
+        X += u[:, None] * (t[j], t_e)
+        r += t[j] * c
+        rho += t_e * c
+        r[basis] = rho[basis] = 0.0
+        r[np.abs(r) <= row_l1 * np.abs(X[:, 0]).max() + abs_b] = 0.0
+        s_old, s = s, np.sign(np.where(r == 0.0, rho, r))
+        changed = (s != s_old).nonzero()[0]
+        g = g + A[changed].T @ (w[changed] * (s[changed] - s_old[changed]))
+        pivots, scratch = pivots + 1, False
+    if status != "optimal":
+        basis = best[1]
+        X, r, rho, s, g = vertex(basis)
+        sigma = -np.linalg.solve(A[basis].T, g) / w[basis]
+    s[basis] = np.clip(sigma, -1.0, 1.0)
+    return X[:, 0], status, s, pivots

@@ -1,4 +1,5 @@
 import json
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -67,6 +68,29 @@ class TestLabelOracles:
         with pytest.raises(DataError) as info:
             read_labels(path)
         assert str(info.value) == message
+
+    def test_file_backed_holds_about_the_file(self, tmp_path):
+        """50 000 labels with blank, padded and CRLF lines among them: the
+        oracle holds under three times the file's size once built, and every
+        line reads back with its number."""
+        path = tmp_path / "labels.txt"
+        y = np.random.default_rng(0).standard_normal(50_000)
+        lines = [repr(v) for v in y.tolist()]
+        lines[10], lines[20] = f"  {lines[10]}\t", f"{lines[20]}\r"
+        path.write_text("\n".join([*lines[:30], "", " \t", *lines[30:]]) + "\n")
+        tracemalloc.start()
+        try:
+            o = FileBackedLabelOracle(path)
+            held = tracemalloc.get_traced_memory()[0]
+        finally:
+            tracemalloc.stop()
+        assert held < 3 * path.stat().st_size
+        assert o.n == y.size
+        rows = [0, 10, 20, 29, 30, 49_999]
+        assert [o.query(i) for i in rows] == y[rows].tolist()
+        path.write_text("1\n\n \n2\r\nx\n")
+        with pytest.raises(DataError, match="line 5: could not parse"):
+            FileBackedLabelOracle(path).query(2)
 
     def test_file_backed_matches_in_memory(self, tmp_path):
         path = tmp_path / "labels.txt"

@@ -25,7 +25,7 @@ from lewisreg.lewis import lewis_weights, sampling_values
 from lewisreg.linalg import DataError, RankDeficiencyError, WeightVector
 from lewisreg.sketch import RngStream, draw_sketch
 
-from helpers import weighted_median_1d
+from helpers import full_pass_l1_simplex, weighted_median_1d
 
 
 def breakpoint_scan_median(values, weights):
@@ -586,9 +586,9 @@ class TestSimplexCertifies:
         conds = []
         vertex = lad_module._vertex
 
-        def recording_vertex(A, rhs, w, basis):
+        def recording_vertex(A, abs_A, rhs, w, basis):
             conds.append(np.linalg.cond(A[basis]))
-            return vertex(A, rhs, w, basis)
+            return vertex(A, abs_A, rhs, w, basis)
 
         monkeypatch.setattr(lad_module, "_vertex", recording_vertex)
         for seed in ILL_CONDITIONED_BASIS_SEEDS + ROUNDING_GAP_SEEDS:
@@ -658,34 +658,44 @@ class TestSimplexCertifies:
         assert max(calls) >= 3
 
     def test_entering_row_matches_full_sort_on_tied_breakpoints(self):
-        """40 equal breakpoints straddle each cut of the ordered head (the
-        64th and the 512th): the head must take the whole group, so that the
-        entering row is the one the full order picks wherever the running
-        sum stops, the end included."""
+        """40 equal breakpoints straddle a cut of the ordered head at each of
+        several ranks, and the search starts from heads below, at, inside and
+        above the group, the whole set and beyond it: the head must take the
+        whole group, so that the entering row and its rank are those of the
+        full order wherever the running sum stops, exactly at a partial sum,
+        between two, or past the end. In one pass the tied breakpoints also
+        tie in t_e, so that the index breaks the tie."""
         rng = np.random.default_rng(3)
-        for cut in (64, 512):
+        n = 5000
+        for cut in (20, 64, 333, 512, 4096, 4979):
             t = np.concatenate([np.arange(cut - 20.0), np.full(40, cut - 20.0),
-                                np.arange(cut - 19.0, 5000.0 - 21.0)])
-            t = t[rng.permutation(t.size)]
-            t_e, rise = rng.random(t.size), np.ones(t.size)
-            for need in [*(np.arange(cut - 25, cut + 25) + 0.5), t.size + 1.0]:
-                want, _ = entering_row_full_sort(t, t_e, rise, need)
-                got = lad_module._entering_row(t, need, lambda head: (t_e[head], rise[head]))
-                assert got == want
+                                np.arange(cut - 19.0, n - 21.0)])
+            t = t[rng.permutation(n)]
+            for t_e in (rng.random(n), rng.integers(0, 3, n).astype(float)):
+                rise = rng.random(n) + 0.5
+                near_cut = np.cumsum(rise[np.lexsort((t_e, t))])[max(0, cut - 30):cut + 25]
+                for need in [*near_cut[::3], *(near_cut[1::3] - 0.25), near_cut[-1] + n]:
+                    want = entering_row_full_sort(t, t_e, rise, need)
+                    for k in (1, max(1, cut // 8), max(1, cut - 20), cut - 1, cut, cut + 19,
+                              cut + 20, n - 1, n, 3 * n):
+                        got = lad_module._entering_row(
+                            t, need, lambda head: (t_e[head], rise[head]), k)
+                        assert got == want
 
     def test_long_line_searches_and_many_pivots(self, monkeypatch):
         """long_line_search_problem repeats rows, so that breakpoints tie at
-        the cuts of the ordered head: every line search must enter the row
-        the full lexsort picks, the first one passes more than 512
-        breakpoints, and the solve needs more than 300 pivots."""
+        the cuts of the ordered head: every line search, from whatever head
+        the solve starts it at, must enter the row the full lexsort picks at
+        its rank, the first one passes more than 512 breakpoints, and the
+        solve needs more than 300 pivots."""
         entering_row = lad_module._entering_row
         passed = []
 
-        def checked_entering_row(t, need, gather):
-            want, j = entering_row_full_sort(t, *gather(np.arange(t.size)), need)
-            got = entering_row(t, need, gather)
+        def checked_entering_row(t, need, gather, k):
+            want = entering_row_full_sort(t, *gather(np.arange(t.size)), need)
+            got = entering_row(t, need, gather, k)
             assert got == want
-            passed.append(j)
+            passed.append(got[1])
             return got
 
         monkeypatch.setattr(lad_module, "_entering_row", checked_entering_row)
@@ -696,3 +706,106 @@ class TestSimplexCertifies:
         assert sol.iterations == len(passed) > 300
         opt = highs_optimum(prob)
         assert abs(sol.objective - opt) <= 1e-7 * opt
+
+
+def assert_simplex_matches_full_pass(prob, seed, max_pivots=2000):
+    """From the same start basis, the simplex and the full-pass reference
+    return the same bits of beta and s, the same status and pivot count.
+    With seed None the simplex is the one solve_lad runs, on its
+    column-equilibrated A from its least-squares start basis; else it runs
+    on the raw A from a random basis."""
+    simplex, runs = lad_module._l1_simplex, []
+
+    def recorded_simplex(*args):
+        runs.append((args, simplex(*args)))
+        return runs[-1][1]
+
+    try:
+        if seed is None:
+            with pytest.MonkeyPatch.context() as mp:
+                mp.setattr(lad_module, "_l1_simplex", recorded_simplex)
+                solve_lad(prob, max_iters=max_pivots)
+        else:
+            keep = prob.weights > 0
+            A = prob.A[keep]
+            basis = lad_module._greedy_basis(A, np.random.default_rng(seed).random(A.shape[0]))
+            recorded_simplex(A, prob.b[keep], prob.weights[keep], basis, 1e-8, max_pivots)
+    except RankDeficiencyError:
+        return None  # the zero weights left a rank-deficient support
+    (args, (beta, status, s, pivots)), = runs
+    ref_beta, ref_status, ref_s, ref_pivots = full_pass_l1_simplex(*args)
+    assert (status, pivots) == (ref_status, ref_pivots)
+    assert beta.tobytes() == ref_beta.tobytes()
+    assert s.tobytes() == ref_s.tobytes()
+    return pivots
+
+
+def repeated_row_problem(seed):
+    """A small design in which most rows are copies of a few, with labels
+    copied too, so that residuals, breakpoints and zero tests tie."""
+    g = np.random.default_rng([16, seed])
+    d = int(g.integers(1, 6))
+    base = int(g.integers(d + 1, 4 * d + 3))
+    X = g.standard_normal((base, d)) * 10.0 ** g.uniform(-3, 3, (base, 1))
+    y = X @ g.standard_normal(d) + g.standard_t(1.5, base)
+    rows = g.integers(0, base, int(g.integers(base, 8 * base)))
+    rows = np.concatenate([np.arange(base), rows])
+    w = g.integers(1, 4, rows.size).astype(float) if g.random() < 0.5 else None
+    return LadProblem(X[rows], y[rows], w)
+
+
+class TestFastPivotIsFullPass:
+    @given(st.sampled_from(FAMILIES), st.integers(0, 2**32 - 1),
+           st.sampled_from([0, 1, 3, 2000]))
+    @settings(max_examples=80, deadline=None)
+    def test_family_problems(self, family, seed, max_pivots):
+        prob = family_problem(family, seed)
+        assert_simplex_matches_full_pass(prob, None, max_pivots)
+        assert_simplex_matches_full_pass(prob, seed, max_pivots)
+
+    @pytest.mark.parametrize("seed", ILL_CONDITIONED_BASIS_SEEDS + ROUNDING_GAP_SEEDS
+                             + list(range(40)))
+    def test_near_repeated_column_problems(self, seed):
+        prob = near_repeated_column_problem(seed)
+        assert_simplex_matches_full_pass(prob, None)
+        assert_simplex_matches_full_pass(prob, seed)
+
+    @given(st.integers(0, 2**32 - 1))
+    @settings(max_examples=60, deadline=None)
+    def test_repeated_row_problems(self, seed):
+        prob = repeated_row_problem(seed)
+        assert_simplex_matches_full_pass(prob, None)
+        assert_simplex_matches_full_pass(prob, seed)
+
+    def test_tall_sketches(self, tall_sketches):
+        for op, prob in enumerate(tall_sketches[:4]):
+            assert assert_simplex_matches_full_pass(prob, op) > 30
+
+    def test_carried_state_matches_full_recompute_at_every_pivot(self, monkeypatch):
+        """At every pivot of long_line_search_problem, where copies of basis
+        rows drift off zero, the zero set, the signs and A^T (w s) that the
+        simplex carries equal those of a pass over all m rows: the zero test
+        on every residual, every sign recomputed, and A^T (w s) updated on
+        the rows whose sign changed."""
+        settle = lad_module._settle
+        snapped = []  # per pivot, residuals the zero test moved to zero
+
+        def checked_settle(A, w, X, r, rho, s, g, zero_test):
+            row_l1, abs_b = zero_test[:2]
+            r_full = r.copy()
+            r_full[np.abs(r_full) <= row_l1 * np.abs(X[:, 0]).max() + abs_b] = 0.0
+            s_full = np.sign(np.where(r_full == 0.0, rho, r_full))
+            changed = (s_full != s).nonzero()[0]
+            g_full = g + A[changed].T @ (w[changed] * (s_full[changed] - s[changed]))
+            snapped.append(int(np.count_nonzero(r != r_full)))
+            g = settle(A, w, X, r, rho, s, g, zero_test)
+            assert r.tobytes() == r_full.tobytes()
+            assert s.tobytes() == s_full.tobytes()
+            assert g.tobytes() == g_full.tobytes()
+            return g
+
+        monkeypatch.setattr(lad_module, "_settle", checked_settle)
+        sol = solve_lad(long_line_search_problem())
+        assert sol.iterations == len(snapped) == PINNED_FULL_SOLUTIONS[
+            "long_line_search_problem"]["iterations"]
+        assert sum(v > 0 for v in snapped) > len(snapped) // 2  # the zero test is busy
