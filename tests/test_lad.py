@@ -167,6 +167,15 @@ def outlier_problem():
     return LadProblem(X, y)
 
 
+def tall_outlier_problem(m, d, seed):
+    """Gaussian rows, Gaussian noise and three 1e6 label outliers."""
+    g = np.random.default_rng([17, m, d, seed])
+    X = g.standard_normal((m, d))
+    y = X @ g.standard_normal(d) + g.standard_normal(m)
+    y[g.choice(m, 3, replace=False)] += 1e6 * np.where(g.random(3) < 0.5, -1.0, 1.0)
+    return LadProblem(X, y)
+
+
 def long_line_search_problem():
     """A 5000 x 80 design with label outliers and 1000 repeated rows."""
     g = np.random.default_rng(0)
@@ -178,7 +187,9 @@ def long_line_search_problem():
 
 
 # full solves as recorded with the simplex that recomputed its state from
-# scratch at every pivot; carrying the state along the steps keeps every bit
+# scratch at every pivot; carrying the state along the steps keeps every bit.
+# outlier_problem has more than 320 d rows, so its simplex now starts from the
+# LAD minimizer of a 1-in-8 row sample: the same bits in 60 pivots, not 65
 PINNED_FULL_SOLUTIONS = {
     "outlier_problem": {
         "beta": [
@@ -187,7 +198,7 @@ PINNED_FULL_SOLUTIONS = {
             "0x1.b06e8327e4815p-1", "0x1.6f2b66951bbd1p-1", "-0x1.9a5df72057892p-1",
             "-0x1.f04ab2fe248ecp-1"],
         "objective": "0x1.702625aaf82fap+21",
-        "iterations": 65,
+        "iterations": 60,
     },
     "long_line_search_problem": {
         "beta": [
@@ -236,12 +247,15 @@ class TestSolveLad:
     @pytest.mark.parametrize("problem", [outlier_problem, long_line_search_problem],
                              ids=lambda f: f.__name__)
     def test_full_solve_bit_identical_to_pin(self, problem):
-        sol = solve_lad(problem())
+        prob = problem()
+        sol = solve_lad(prob)
         pin = PINNED_FULL_SOLUTIONS[problem.__name__]
         assert [float(v).hex() for v in sol.beta] == pin["beta"]
         assert sol.objective.hex() == pin["objective"]
         assert sol.iterations == pin["iterations"]
         assert sol.status == "optimal"
+        opt = highs_optimum(prob)
+        assert abs(sol.objective - opt) <= 1e-7 * opt
 
     def test_negative_row_weight_is_data_error(self):
         with pytest.raises(DataError, match="row weights must be nonnegative"):
@@ -711,9 +725,10 @@ class TestSimplexCertifies:
 def assert_simplex_matches_full_pass(prob, seed, max_pivots=2000):
     """From the same start basis, the simplex and the full-pass reference
     return the same bits of beta and s, the same status and pivot count.
-    With seed None the simplex is the one solve_lad runs, on its
-    column-equilibrated A from its least-squares start basis; else it runs
-    on the raw A from a random basis."""
+    With seed None that holds for every simplex run solve_lad makes, on its
+    column-equilibrated A: one per row sample level, then the one on all
+    the rows; else for one run on the raw A from a random basis. Returns
+    the pivot counts of the runs, in the order they ran."""
     simplex, runs = lad_module._l1_simplex, []
 
     def recorded_simplex(*args):
@@ -732,12 +747,13 @@ def assert_simplex_matches_full_pass(prob, seed, max_pivots=2000):
             recorded_simplex(A, prob.b[keep], prob.weights[keep], basis, 1e-8, max_pivots)
     except RankDeficiencyError:
         return None  # the zero weights left a rank-deficient support
-    (args, (beta, status, s, pivots)), = runs
-    ref_beta, ref_status, ref_s, ref_pivots = full_pass_l1_simplex(*args)
-    assert (status, pivots) == (ref_status, ref_pivots)
-    assert beta.tobytes() == ref_beta.tobytes()
-    assert s.tobytes() == ref_s.tobytes()
-    return pivots
+    assert runs
+    for args, (beta, status, s, pivots) in runs:
+        ref_beta, ref_status, ref_s, ref_pivots = full_pass_l1_simplex(*args)
+        assert (status, pivots) == (ref_status, ref_pivots)
+        assert beta.tobytes() == ref_beta.tobytes()
+        assert s.tobytes() == ref_s.tobytes()
+    return [pivots for _, (_, _, _, pivots) in runs]
 
 
 def repeated_row_problem(seed):
@@ -779,7 +795,13 @@ class TestFastPivotIsFullPass:
 
     def test_tall_sketches(self, tall_sketches):
         for op, prob in enumerate(tall_sketches[:4]):
-            assert assert_simplex_matches_full_pass(prob, op) > 30
+            assert assert_simplex_matches_full_pass(prob, op)[0] > 30
+
+    def test_every_sample_level(self):
+        """6000 x 2 is above 320 d, and so is its 1-in-8 sample: three runs,
+        the sample of the sample, the sample and all rows, each bit for bit."""
+        pivots = assert_simplex_matches_full_pass(tall_outlier_problem(6000, 2, 0), None)
+        assert len(pivots) == 3 and min(pivots) > 0
 
     def test_carried_state_matches_full_recompute_at_every_pivot(self, monkeypatch):
         """At every pivot of long_line_search_problem, where copies of basis
@@ -809,3 +831,120 @@ class TestFastPivotIsFullPass:
         assert sol.iterations == len(snapped) == PINNED_FULL_SOLUTIONS[
             "long_line_search_problem"]["iterations"]
         assert sum(v > 0 for v in snapped) > len(snapped) // 2  # the zero test is busy
+
+
+def record_simplex_runs(monkeypatch, budget_of=None):
+    """Record (A, b, w, status, pivots) of every _l1_simplex run;
+    budget_of(rows, max_pivots), if given, sets each run's pivot budget."""
+    simplex, runs = lad_module._l1_simplex, []
+
+    def recorded(A, b, w, basis, tol, max_pivots):
+        if budget_of is not None:
+            max_pivots = budget_of(A.shape[0], max_pivots)
+        out = simplex(A, b, w, basis, tol, max_pivots)
+        runs.append((A, b, w, out[1], out[3]))
+        return out
+
+    monkeypatch.setattr(lad_module, "_l1_simplex", recorded)
+    return runs
+
+
+def isolated_above_threshold():
+    """An isolated-direction design with 2000 rows at d = 3, above 320 d: its
+    last row alone spans the last coordinate, and the row sample misses it."""
+    inst = make_isolated_instance(2000, 3, RngStream(31))
+    return LadProblem(inst.X, inst.y)
+
+
+def dependent_in_sample():
+    """Tall rows whose last column equals the first on every row but one, so
+    that a sample missing that row is rank deficient with no zero column."""
+    g = np.random.default_rng(32)
+    X = g.standard_normal((2000, 3))
+    X[:, 2] = X[:, 0]
+    X[-1, 2] += 5.0
+    y = X @ g.standard_normal(3) + g.standard_normal(2000)
+    return LadProblem(X, y)
+
+
+class TestSampleStart:
+    @pytest.mark.filterwarnings("error")  # a zero column of the sample divides by nothing
+    @pytest.mark.parametrize("problem", [isolated_above_threshold, dependent_in_sample],
+                             ids=lambda f: f.__name__)
+    def test_rank_deficient_sample_falls_back_to_least_squares(self, problem, monkeypatch):
+        prob = problem()
+        runs = record_simplex_runs(monkeypatch)
+        sol = solve_lad(prob)
+        assert [A.shape[0] for A, *_ in runs] == [2000]  # the sample never got a simplex
+        monkeypatch.setattr(lad_module, "_COARSE_ROWS", math.inf)
+        cold = solve_lad(prob)
+        assert sol.status == cold.status == "optimal"
+        assert sol.objective.hex() == cold.objective.hex()
+        assert sol.beta.tobytes() == cold.beta.tobytes()
+        opt = highs_optimum(prob)
+        assert abs(sol.objective - opt) <= 1e-7 * opt
+
+    def test_sample_keeps_the_equilibrated_rows_and_weights(self, monkeypatch):
+        """The sample is about 1 in 8 of the positively weighted rows, in
+        order, with the column scaling and the row weights of the problem."""
+        base = tall_outlier_problem(4000, 3, 4)
+        g = np.random.default_rng(33)
+        w = 10.0 ** g.uniform(-3, 3, 4000)
+        w[::7] = 0.0
+        runs = record_simplex_runs(monkeypatch)
+        solve_lad(LadProblem(base.A * [1e-3, 1.0, 1e4], base.b, w))
+        (A_s, b_s, w_s, _, _), (A, b, w_full, _, _) = runs
+        assert A.shape[0] == np.count_nonzero(w)
+        order = np.argsort(b)
+        rows = order[np.searchsorted(b, b_s, sorter=order)]  # the labels are distinct
+        assert (np.diff(rows) > 0).all() and A.shape[0] / 10 < rows.size < A.shape[0] / 6
+        assert A_s.tobytes() == A[rows].tobytes()
+        assert b_s.tobytes() == b[rows].tobytes()
+        assert w_s.tobytes() == w_full[rows].tobytes()
+
+    def test_sample_out_of_pivots_still_gives_a_start(self, monkeypatch):
+        prob = tall_outlier_problem(8000, 3, 1)
+        runs = record_simplex_runs(
+            monkeypatch, lambda rows, budget: 1 if rows < 8000 else budget)
+        sol = solve_lad(prob)
+        assert [(A.shape[0] < 8000, status) for A, _, _, status, _ in runs] == [
+            (True, "max_iter"), (True, "max_iter"), (False, "optimal")]
+        assert sol.status == "optimal" and sol.iterations == runs[-1][4]
+        opt = highs_optimum(prob)
+        assert abs(sol.objective - opt) <= 1e-7 * opt
+        # one budget for every level: the samples run out of it and still
+        # give the start, and only the pivots on all rows are counted
+        monkeypatch.undo()
+        runs = record_simplex_runs(monkeypatch)
+        sol = solve_lad(prob, max_iters=2)
+        assert [status for *_, status, _ in runs] == ["max_iter"] * 3
+        assert sol.status == "max_iter" and sol.iterations == 2
+        assert sol.objective == objective(prob, sol.beta)
+
+    def test_same_bytes_whatever_the_global_random_state(self):
+        prob = tall_outlier_problem(7000, 2, 2)
+        np.random.seed(0)
+        first = solve_lad(prob)
+        np.random.seed(12345)
+        np.random.random(1000)
+        second = solve_lad(prob)
+        assert first.beta.tobytes() == second.beta.tobytes()
+        assert (first.objective.hex(), first.iterations, first.status) == (
+            second.objective.hex(), second.iterations, second.status)
+
+    @pytest.mark.parametrize("d", [2, 5])
+    def test_threshold_is_320_positively_weighted_rows_per_column(self, d, monkeypatch):
+        for m, zero_weights, levels in ((320 * d - 1, 0, 1), (320 * d, 0, 2),
+                                        (320 * d + 1, 2, 1)):
+            base = tall_outlier_problem(m, d, 3)
+            w = np.ones(m)
+            w[:zero_weights] = 0.0
+            prob = LadProblem(base.A, base.b, w)
+            runs = record_simplex_runs(monkeypatch)
+            sol = solve_lad(prob)
+            assert len(runs) == levels
+            assert sol.status == "optimal"
+            keep = w > 0
+            opt = highs_optimum(LadProblem(prob.A[keep], prob.b[keep], w[keep]))
+            assert abs(sol.objective - opt) <= 1e-7 * opt
+            monkeypatch.undo()
