@@ -339,18 +339,17 @@ def solve_lad(prob: LadProblem, tol: float = 1e-8, max_iters: int = 2000) -> Lad
         raise DataError("tol must be finite")
     if max_iters < 0:
         raise DataError("max_iters must be nonnegative")
-    w = prob.weights
+    A, b, w = prob.A, prob.b, prob.weights
     keep = w > 0
-    b = prob.b[keep]
-    w = w[keep]
-    d = prob.A.shape[1]
-    m = b.shape[0]
+    if not keep.all():  # with every weight positive the gather's copy is skipped
+        A, b, w = A[keep], b[keep], w[keep]
+    m, d = A.shape
     if m < d:
         raise RankDeficiencyError("fewer positively weighted rows than columns")
     # solve in column-equilibrated coordinates; residuals are unchanged and
     # the coefficients map back through the scales
     try:
-        A, col_scale = equilibrate_columns(prob.A[keep])
+        A, col_scale = equilibrate_columns(np.ascontiguousarray(A))
     except RankDeficiencyError:  # the message trial records carry
         raise RankDeficiencyError("an all-zero column on the weighted support") from None
     beta, status, s_full, pivots = _solve(A, b, w, tol, max_iters)

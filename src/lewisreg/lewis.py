@@ -24,9 +24,18 @@ the property Cohen and Peng's sampling lemma asks of approximate weights. The
 samplers therefore stop at gamma = SAMPLING_TOL = 1e-2 (about 4-7 sweeps);
 lewis_weights' default and the weights command keep 1e-10.
 
-One sweep costs one blocked weighted Gram, one pivoted Cholesky of size d and
-one n x d x d product for all n quadratic forms, plus O(n d) elementwise work
-and O(5 n) for the mixing.
+One sweep costs one weighted Gram and one n x d x d product for all n
+quadratic forms, both in blocks of rows and the only passes over X, one
+pivoted Cholesky of size d, and O(n) elementwise work plus O(5 n) for the
+mixing. The sweeps read the caller's X (made C-contiguous) and copy none of
+it. The weights do not change when columns are scaled, so the column scaling
+that conditions the Gram lives in d x d matrices: power-of-two scales D, taken
+from the first Gram's diagonal, scale the Gram to D G D and the factor the
+quadratic forms apply, which gives the bits of the design X D. The first
+sweep, at w = 1, also finds the zero rows (there q = 0 exactly), which then
+leave the sweeps. Only a design whose X^T X diagonal over- or underflows
+(column entries beyond about 1e+-120) is copied, once, scaled by powers of
+two. At 50 000 x 20 a sampling-grade call allocates less than X itself.
 """
 
 import math
@@ -40,7 +49,6 @@ from .linalg import (
     WeightVector,
     as_design_matrix,
     as_vector,
-    equilibrate_columns,
     row_quadratic_forms,
     spd_factorize,
 )
@@ -68,6 +76,13 @@ SAMPLING_TOL = 1e-2
 # The constant C that recommended_budget multiplies its asymptotic rate by.
 BUDGET_CONSTANT = 4.0
 
+# The sweeps read X itself while X^T X's diagonal lies in [1 / _GRAM_RANGE,
+# _GRAM_RANGE], column entries within about 1e+-120; else a scaled copy.
+_GRAM_RANGE = 2.0**800
+
+# Smallest normal float64: a quadratic form below it has lost digits.
+_TINY = 2.0**-1022
+
 
 class ConvergenceError(RuntimeError):
     """Fixed-point iteration failed to reach tolerance within MAX_SWEEPS.
@@ -81,29 +96,75 @@ class ConvergenceError(RuntimeError):
         self.best = best
 
 
-def _fixed_point_defect(X: np.ndarray, w: np.ndarray) -> tuple[float, np.ndarray]:
-    """Max relative defect of the defining identity, and the quadratic forms.
-    X has no zero rows and w > 0: callers validate once, outside the sweeps."""
+class _GramOutOfRange(ArithmeticError):
+    """X^T X has a diagonal entry outside [1 / _GRAM_RANGE, _GRAM_RANGE]."""
+
+
+def _fixed_point_defect(X: np.ndarray, w: np.ndarray,
+                        scale: np.ndarray | None = None) -> tuple[float, np.ndarray, np.ndarray]:
+    """Max relative defect of the defining identity over the nonzero rows of X,
+    log q(w), and the column scales D. w > 0: callers validate once, outside
+    the sweeps.
+
+    The Gram G is factored as D G D, and D is folded into the d x d factor
+    that the quadratic forms apply; with powers of two this gives the bits of
+    the design X D. scale=None takes D from this Gram's diagonal, bringing
+    each diagonal entry of D G D into [1/4, 1), and raises _GramOutOfRange
+    when that diagonal leaves the range where the products stay exact. A row
+    whose q underflows gets log q from the row rescaled by a power of two. A
+    zero row, q = 0 exactly with every entry 0, gets log q = -inf and no share
+    in the defect."""
     # looked up on the module, where perfbench/spans.py wraps it
     G = linalg.weighted_gram(X, 1.0 / w)
-    F = spd_factorize(G)
-    q = row_quadratic_forms(F, X)
+    if scale is None:
+        diag = G.diagonal()
+        if not np.all((diag >= 1.0 / _GRAM_RANGE) & (diag <= _GRAM_RANGE)):
+            raise _GramOutOfRange
+        scale = np.ldexp(1.0, -((np.frexp(diag)[1] + 1) // 2))
+    F = spd_factorize(G * np.outer(scale, scale))
+    q = row_quadratic_forms(F, X, scale)
+    low = np.flatnonzero(q < _TINY)
     w2 = w * w
-    defect = np.abs(w2 - q) / np.maximum(w2, 1e-30)
-    return float(defect.max()), q
+    defect = np.subtract(w2, q)
+    np.abs(defect, out=defect)
+    defect /= np.maximum(w2, 1e-30, out=w2)
+    with np.errstate(divide="ignore"):
+        log_q = np.log(q, out=q)
+    if low.size:
+        rows = X[low]
+        zero = ~rows.any(axis=1)
+        defect[low[zero]] = 0.0
+        live, rows = low[~zero], rows[~zero]
+        e = np.frexp(np.abs(rows).max(axis=1))[1]
+        q_live = row_quadratic_forms(F, np.ldexp(rows, -e[:, None]), scale)
+        log_q[live] = np.log(q_live) + (2.0 * math.log(2.0)) * e
+    return float(defect.max()), log_q, scale
 
 
-def _nonzero_rows(X: np.ndarray) -> tuple[np.ndarray, np.ndarray | slice]:
-    """The nonzero rows of a validated X with columns equilibrated, and their
-    index into X: a full slice when no row is zero, which spares the gather.
-    RankDeficiencyError when fewer than d rows are nonzero."""
-    nonzero = (X != 0).any(axis=1)
+def _first_sweep(X: np.ndarray):
+    """The first sweep, at w = 1, of a validated C-contiguous X: the design
+    every later sweep reads, its column scales, the defect, log q, and the
+    index of the nonzero rows into X (a full slice when no row is zero, which
+    spares the gathers). The design and log q keep the nonzero rows only.
+
+    The design is X itself, unless X^T X's diagonal leaves the range where
+    the Gram scaling is exact; then X is scaled by the powers of two that
+    bring each column's largest entry into [1/2, 1), the one copy of X made.
+    The zero rows are gathered out, a copy only when there are some."""
+    w = np.ones(X.shape[0])
+    try:
+        with np.errstate(over="ignore", invalid="ignore"):  # an overflow fails the range test
+            defect, log_q, scale = _fixed_point_defect(X, w)
+    except _GramOutOfRange:
+        peak = np.abs(X).max(axis=0)
+        if not peak.all():
+            raise RankDeficiencyError("matrix has an all-zero column") from None
+        X = np.ldexp(X, -np.frexp(peak)[1])
+        defect, log_q, scale = _fixed_point_defect(X, w)
+    nonzero = log_q > -np.inf
     if nonzero.all():
-        nonzero = slice(None)
-    Xa = np.ascontiguousarray(X[nonzero])
-    if Xa.shape[0] < X.shape[1]:
-        raise RankDeficiencyError("fewer nonzero rows than columns")
-    return equilibrate_columns(Xa)[0], nonzero  # weights are column-scaling invariant
+        return X, scale, defect, log_q, slice(None)
+    return X[nonzero], scale, defect, log_q[nonzero], nonzero
 
 
 def lewis_weights(X, tol: float = 1e-10) -> WeightVector:
@@ -136,8 +197,8 @@ def lewis_weights(X, tol: float = 1e-10) -> WeightVector:
     Returns
     -------
     WeightVector with kind "lewis": entries positive for nonzero rows (in
-    (0, 1] up to that factor), exactly 0 for all-zero rows, summing to d over
-    the nonzero rows up to that factor. Its max relative defect, as
+    (0, 1] up to that factor), a row whose q underflows included, exactly 0
+    for all-zero rows, summing to d over the nonzero rows up to that factor. Its max relative defect, as
     verify_fixed_point measures it, is at most tol.
 
     Raises
@@ -151,10 +212,11 @@ def lewis_weights(X, tol: float = 1e-10) -> WeightVector:
         raise DataError("tol must be positive")
     if not tol < 1:
         raise DataError("tol must be below 1")
-    X = as_design_matrix(X)
-    Xa, nonzero = _nonzero_rows(X)
+    X = np.ascontiguousarray(as_design_matrix(X))
+    n = X.shape[0]
+    X, scale, residual, log_q, nonzero = _first_sweep(X)
 
-    m, rows = _ANDERSON_DEPTH, Xa.shape[0]
+    m, rows = _ANDERSON_DEPTH, X.shape[0]
     dF, dG = np.empty((m, rows)), np.empty((m, rows))  # ring buffers of differences
     FF = np.empty((m, m))  # FF[i, j] = dF[i] . dF[j] over the stored slots
     stored = slot = 0
@@ -162,12 +224,9 @@ def lewis_weights(X, tol: float = 1e-10) -> WeightVector:
     best = math.inf
 
     u, w = np.zeros(rows), np.ones(rows)
-    residual = math.inf
-    for _ in range(MAX_SWEEPS):
-        residual, q = _fixed_point_defect(Xa, w)
-        if residual <= tol:
-            break
-        g = 0.5 * np.log(q)
+    sweeps = 1
+    while residual > tol:
+        g = 0.5 * log_q
         f = g - u
         if residual > best:  # the last mixed step made things worse
             stored = slot = 0
@@ -178,6 +237,13 @@ def lewis_weights(X, tol: float = 1e-10) -> WeightVector:
             FF[slot, :stored] = FF[:stored, slot] = dF[:stored] @ dF[slot]
             slot = (slot + 1) % m
         best = min(best, residual)
+        if sweeps == MAX_SWEEPS:
+            raise ConvergenceError(
+                f"Lewis weight iteration did not converge in {MAX_SWEEPS} sweeps "
+                f"(final residual {residual:.3e}, best {best:.3e}, tol {tol:.1e})",
+                residual,
+                best,
+            )
         f_prev, g_prev = f, g
         if stored:
             gamma = np.linalg.lstsq(FF[:stored, :stored], dF[:stored] @ f, rcond=None)[0]
@@ -185,33 +251,30 @@ def lewis_weights(X, tol: float = 1e-10) -> WeightVector:
         else:
             u = g
         w = np.exp(u)
-    else:
-        raise ConvergenceError(
-            f"Lewis weight iteration did not converge in {MAX_SWEEPS} sweeps "
-            f"(final residual {residual:.3e}, best {best:.3e}, tol {tol:.1e})",
-            residual,
-            best,
-        )
+        residual, log_q, _ = _fixed_point_defect(X, w, scale)
+        sweeps += 1
 
-    full = np.zeros(X.shape[0])
+    full = np.zeros(n)
     full[nonzero] = w
     return WeightVector(full, kind="lewis")
 
 
 def verify_fixed_point(X, w) -> float:
-    """Max relative defect of the Lewis identity for a candidate weight vector.
+    """Max relative defect of the Lewis identity for a candidate weight vector,
+    in the arithmetic of lewis_weights: its first sweep fixes the design, the
+    column scales and the zero rows, so the defect of the weights it returns
+    is the one it certified.
 
     Pure check: zero rows must carry weight 0, nonzero rows positive weight.
     """
-    X = as_design_matrix(X)
+    X = np.ascontiguousarray(as_design_matrix(X))
     wv = as_vector(w.values if isinstance(w, WeightVector) else w, length=X.shape[0])
-    Xa, nonzero = _nonzero_rows(X)
+    X, scale, _, _, nonzero = _first_sweep(X)
     if np.any(wv[nonzero] <= 0):
         raise ValueError("weights must be positive on nonzero rows")
     if np.count_nonzero(wv) > np.count_nonzero(wv[nonzero]):
         raise ValueError("weights must be 0 on all-zero rows")
-    defect, _ = _fixed_point_defect(Xa, wv[nonzero])
-    return defect
+    return _fixed_point_defect(X, wv[nonzero], scale)[0]
 
 
 def sampling_values(w: WeightVector, N: int) -> WeightVector:

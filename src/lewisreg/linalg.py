@@ -157,20 +157,30 @@ def spd_factorize(A: np.ndarray) -> SpdFactorization:
     return SpdFactorization(dim=d, lower=L, perm=perm)
 
 
-def row_quadratic_forms(F: SpdFactorization, M: np.ndarray) -> np.ndarray:
-    """x_i^T A^{-1} x_i for every row x_i of M, as the squared row norms of
-    M R with R[perm] = L^{-T}: one d x d triangular inverse (LAPACK dtrtri on
-    the F-ordered L^T) and one GEMM."""
-    if M.shape[1] != F.dim:
+def row_quadratic_forms(F: SpdFactorization, M: np.ndarray,
+                        col_scale: np.ndarray | None = None) -> np.ndarray:
+    """x_i^T A^{-1} x_i for every row x_i of M D, with D = diag(col_scale) (the
+    identity when None), as the squared row norms of M (D R) with R[perm] =
+    L^{-T}: one d x d triangular inverse (LAPACK dtrtri on the F-ordered L^T)
+    and one GEMM per block of _GRAM_BLOCK rows, so that each block of M D R
+    stays in cache. When col_scale holds powers of two, folding D into the d x d
+    factor gives the bits of scaling M, barring under- and overflow."""
+    n, d = M.shape
+    if d != F.dim:
         raise ValueError("column count does not match factorization dimension")
     from scipy.linalg.lapack import dtrtri
     Lt_inv, info = dtrtri(F.lower.T, lower=0)
     if info:
         raise np.linalg.LinAlgError(f"triangular inverse failed: info {info}")
-    R = np.empty((F.dim, F.dim))
+    R = np.empty((d, d))
     R[F.perm] = Lt_inv
-    Z = M @ R
-    return np.einsum("ij,ij->i", Z, Z)
+    if col_scale is not None:
+        R *= col_scale[:, None]
+    q = np.empty(n)
+    for start in range(0, n, _GRAM_BLOCK):
+        Z = M[start : start + _GRAM_BLOCK] @ R
+        np.einsum("ij,ij->i", Z, Z, out=q[start : start + _GRAM_BLOCK])
+    return q
 
 
 def orthonormal_column_basis(X: np.ndarray) -> np.ndarray:
@@ -191,7 +201,9 @@ def orthonormal_column_basis(X: np.ndarray) -> np.ndarray:
 def equilibrate_columns(X: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """X with its columns scaled to unit max-abs, and the column scales.
     Row importance scores and LAD residuals are invariant under column
-    scaling, so this only conditions the Gram matrices."""
+    scaling, so this only conditions the Gram matrices. It makes a scaled n x d
+    copy, which leverage_scores and the LAD solve use; the Lewis weights fold
+    power-of-two column scales into their d x d Gram instead."""
     col_scale = np.abs(X).max(axis=0)
     if np.any(col_scale == 0):
         raise RankDeficiencyError("matrix has an all-zero column")

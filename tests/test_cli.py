@@ -187,7 +187,7 @@ class TestWeightsCommand:
         blob = out.read_bytes()
         assert json.loads(blob)["check"]["fixed_point_residual"] <= 1e-10
         assert hashlib.sha256(blob).hexdigest() == (
-            "c2c11c378a621be0c8e4fe13093e722a061288618e6fe1838713de4128bd3374")
+            "b184cde26bfd4a6ab1971e410fa065ae1f89fe2c06bdd0123287b6691084abf3")
         assert main(["weights", str(x), "--tol", "1e-2", "--out", str(out)]) == 0
         assert out.read_bytes() != blob
 
@@ -618,6 +618,26 @@ class TestErrorClassification:
                  "null_spec": null_spec, "dir": tmp_path, "out": tmp_path / "out.json"}
         assert main([a.format(**paths) for a in argv]) == 2
         assert capsys.readouterr().err.strip() == f"data error: {message.format(**paths)}"
+
+    @pytest.mark.parametrize("argv", [
+        ["weights", "{x}", "--out", "{out}"],
+        ["solve", "{x}", "{y}", "--mode", "active", "--out", "{out}"],
+    ], ids=["weights", "solve_active"])
+    def test_underflowing_quadratic_form_exit_0(self, tmp_path, argv):
+        # a finite design whose row 7, 1e-170 in every entry, has a Lewis
+        # quadratic form below the float range: it gets a positive weight
+        X = np.random.default_rng(0).standard_normal((50, 3))
+        X[7] = 1e-170
+        x, y, out = tmp_path / "x.csv", tmp_path / "y.txt", tmp_path / "out.json"
+        write_matrix_csv(x, X)
+        write_labels(y, X @ np.ones(3) + np.random.default_rng(1).standard_normal(50))
+        assert main([a.format(x=x, y=y, out=out) for a in argv]) == 0
+        blob = json.loads(out.read_text())
+        if argv[0] == "weights":
+            assert 0.0 < blob["weights"][7] < 1e-160
+            assert blob["check"]["fixed_point_residual"] <= 1e-10
+        else:
+            assert blob["n"] == 50 and all(math.isfinite(b) for b in blob["beta"])
 
     @pytest.mark.parametrize("overrides, message", [
         ({"instance": {"family": "outlier", "n": "abc", "d": 2}},

@@ -2,7 +2,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy.optimize import linprog, lsq_linear
 
@@ -555,7 +555,10 @@ class TestSimplexCertifies:
         assert status == "optimal"
         assert abs(obj - ref.objective) <= 1e-8 * ref.objective + 1e-12
 
+    # ("outlier", 7604) keeps 2 rows at d = 2 with labels near 7e7: the
+    # minimum is 0 and the certified objective, 6.3e-8, is residual rounding
     @given(st.sampled_from(FAMILIES), st.integers(0, 2**32 - 1))
+    @example("outlier", 7604)
     @settings(max_examples=80, deadline=None)
     def test_matches_highs_dual_lp(self, family, seed):
         prob = family_problem(family, seed)
@@ -565,9 +568,12 @@ class TestSimplexCertifies:
             return
         keep = prob.weights > 0
         opt = highs_optimum(LadProblem(prob.A[keep], prob.b[keep], prob.weights[keep]))
+        # the residuals' rounding that solve_lad's gap test allows
+        rounding = 1e-13 * float(prob.weights @ (np.abs(prob.A) @ np.abs(sol.beta)
+                                                 + np.abs(prob.b)))
         assert sol.status == "optimal"
-        assert sol.objective <= opt * (1 + 1e-8 + 1e-7) + 1e-9
-        assert sol.objective >= opt * (1 - 1e-7) - 1e-9
+        assert sol.objective <= opt * (1 + 1e-8 + 1e-7) + rounding
+        assert sol.objective >= opt * (1 - 1e-7) - rounding
         assert sol.certificate_infnorm <= 1e-8 * prob.weights.sum()
 
     @pytest.mark.parametrize("seed", [1, 19, 22])

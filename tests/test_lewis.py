@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -92,13 +93,26 @@ class TestLewisWeights:
         w = lewis_weights(X)
         assert w.values[2] == 0.0
         assert abs(w.values.sum() - 2.0) <= 1e-6
+        # found by the first sweep and dropped: the other rows' bytes are
+        # those of the design without the zero rows
+        X = rng.standard_t(1.5, size=(300, 4))
+        zero = [0, 17, 18, 299]
+        X[zero] = 0.0
+        w = lewis_weights(X).values
+        assert np.all(w[zero] == 0.0) and np.all(np.delete(w, zero) > 0.0)
+        assert np.array_equal(np.delete(w, zero), lewis_weights(np.delete(X, zero, axis=0)).values)
+        assert verify_fixed_point(X, w) <= TOL
 
     def test_memory_layout_keeps_bytes(self):
-        # a design with no zero row is used in place, made C-contiguous first
-        X = np.random.default_rng(5).standard_t(1.5, size=(3000, 12))
-        w = lewis_weights(X).values
-        assert np.array_equal(lewis_weights(np.asfortranarray(X)).values, w)
-        assert verify_fixed_point(np.asfortranarray(X), w) == verify_fixed_point(X, w)
+        # the sweeps read the design made C-contiguous; zero rows do not change that
+        for zero_row in (None, 3):
+            X = np.random.default_rng(5).standard_t(1.5, size=(3000, 12))
+            if zero_row is not None:
+                X[zero_row] = 0.0
+            for tol in (TOL, SAMPLING_TOL):
+                w = lewis_weights(X, tol).values
+                assert np.array_equal(lewis_weights(np.asfortranarray(X), tol).values, w)
+                assert verify_fixed_point(np.asfortranarray(X), w) == verify_fixed_point(X, w)
 
     def test_range(self):
         rng = np.random.default_rng(2)
@@ -169,8 +183,9 @@ class TestLewisWeights:
         X = rng.standard_t(1.5, size=(5000, 8))
         Xe = X / np.abs(X).max(axis=0)
         for w in (np.ones(X.shape[0]), rng.uniform(0.01, 1.0, X.shape[0])):
-            _, q = _fixed_point_defect(Xe, w)
-            np.testing.assert_allclose(q, triangular_solve_forms(Xe, w), rtol=1e-12)
+            _, log_q, _ = _fixed_point_defect(X, w)
+            np.testing.assert_allclose(np.exp(log_q), triangular_solve_forms(Xe, w),
+                                       rtol=1e-12)
 
     def test_heavy_tailed_matches_plain_sweep(self):
         # both vectors are certified to 1e-10, so they agree to a few 1e-10
@@ -193,13 +208,12 @@ class TestLewisWeights:
                 {"family": "isolated", "n": 300, "d": 5}, 6)[0],
             "scaled": lambda: random_tall(rng, 200, 4) * 10.0 ** np.array([-6, -2, 3, 6]),
         }[design]()
-        Xe = X / np.abs(X).max(axis=0)
-        w = np.ones(X.shape[0])
+        w, scale = np.ones(X.shape[0]), None
         residuals = []
         for _ in range(40):
-            r, q = _fixed_point_defect(Xe, w)
+            r, log_q, scale = _fixed_point_defect(X, w, scale)
             residuals.append(r)
-            w = np.sqrt(q)
+            w = np.exp(0.5 * log_q)
         ratios = [b / a for a, b in zip(residuals[5:], residuals[6:]) if a > 1e-13]
         assert len(ratios) >= 20
         assert max(ratios) <= 0.55
@@ -316,16 +330,16 @@ def gram_calls(monkeypatch):
 
 
 def record_sweeps(monkeypatch, spikes=()):
-    """Record (w, q) of every sweep; report the defects of the sweeps
+    """Record (w, log q) of every sweep; report the defects of the sweeps
     numbered in spikes as 1000x too large."""
     sweeps = []
 
-    def recording_defect(X, w):
-        residual, q = _fixed_point_defect(X, w)
+    def recording_defect(X, w, scale=None):
+        residual, log_q, scale = _fixed_point_defect(X, w, scale)
         if len(sweeps) in spikes:
             residual *= 1e3
-        sweeps.append((w.copy(), q))
-        return residual, q
+        sweeps.append((w.copy(), log_q.copy()))
+        return residual, log_q, scale
 
     monkeypatch.setattr(lewis_module, "_fixed_point_defect", recording_defect)
     return sweeps
@@ -336,7 +350,7 @@ def anderson_step(sweeps, k, start, depth=5):
     g = log(q) / 2, mixing the differences of sweeps max(start, k - depth)..k
     by a least-squares fit on the n x depth difference matrix."""
     u = [np.log(w) for w, _ in sweeps[: k + 1]]
-    g = [0.5 * np.log(q) for _, q in sweeps[: k + 1]]
+    g = [0.5 * log_q for _, log_q in sweeps[: k + 1]]
     f = [gj - uj for gj, uj in zip(g, u)]
     span = range(max(start, k - depth), k)
     if not span:
@@ -376,7 +390,7 @@ class TestSweepsAndSafeguards:
             np.testing.assert_allclose(sweeps[k + 1][0], anderson_step(sweeps, k, 0),
                                        rtol=1e-10)
         # the mixed iterates are not the plain map's
-        assert np.max(np.abs(sweeps[4][0] / np.sqrt(sweeps[3][1]) - 1.0)) > 1e-6
+        assert np.max(np.abs(sweeps[4][0] / np.exp(0.5 * sweeps[3][1]) - 1.0)) > 1e-6
 
     def test_worse_iterate_restarts_with_plain_step(self, monkeypatch):
         # report the defects of sweeps 4 and 5 as 1000x too large: each is
@@ -388,7 +402,8 @@ class TestSweepsAndSafeguards:
         monkeypatch.undo()
         assert len(sweeps) >= 8 and verify_fixed_point(X, w) <= 1e-10
         for k in (4, 5):
-            np.testing.assert_allclose(sweeps[k + 1][0], np.sqrt(sweeps[k][1]), rtol=1e-14)
+            np.testing.assert_allclose(sweeps[k + 1][0], np.exp(0.5 * sweeps[k][1]),
+                                       rtol=1e-14)
         for k in range(6, len(sweeps) - 1):
             np.testing.assert_allclose(sweeps[k + 1][0], anderson_step(sweeps, k, 5),
                                        rtol=1e-10)
@@ -400,6 +415,79 @@ class TestSweepsAndSafeguards:
             lewis_weights(X)
         assert info.value.residual > TOL
         assert len(gram_calls) == 3
+
+
+class TestPrologue:
+    """The sweeps read the caller's X in their Gram and quadratic-form passes
+    only: column scales live in the d x d Gram and zero rows are found by the
+    first sweep."""
+
+    def test_peak_allocation_below_design(self):
+        X = np.random.default_rng(21).standard_t(1.5, size=(50_000, 20))
+        lewis_weights(X, SAMPLING_TOL)  # load the LAPACK kernels outside the trace
+        tracemalloc.start()
+        try:
+            lewis_weights(X, SAMPLING_TOL)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < X.nbytes
+
+    def test_all_zero_column_refused(self):
+        X = np.random.default_rng(23).standard_normal((20, 3))
+        X[:, 1] = 0.0
+        for call in (lambda: lewis_weights(X), lambda: verify_fixed_point(X, np.ones(20))):
+            with pytest.raises(RankDeficiencyError, match="^matrix has an all-zero column$"):
+                call()
+
+    @pytest.mark.parametrize("scales", [
+        [1e150, 1e-150, 1.0, 3.0],
+        [1e300, 1e-300, 1e150, 1e-150],
+        [1e-300] * 4,
+        [1e300] * 4,
+    ], ids=["150", "300-and-150", "all-tiny", "all-huge"])
+    def test_extreme_column_scales(self, scales):
+        X = np.random.default_rng(24).standard_t(1.5, size=(2000, 4))
+        w = lewis_weights(X).values
+        Xs = X * np.array(scales)
+        ws = lewis_weights(Xs).values
+        np.testing.assert_allclose(ws, w, rtol=0, atol=1e-12)
+        assert verify_fixed_point(Xs, ws) <= TOL
+
+    def test_power_of_two_column_scales_keep_bytes(self):
+        # X D is what the sweeps compute with, inside the Gram's range or not
+        X = np.random.default_rng(25).standard_t(1.5, size=(3000, 4))
+        w = lewis_weights(X).values
+        for k in ([-40, 0, 17, 300], [-900, 0, 600, 1000]):
+            assert np.array_equal(lewis_weights(X * 2.0 ** np.array(k)).values, w)
+
+    def test_every_sweep_goes_through_the_defect(self, monkeypatch, gram_calls):
+        sweeps = record_sweeps(monkeypatch)
+        X = np.random.default_rng(27).standard_t(1.5, size=(2000, 5))
+        X[[4, 9]] = 0.0
+        lewis_weights(X, SAMPLING_TOL)
+        assert len(sweeps) == len(gram_calls) >= 3
+        w0, log_q0 = sweeps[0]  # the first sweep, at w = 1, sees the zero rows
+        assert np.array_equal(w0, np.ones(2000))
+        assert np.all(log_q0[[4, 9]] == -np.inf) and np.isfinite(np.delete(log_q0, [4, 9])).all()
+        assert all(w.shape == (1998,) for w, _ in sweeps[1:])  # and then drops them
+
+    def test_tiny_row_gets_finite_positive_weight(self):
+        # row 7's quadratic form, near 1e-340, underflows to 0: its log q
+        # comes from the row rescaled by a power of two
+        X = np.random.default_rng(0).standard_normal((50, 3))
+        X[7] = 1e-170
+        w = lewis_weights(X).values
+        assert verify_fixed_point(X, w) <= TOL
+        rest = np.delete(X, 7, axis=0)
+        w_rest = lewis_weights(rest).values
+        np.testing.assert_allclose(np.delete(w, 7), w_rest, rtol=1e-8)
+        # w_7 is linear in the row's scale: 1e-170 sqrt(1^T M^{-1} 1), M the
+        # Gram of the other rows at their weights
+        q = np.ones(3) @ np.linalg.solve(weighted_gram(rest, 1.0 / w_rest), np.ones(3))
+        assert w[7] == pytest.approx(1e-170 * math.sqrt(q), rel=1e-8)
+        ws = lewis_weights(X, SAMPLING_TOL).values
+        assert 0.0 < ws[7] and np.isfinite(ws).all()
 
 
 class TestVerifyFixedPoint:
