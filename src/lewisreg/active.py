@@ -134,6 +134,12 @@ def sample_and_solve(X, oracle: LabelOracle, values: WeightVector,
     X = as_design_matrix(X)
     if oracle.n != X.shape[0]:
         raise ValueError("oracle length does not match the design matrix")
+    return _sample_and_solve(X, oracle, values, rng, solver_tol)
+
+
+def _sample_and_solve(X: np.ndarray, oracle: LabelOracle, values: WeightVector,
+                      rng: RngStream, solver_tol: float) -> ActiveResult:
+    """sample_and_solve on an X already validated, of the oracle's length."""
     if values.kind != "sampling":
         raise ValueError("expected sampling values")
     N = int(round(values.budget))
@@ -183,7 +189,9 @@ def active_solve(X, oracle: LabelOracle, eps: float, delta: float,
     Scales the Lewis weights of X (computed here to SAMPLING_TOL unless given
     as weights) to sampling values summing to the budget (recommended_budget(d,
     eps, delta, regime) oversampled for that tolerance, unless overridden) and
-    hands them to sample_and_solve.
+    hands them to the step of sample_and_solve. The entries of X are checked
+    once, here; lewis_weights checks them again only through its first Gram,
+    at no extra pass.
     """
     X = as_design_matrix(X)
     n, d = X.shape
@@ -191,7 +199,7 @@ def active_solve(X, oracle: LabelOracle, eps: float, delta: float,
         raise ValueError("oracle length does not match the design matrix")
     N = _budget(eps, delta, regime, budget_override, d, d)
     w = lewis_weights(X, SAMPLING_TOL) if weights is None else _given_weights(weights, n)
-    return sample_and_solve(X, oracle, sampling_values(w, N), rng, solver_tol)
+    return _sample_and_solve(X, oracle, sampling_values(w, N), rng, solver_tol)
 
 
 def augmented_lewis_weights(X, y) -> WeightVector:
@@ -222,5 +230,5 @@ def sketch_and_solve_known_y(X, y, eps: float, delta: float, rng: RngStream,
     n, d = X.shape
     N = _budget(eps, delta, regime, budget_override, d + 1, d)
     w = augmented_lewis_weights(X, y) if weights is None else _given_weights(weights, n)
-    return sample_and_solve(X, InMemoryLabelOracle(y), sampling_values(w, N),
-                            rng, solver_tol)
+    return _sample_and_solve(X, InMemoryLabelOracle(y), sampling_values(w, N),
+                             rng, solver_tol)

@@ -1,12 +1,13 @@
 """High-accuracy weighted least-absolute-deviation regression.
 
-solve_lad minimizes sum_i w_i |a_i^T beta - b_i| in three steps:
+solve_lad minimizes sum_i w_i |a_i^T beta - b_i| in three steps, and a
+fourth on the tallest problems:
 
 1. a check that the positively weighted rows have full column rank, and a
    start point: with at least 320 d rows, the LAD minimizer of a fixed
-   pseudo-random 1-in-8 sample of the rows, solved by these same three
-   steps; else, or where the sample is rank deficient (it can miss a
-   direction only a few rows span), the weighted least-squares solution;
+   pseudo-random 1-in-8 sample of the rows, solved by these same steps;
+   else, or where the sample is rank deficient (it can miss a direction
+   only a few rows span), the weighted least-squares solution;
 2. a start basis: the first d linearly independent rows in order of
    increasing residual at the start point;
 3. an L1 simplex (Barrodale & Roberts, SIAM J. Numer. Anal. 10(5), 1973)
@@ -19,19 +20,39 @@ solve_lad minimizes sum_i w_i |a_i^T beta - b_i| in three steps:
    basis repeats and the simplex reaches a certificate from any start.
    Residuals, signs and A^T (w s) are carried along each step and
    recomputed from scratch before a vertex certifies.
+4. with at least 2560 d rows, 8 times the sample threshold of step 1,
+   steps 2 and 3 run on fewer rows (Portnoy & Koenker, "The Gaussian hare
+   and the Laplacian tortoise", Statist. Sci. 12(4), 1997). The band is the
+   m/8 rows of smallest |residual| at the sample's minimizer, ties and
+   zeros included; every other row is folded, by the sign of its residual
+   there, into one of two glob rows sum w_i a_i, sum w_i b_i of weight 1
+   (a side with no rows has none). By the triangle inequality the reduced
+   objective is at most the full one, and equal to it where every globbed
+   row keeps its sign, so a reduced minimizer at which each globbed row
+   has a nonzero residual of its glob's sign is a full minimizer. Rows
+   that fail that move into the band and the reduced simplex runs again
+   from there. A band and globs that miss a direction the rows span grow
+   to all m rows, and a band of all m rows is step 3 on all rows; so is
+   the top level when the sample was rank deficient. The dual vector
+   on all rows is the reduced one on the band and the glob's sign on each
+   globbed row, and solve_lad certifies it on all m rows.
 
-The sample's minimizer is near the full one, so the simplex on all m rows
-starts near its end: on 50 000 x 10 Gaussian designs with three label
-outliers it takes 51-70 pivots from there, against 87-105 from least
-squares, and each sample level costs about an eighth of the level above.
-A pivot makes one pass over A, c = A u, and a few elementwise passes over
-all m rows: the crossing test and the crossing rows' breakpoints, the
-partition that picks a head of them, the step of the residuals, the
-objective and a screen for the zero test. The rest costs what the step
-passes: the line search orders only the head, whose size starts from what
-the last search needed, and the zero test, the signs and A^T (w s) are
-redone only on the rows the screen keeps, the rows a step can move to zero
-or across it, with the same bits as a pass over all m rows.
+The sample's minimizer is near the full one, so the top level starts near
+its end: on 50 000 x 10 Gaussian designs with three label outliers the
+simplex on all m rows takes 41-72 pivots from there, against 87-105 from
+least squares, and each sample level costs about an eighth of the level
+above. Step 4 runs those pivots on 6250 band rows and two globs instead of
+50 000 rows: one round on 12 of 16 such designs, two on the others, whose
+second round adds 1-8 rows to the band and 9-27 pivots. It costs one pass
+over A per round for the globs and one for the sign check. A pivot makes
+one pass over its rows, c = A u, and a few elementwise passes over them:
+the crossing test and the crossing rows' breakpoints, the partition that
+picks a head of them, the step of the residuals, the objective and a
+screen for the zero test. The rest costs what the step passes: the line
+search orders only the head, whose size starts from what the last search
+needed, and the zero test, the signs and A^T (w s) are redone only on the
+rows the screen keeps, the rows a step can move to zero or across it, with
+the same bits as a pass over all the rows.
 
 The final basis gives the dual vector: the signs of the nonbasic residuals
 and the basis multipliers. A vertex whose multipliers pass and whose duality
@@ -112,7 +133,7 @@ class LadSolution:
     beta: np.ndarray
     objective: float
     optimality_gap_estimate: float
-    iterations: int  # pivots of the simplex on all rows, not on the row samples
+    iterations: int  # pivots on all rows, or in every band round; not on the row samples
     status: str  # "optimal" | "uncertified" (the duality gap stayed open) | "max_iter"
     certificate_infnorm: float
 
@@ -290,7 +311,7 @@ def _l1_simplex(A, b, w, basis, tol, max_pivots):
 
 def _solve(A, b, w, tol, max_pivots):
     """_l1_simplex's (beta, status, s, pivots) on column-equilibrated rows with
-    positive weights, from the start basis of the module docstring. Raises
+    positive weights, by the steps of the module docstring. Raises
     RankDeficiencyError when the rows are rank deficient to tolerance."""
     m, d = A.shape
     # the rank check: with D G D = L L^T at unit diagonal, every Cholesky
@@ -308,26 +329,68 @@ def _solve(A, b, w, tol, max_pivots):
         last_pivots = np.zeros(d)
     if not np.all(last_pivots >= MIN_PIVOT_REL * np.max(g)):
         raise RankDeficiencyError("positively weighted rows are rank deficient to tolerance")
-    r = None
+    beta = None
     if m >= _COARSE_ROWS * d:
         rows = np.random.default_rng(_SAMPLE_SEED).random(m) < 1.0 / _SAMPLE_RATE
         try:
-            r = A @ _solve(A[rows], b[rows], w[rows], tol, max_pivots)[0] - b
+            beta = _solve(A[rows], b[rows], w[rows], tol, max_pivots)[0]
         except RankDeficiencyError:  # the sample misses a direction the rows span
             pass
-    if r is None:  # the weighted least-squares residuals
-        r = A @ (D * (L_inv.T @ (L_inv @ (D * (A.T @ (w * b)))))) - b
-    return _l1_simplex(A, b, w, _greedy_basis(A, r), tol, max_pivots)
+    if beta is None:  # the weighted least-squares solution
+        beta = D * (L_inv.T @ (L_inv @ (D * (A.T @ (w * b)))))
+    elif m >= _SAMPLE_RATE * _COARSE_ROWS * d:  # step 4
+        return _globbed(A, b, w, beta, tol, max_pivots)
+    return _l1_simplex(A, b, w, _greedy_basis(A, A @ beta - b), tol, max_pivots)
+
+
+def _globbed(A, b, w, beta, tol, max_pivots):
+    """_l1_simplex's (beta, status, s, pivots) on all rows, from rounds of the
+    simplex on a band of rows plus globs (step 4 of the module docstring),
+    from the pilot beta. The rounds share the pivot budget and their pivots
+    are summed. A round that does not end "optimal" is returned as it is."""
+    m = A.shape[0]
+    r = A @ beta - b
+    band = np.zeros(m, dtype=bool)
+    band[_head(np.abs(r), m // _SAMPLE_RATE)] = True
+    side = np.sign(r)  # nonzero off the band, which holds every zero residual
+    pivots = 0
+    while True:
+        rows = band.nonzero()[0]
+        # row weights of the two globs; a side with no rows gets no glob row
+        W = np.stack([np.where(band | (side != sign), 0.0, w) for sign in (1.0, -1.0)])
+        W = W[W.any(axis=1)]
+        A_r = np.vstack([A[rows], W @ A])
+        b_r = np.concatenate([b[rows], W @ b])
+        w_r = np.concatenate([w[rows], np.ones(W.shape[0])])
+        try:
+            basis = _greedy_basis(A_r, A_r @ beta - b_r)
+        except RankDeficiencyError:  # the band and globs miss a direction the rows span
+            if band.all():
+                raise
+            band[:] = True
+            continue
+        beta, status, s_r, p = _l1_simplex(A_r, b_r, w_r, basis, tol, max_pivots - pivots)
+        pivots += p
+        wrong = ~band & (side * (A @ beta - b) <= 0.0)
+        if status != "optimal" or not wrong.any():
+            s = side.copy()
+            s[rows] = s_r[:rows.size]
+            return beta, status, s, pivots
+        band |= wrong
 
 
 def solve_lad(prob: LadProblem, tol: float = 1e-8, max_iters: int = 2000) -> LadSolution:
     """Minimize the weighted LAD objective to within (1 + tol) of optimal.
 
-    max_iters is the pivot budget of the simplex on all the positively
-    weighted rows, and LadSolution.iterations counts its pivots; the simplex
-    of each row sample that builds the start gets the same budget and is not
-    counted. Raises RankDeficiencyError when A is rank deficient on the rows
-    with positive weight. A solution with status "optimal" is a vertex whose
+    max_iters is the pivot budget of the top level's simplex: the simplex on
+    all the positively weighted rows, or, from 2560 d of them up, the rounds
+    of the simplex on the band and globs, which share it.
+    LadSolution.iterations counts those pivots, summed over the rounds; the
+    simplex of each row sample that builds the start gets the same budget
+    and is not counted. A band round that runs out of budget is returned
+    with status "max_iter", and no further round runs. Raises
+    RankDeficiencyError when A is rank deficient on the rows with positive
+    weight. A solution with status "optimal" is a vertex whose
     dual vector has basis multipliers within [-1 - tol, 1 + tol] and a
     duality gap within tol times the objective plus its residuals' rounding;
     "uncertified", one whose multipliers pass while the gap is open.

@@ -83,6 +83,10 @@ _GRAM_RANGE = 2.0**800
 # Smallest normal float64: a quadratic form below it has lost digits.
 _TINY = 2.0**-1022
 
+# Rows with w^2 below this have their defect measured in log form, where
+# neither w^2 nor q can underflow; above it, |w^2 - q| / w^2 as computed.
+_TINY_W2 = 1e-30
+
 
 class ConvergenceError(RuntimeError):
     """Fixed-point iteration failed to reach tolerance within MAX_SWEEPS.
@@ -111,9 +115,10 @@ def _fixed_point_defect(X: np.ndarray, w: np.ndarray,
     the design X D. scale=None takes D from this Gram's diagonal, bringing
     each diagonal entry of D G D into [1/4, 1), and raises _GramOutOfRange
     when that diagonal leaves the range where the products stay exact. A row
-    whose q underflows gets log q from the row rescaled by a power of two. A
-    zero row, q = 0 exactly with every entry 0, gets log q = -inf and no share
-    in the defect."""
+    whose q underflows gets log q from the row rescaled by a power of two,
+    and a row whose w^2 is below _TINY_W2 its defect |1 - q / w^2| from log q
+    and log w, so that it is relative on every row. A zero row, q = 0 exactly
+    with every entry 0, gets log q = -inf and no share in the defect."""
     # looked up on the module, where perfbench/spans.py wraps it
     G = linalg.weighted_gram(X, 1.0 / w)
     if scale is None:
@@ -125,27 +130,32 @@ def _fixed_point_defect(X: np.ndarray, w: np.ndarray,
     q = row_quadratic_forms(F, X, scale)
     low = np.flatnonzero(q < _TINY)
     w2 = w * w
+    tiny = np.flatnonzero(w2 < _TINY_W2)
     defect = np.subtract(w2, q)
     np.abs(defect, out=defect)
-    defect /= np.maximum(w2, 1e-30, out=w2)
+    defect /= np.maximum(w2, _TINY_W2, out=w2)
     with np.errstate(divide="ignore"):
         log_q = np.log(q, out=q)
     if low.size:
         rows = X[low]
         zero = ~rows.any(axis=1)
-        defect[low[zero]] = 0.0
         live, rows = low[~zero], rows[~zero]
         e = np.frexp(np.abs(rows).max(axis=1))[1]
         q_live = row_quadratic_forms(F, np.ldexp(rows, -e[:, None]), scale)
         log_q[live] = np.log(q_live) + (2.0 * math.log(2.0)) * e
+    if tiny.size:
+        defect[tiny] = np.abs(np.expm1(log_q[tiny] - 2.0 * np.log(w[tiny])))
+    if low.size:
+        defect[low[zero]] = 0.0
     return float(defect.max()), log_q, scale
 
 
 def _first_sweep(X: np.ndarray):
-    """The first sweep, at w = 1, of a validated C-contiguous X: the design
-    every later sweep reads, its column scales, the defect, log q, and the
-    index of the nonzero rows into X (a full slice when no row is zero, which
-    spares the gathers). The design and log q keep the nonzero rows only.
+    """The first sweep, at w = 1, of a C-contiguous X of valid shape: the
+    design every later sweep reads, its column scales, the defect, log q, and
+    the index of the nonzero rows into X (a full slice when no row is zero,
+    which spares the gathers). The design and log q keep the nonzero rows
+    only. A non-finite entry raises DataError, as as_design_matrix would.
 
     The design is X itself, unless X^T X's diagonal leaves the range where
     the Gram scaling is exact; then X is scaled by the powers of two that
@@ -153,10 +163,14 @@ def _first_sweep(X: np.ndarray):
     The zero rows are gathered out, a copy only when there are some."""
     w = np.ones(X.shape[0])
     try:
-        with np.errstate(over="ignore", invalid="ignore"):  # an overflow fails the range test
+        # an overflow fails the range test, and so does a non-finite entry,
+        # whose square is in a diagonal entry of the Gram
+        with np.errstate(over="ignore", invalid="ignore"):
             defect, log_q, scale = _fixed_point_defect(X, w)
     except _GramOutOfRange:
         peak = np.abs(X).max(axis=0)
+        if not np.isfinite(peak).all():
+            raise DataError("design matrix has non-finite entries") from None
         if not peak.all():
             raise RankDeficiencyError("matrix has an all-zero column") from None
         X = np.ldexp(X, -np.frexp(peak)[1])
@@ -212,7 +226,8 @@ def lewis_weights(X, tol: float = 1e-10) -> WeightVector:
         raise DataError("tol must be positive")
     if not tol < 1:
         raise DataError("tol must be below 1")
-    X = np.ascontiguousarray(as_design_matrix(X))
+    # the first sweep checks that every entry is finite
+    X = np.ascontiguousarray(as_design_matrix(X, finite=False))
     n = X.shape[0]
     X, scale, residual, log_q, nonzero = _first_sweep(X)
 

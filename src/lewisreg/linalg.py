@@ -78,8 +78,10 @@ class WeightVector:
         return float(np.sum(self.values))
 
 
-def as_design_matrix(X, *, require_tall: bool = True) -> np.ndarray:
-    """Validate and return X as a float64 2-D array (n rows, d columns)."""
+def as_design_matrix(X, *, require_tall: bool = True, finite: bool = True) -> np.ndarray:
+    """Validate and return X as a float64 2-D array (n rows, d columns).
+    finite=False skips the pass that checks every entry is finite, for a
+    caller that makes that check itself."""
     A = np.asarray(X, dtype=np.float64)
     if A.ndim != 2:
         raise DataError(f"design matrix must be 2-D, got shape {A.shape}")
@@ -88,7 +90,7 @@ def as_design_matrix(X, *, require_tall: bool = True) -> np.ndarray:
         raise DataError(f"design matrix must be nonempty, got shape {A.shape}")
     if require_tall and n < d:
         raise DataError(f"need at least as many rows as columns, got {n}x{d}")
-    if not np.all(np.isfinite(A)):
+    if finite and not np.all(np.isfinite(A)):
         raise DataError("design matrix has non-finite entries")
     return A
 

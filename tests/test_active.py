@@ -206,6 +206,40 @@ class TestSampleAndSolve:
                              WeightVector(np.ones(30), kind="lewis"), RngStream(0))
 
 
+class TestValidatesXOnce:
+    def test_one_finiteness_pass_per_active_solve(self, monkeypatch):
+        """active_solve checks the entries of X once; lewis_weights checks
+        them in its first Gram, and the draw-query-solve step not again."""
+        import lewisreg.linalg as linalg_module
+
+        X, y, _ = gaussian_instance(15, n=400, d=4, noise=0.5)
+        isfinite, passes = np.isfinite, []
+
+        def counting_isfinite(a, *args, **kwargs):
+            passes.append(np.shape(a))
+            return isfinite(a, *args, **kwargs)
+
+        ref = active_solve(X, InMemoryLabelOracle(y), 0.4, 0.1, RngStream(3))
+        monkeypatch.setattr(linalg_module.np, "isfinite", counting_isfinite)
+        res = active_solve(X, InMemoryLabelOracle(y), 0.4, 0.1, RngStream(3))
+        monkeypatch.undo()
+        assert passes.count(X.shape) == 1
+        assert_same_result(res, ref)
+
+    @pytest.mark.parametrize("entry", [np.nan, np.inf, -np.inf])
+    @pytest.mark.parametrize("row, col", [(0, 0), (57, 2), (199, 3)])
+    def test_non_finite_entries_refused_alike(self, entry, row, col):
+        X, y, _ = gaussian_instance(16, n=200, d=4)
+        for Z in (X.copy(), X * 1e-200):  # the second one's Gram underflows too
+            Z[row, col] = entry
+            calls = [lambda: lewis_weights(Z), lambda: lewis_weights(Z, SAMPLING_TOL),
+                     lambda: active_solve(Z, InMemoryLabelOracle(y), 0.4, 0.1, RngStream(0)),
+                     lambda: sketch_and_solve_known_y(Z, y, 0.4, 0.1, RngStream(0))]
+            for call in calls:
+                with pytest.raises(DataError, match="^design matrix has non-finite entries$"):
+                    call()
+
+
 def assert_same_result(a, b):
     np.testing.assert_array_equal(a.sketch.indices, b.sketch.indices)
     np.testing.assert_array_equal(a.sketch.scales, b.sketch.scales)

@@ -1,4 +1,5 @@
 import math
+from typing import NamedTuple
 
 import numpy as np
 import pytest
@@ -514,6 +515,12 @@ def residual_rounding(prob, beta):
     return np.finfo(float).eps * math.fsum(terms)
 
 
+def rounding_allowance(prob, beta):
+    """The residuals' rounding that solve_lad's gap test allows,
+    1e-13 sum_i w_i (|a_i| |beta| + |b_i|)."""
+    return 1e-13 * float(prob.weights @ (np.abs(prob.A) @ np.abs(beta) + np.abs(prob.b)))
+
+
 def simplex_from_random_basis(prob, seed):
     """(status, objective) of the L1 simplex started from the first d
     independent rows in a random order, a basis unrelated to the residuals."""
@@ -542,7 +549,10 @@ class TestSimplexCertifies:
         assert status == "optimal"
         assert abs(obj - ref.objective) <= 1e-8 * ref.objective
 
+    # ("outlier", 45545438) keeps 4 rows at d = 4: the minimum is 0, and the
+    # two certified objectives, 4.06e-12 and 2.93e-12, are residual rounding
     @given(st.sampled_from(FAMILIES), st.integers(0, 2**32 - 1))
+    @example("outlier", 45545438)
     @settings(max_examples=60, deadline=None)
     def test_random_problem_certified_from_any_start(self, family, seed):
         prob = family_problem(family, seed)
@@ -553,7 +563,8 @@ class TestSimplexCertifies:
         assert ref.status == "optimal"
         status, obj = simplex_from_random_basis(prob, seed)
         assert status == "optimal"
-        assert abs(obj - ref.objective) <= 1e-8 * ref.objective + 1e-12
+        assert abs(obj - ref.objective) <= 1e-8 * ref.objective + rounding_allowance(
+            prob, ref.beta)
 
     # ("outlier", 7604) keeps 2 rows at d = 2 with labels near 7e7: the
     # minimum is 0 and the certified objective, 6.3e-8, is residual rounding
@@ -568,9 +579,7 @@ class TestSimplexCertifies:
             return
         keep = prob.weights > 0
         opt = highs_optimum(LadProblem(prob.A[keep], prob.b[keep], prob.weights[keep]))
-        # the residuals' rounding that solve_lad's gap test allows
-        rounding = 1e-13 * float(prob.weights @ (np.abs(prob.A) @ np.abs(sol.beta)
-                                                 + np.abs(prob.b)))
+        rounding = rounding_allowance(prob, sol.beta)
         assert sol.status == "optimal"
         assert sol.objective <= opt * (1 + 1e-8 + 1e-7) + rounding
         assert sol.objective >= opt * (1 - 1e-7) - rounding
@@ -733,8 +742,9 @@ def assert_simplex_matches_full_pass(prob, seed, max_pivots=2000):
     return the same bits of beta and s, the same status and pivot count.
     With seed None that holds for every simplex run solve_lad makes, on its
     column-equilibrated A: one per row sample level, then the one on all
-    the rows; else for one run on the raw A from a random basis. Returns
-    the pivot counts of the runs, in the order they ran."""
+    the rows or each round on the band and globs; else for one run on the
+    raw A from a random basis. Returns (rows, status, pivots) of the runs,
+    in the order they ran."""
     simplex, runs = lad_module._l1_simplex, []
 
     def recorded_simplex(*args):
@@ -759,7 +769,7 @@ def assert_simplex_matches_full_pass(prob, seed, max_pivots=2000):
         assert (status, pivots) == (ref_status, ref_pivots)
         assert beta.tobytes() == ref_beta.tobytes()
         assert s.tobytes() == ref_s.tobytes()
-    return [pivots for _, (_, _, _, pivots) in runs]
+    return [(args[0].shape[0], status, pivots) for args, (_, status, _, pivots) in runs]
 
 
 def repeated_row_problem(seed):
@@ -801,13 +811,25 @@ class TestFastPivotIsFullPass:
 
     def test_tall_sketches(self, tall_sketches):
         for op, prob in enumerate(tall_sketches[:4]):
-            assert assert_simplex_matches_full_pass(prob, op)[0] > 30
+            assert assert_simplex_matches_full_pass(prob, op)[0][2] > 30
 
     def test_every_sample_level(self):
-        """6000 x 2 is above 320 d, and so is its 1-in-8 sample: three runs,
-        the sample of the sample, the sample and all rows, each bit for bit."""
-        pivots = assert_simplex_matches_full_pass(tall_outlier_problem(6000, 2, 0), None)
-        assert len(pivots) == 3 and min(pivots) > 0
+        """6000 x 2 is above 2560 d, so its 1-in-8 sample is above 320 d:
+        the sample of the sample, the sample, then the top level on the band
+        of 750 rows and two globs, in two rounds here (the second takes the
+        globbed rows the first left with the wrong sign), each bit for bit."""
+        prob = tall_outlier_problem(6000, 2, 0)
+        runs = assert_simplex_matches_full_pass(prob, None)
+        assert [status for _, status, _ in runs] == ["optimal"] * 4
+        assert min(pivots for *_, pivots in runs) > 0
+        (sub, _, _), (sample, _, _), (band, _, _), (grown, _, _) = runs
+        assert sub < 320 * 2 <= sample < 6000 // 4
+        assert 750 + 2 == band < grown < 6000
+        sol = solve_lad(prob)
+        assert sol.status == "optimal"
+        assert sol.iterations == runs[2][2] + runs[3][2]
+        opt = highs_optimum(prob)
+        assert abs(sol.objective - opt) <= 1e-7 * opt
 
     def test_carried_state_matches_full_recompute_at_every_pivot(self, monkeypatch):
         """At every pivot of long_line_search_problem, where copies of basis
@@ -839,19 +861,36 @@ class TestFastPivotIsFullPass:
         assert sum(v > 0 for v in snapped) > len(snapped) // 2  # the zero test is busy
 
 
+class SimplexRun(NamedTuple):
+    A: np.ndarray
+    b: np.ndarray
+    w: np.ndarray
+    status: str
+    pivots: int
+    band: bool  # a round on the band and globs, not a run on a row sample or all rows
+
+
 def record_simplex_runs(monkeypatch, budget_of=None):
-    """Record (A, b, w, status, pivots) of every _l1_simplex run;
-    budget_of(rows, max_pivots), if given, sets each run's pivot budget."""
-    simplex, runs = lad_module._l1_simplex, []
+    """Record a SimplexRun of every _l1_simplex run; budget_of(run,
+    max_pivots), if given, sets the pivot budget of the run-th run."""
+    simplex, globbed, runs, in_band = lad_module._l1_simplex, lad_module._globbed, [], []
 
     def recorded(A, b, w, basis, tol, max_pivots):
         if budget_of is not None:
-            max_pivots = budget_of(A.shape[0], max_pivots)
+            max_pivots = budget_of(len(runs), max_pivots)
         out = simplex(A, b, w, basis, tol, max_pivots)
-        runs.append((A, b, w, out[1], out[3]))
+        runs.append(SimplexRun(A, b, w, out[1], out[3], bool(in_band)))
         return out
 
+    def recorded_globbed(*args):
+        in_band.append(True)
+        try:
+            return globbed(*args)
+        finally:
+            in_band.pop()
+
     monkeypatch.setattr(lad_module, "_l1_simplex", recorded)
+    monkeypatch.setattr(lad_module, "_globbed", recorded_globbed)
     return runs
 
 
@@ -859,6 +898,13 @@ def isolated_above_threshold():
     """An isolated-direction design with 2000 rows at d = 3, above 320 d: its
     last row alone spans the last coordinate, and the row sample misses it."""
     inst = make_isolated_instance(2000, 3, RngStream(31))
+    return LadProblem(inst.X, inst.y)
+
+
+def isolated_above_glob_threshold():
+    """The same at 8000 rows, above 2560 d: the top level runs on all rows
+    from the least-squares start, with no band."""
+    inst = make_isolated_instance(8000, 3, RngStream(31))
     return LadProblem(inst.X, inst.y)
 
 
@@ -875,13 +921,15 @@ def dependent_in_sample():
 
 class TestSampleStart:
     @pytest.mark.filterwarnings("error")  # a zero column of the sample divides by nothing
-    @pytest.mark.parametrize("problem", [isolated_above_threshold, dependent_in_sample],
+    @pytest.mark.parametrize("problem", [isolated_above_threshold, dependent_in_sample,
+                                         isolated_above_glob_threshold],
                              ids=lambda f: f.__name__)
     def test_rank_deficient_sample_falls_back_to_least_squares(self, problem, monkeypatch):
         prob = problem()
         runs = record_simplex_runs(monkeypatch)
         sol = solve_lad(prob)
-        assert [A.shape[0] for A, *_ in runs] == [2000]  # the sample never got a simplex
+        # the sample never got a simplex
+        assert [(run.A.shape[0], run.band) for run in runs] == [(prob.A.shape[0], False)]
         monkeypatch.setattr(lad_module, "_COARSE_ROWS", math.inf)
         cold = solve_lad(prob)
         assert sol.status == cold.status == "optimal"
@@ -899,7 +947,7 @@ class TestSampleStart:
         w[::7] = 0.0
         runs = record_simplex_runs(monkeypatch)
         solve_lad(LadProblem(base.A * [1e-3, 1.0, 1e4], base.b, w))
-        (A_s, b_s, w_s, _, _), (A, b, w_full, _, _) = runs
+        (A_s, b_s, w_s, *_), (A, b, w_full, *_) = runs
         assert A.shape[0] == np.count_nonzero(w)
         order = np.argsort(b)
         rows = order[np.searchsorted(b, b_s, sorter=order)]  # the labels are distinct
@@ -909,28 +957,39 @@ class TestSampleStart:
         assert w_s.tobytes() == w_full[rows].tobytes()
 
     def test_sample_out_of_pivots_still_gives_a_start(self, monkeypatch):
-        prob = tall_outlier_problem(8000, 3, 1)
-        runs = record_simplex_runs(
-            monkeypatch, lambda rows, budget: 1 if rows < 8000 else budget)
-        sol = solve_lad(prob)
-        assert [(A.shape[0] < 8000, status) for A, _, _, status, _ in runs] == [
-            (True, "max_iter"), (True, "max_iter"), (False, "optimal")]
-        assert sol.status == "optimal" and sol.iterations == runs[-1][4]
-        opt = highs_optimum(prob)
-        assert abs(sol.objective - opt) <= 1e-7 * opt
-        # one budget for every level: the samples run out of it and still
-        # give the start, and only the pivots on all rows are counted
-        monkeypatch.undo()
-        runs = record_simplex_runs(monkeypatch)
-        sol = solve_lad(prob, max_iters=2)
-        assert [status for *_, status, _ in runs] == ["max_iter"] * 3
-        assert sol.status == "max_iter" and sol.iterations == 2
-        assert sol.objective == objective(prob, sol.beta)
+        """7000 x 3 has one sample level and its top level on all rows;
+        8000 x 3, above 2560 d, two sample levels and its top level on the
+        band and globs."""
+        for m, samples in ((7000, 1), (8000, 2)):
+            prob = tall_outlier_problem(m, 3, 1)
+            runs = record_simplex_runs(
+                monkeypatch, lambda run, budget: 1 if run < samples else budget)
+            sol = solve_lad(prob)
+            top = runs[samples:]
+            assert [(run.A.shape[0] < m, run.status) for run in runs] == [
+                (True, "max_iter")] * samples + [(m > 7000, "optimal")] * len(top)
+            assert [run.band for run in runs] == [False] * samples + [m > 7000] * len(top)
+            assert sol.status == "optimal" and sol.iterations == sum(run.pivots for run in top)
+            opt = highs_optimum(prob)
+            assert abs(sol.objective - opt) <= 1e-7 * opt
+            # one budget for every level: the samples run out of it and still
+            # give the start, and only the pivots of the top level are counted;
+            # a band round out of pivots is returned as it is, with no next round
+            monkeypatch.undo()
+            runs = record_simplex_runs(monkeypatch)
+            sol = solve_lad(prob, max_iters=2)
+            assert [run.status for run in runs] == ["max_iter"] * (samples + 1)
+            assert sol.status == "max_iter" and sol.iterations == runs[-1].pivots == 2
+            assert sol.objective == objective(prob, sol.beta)
+            monkeypatch.undo()
 
-    def test_same_bytes_whatever_the_global_random_state(self):
+    def test_same_bytes_whatever_the_global_random_state(self, monkeypatch):
+        """7000 x 2 is above 2560 d: the samples and the band rounds alike."""
         prob = tall_outlier_problem(7000, 2, 2)
+        runs = record_simplex_runs(monkeypatch)
         np.random.seed(0)
         first = solve_lad(prob)
+        assert runs[-1].band
         np.random.seed(12345)
         np.random.random(1000)
         second = solve_lad(prob)
@@ -948,9 +1007,157 @@ class TestSampleStart:
             prob = LadProblem(base.A, base.b, w)
             runs = record_simplex_runs(monkeypatch)
             sol = solve_lad(prob)
-            assert len(runs) == levels
+            assert len(runs) == levels and not any(run.band for run in runs)
             assert sol.status == "optimal"
             keep = w > 0
             opt = highs_optimum(LadProblem(prob.A[keep], prob.b[keep], w[keep]))
+            assert abs(sol.objective - opt) <= 1e-7 * opt
+            monkeypatch.undo()
+
+
+def glob_level_problem(dist, m, d, seed):
+    """Gaussian or Student-t(1.5) rows and noise, three 1e6 label outliers
+    and row weights 10^U(-3,3)."""
+    g = np.random.default_rng([19, m, d, seed])
+    if dist == "gaussian":
+        X, noise = g.standard_normal((m, d)), g.standard_normal(m)
+    else:
+        X, noise = g.standard_t(1.5, (m, d)), g.standard_t(1.5, m)
+    y = X @ g.standard_normal(d) + noise
+    y[g.choice(m, 3, replace=False)] += 1e6 * np.where(g.random(3) < 0.5, -1.0, 1.0)
+    return LadProblem(X, y, 10.0 ** g.uniform(-3, 3, m))
+
+
+def exact_fit_problem():
+    """8000 x 3 integer rows in [-4, 4] (power-of-two column scales) with
+    integer labels that 70% of the rows fit exactly: the pilot recovers the
+    coefficients, so most of its residuals are exactly 0."""
+    g = np.random.default_rng(5)
+    X = g.integers(-4, 5, (8000, 3)).astype(float)
+    y = X @ g.integers(-3, 4, 3).astype(float)
+    off = g.random(8000) < 0.3
+    y[off] += g.choice([-5.0, -3.0, -1.0, 1.0, 2.0, 4.0], np.count_nonzero(off))
+    return LadProblem(X, y)
+
+
+def plain_top_level(A, b, w, beta, tol, max_pivots):
+    """The top level as below 2560 d: the simplex on all rows, from the basis
+    of smallest residuals at the pilot beta."""
+    basis = lad_module._greedy_basis(A, A @ beta - b)
+    return lad_module._l1_simplex(A, b, w, basis, tol, max_pivots)
+
+
+def shifted_pilot(monkeypatch, shift):
+    """Start the glob level from the pilot plus shift in every coefficient."""
+    globbed = lad_module._globbed
+    monkeypatch.setattr(lad_module, "_globbed", lambda A, b, w, beta, tol, max_pivots:
+                        globbed(A, b, w, beta + shift, tol, max_pivots))
+
+
+class TestGlobLevel:
+    @pytest.mark.parametrize("dist, m, d", [
+        ("gaussian", 5120, 2), ("student_t", 5120, 2), ("gaussian", 13000, 5),
+        ("student_t", 13000, 5), ("gaussian", 26000, 10), ("student_t", 26000, 10)])
+    def test_matches_the_plain_top_level(self, dist, m, d, monkeypatch):
+        prob = glob_level_problem(dist, m, d, 0)
+        assert_simplex_matches_full_pass(prob, None)
+        runs = record_simplex_runs(monkeypatch)
+        sol = solve_lad(prob)
+        band = [run for run in runs if run.band]
+        assert band and band[0].A.shape[0] == m // 8 + 2  # no ties: the band and two globs
+        assert [run.status for run in band] == ["optimal"] * len(band)
+        assert sol.iterations == sum(run.pivots for run in band)
+        monkeypatch.undo()
+        monkeypatch.setattr(lad_module, "_globbed", plain_top_level)
+        plain = solve_lad(prob)
+        assert sol.status == plain.status == "optimal"
+        assert abs(sol.objective - plain.objective) <= rounding_allowance(prob, plain.beta)
+        opt = highs_optimum(prob)
+        assert abs(sol.objective - opt) <= 1e-7 * opt
+
+    def test_globbed_rows_of_the_wrong_sign_move_into_the_band(self, monkeypatch):
+        """From a pilot shifted by 0.3, the first round's minimizer leaves
+        globbed rows on the wrong side: they join the band and the rounds go
+        on, every one bit for bit, until none is left."""
+        prob = tall_outlier_problem(8000, 3, 5)
+        shifted_pilot(monkeypatch, 0.3)
+        assert_simplex_matches_full_pass(prob, None)
+        runs = record_simplex_runs(monkeypatch)
+        sol = solve_lad(prob)
+        band = [run for run in runs if run.band]
+        sizes = [run.A.shape[0] for run in band]
+        assert len(band) >= 2 and sizes[0] == 8000 // 8 + 2
+        assert all(a < b for a, b in zip(sizes, sizes[1:]))
+        assert sol.status == "optimal"
+        assert sol.iterations == sum(run.pivots for run in band)
+        opt = highs_optimum(prob)
+        assert abs(sol.objective - opt) <= 1e-7 * opt
+        # the rounds share max_iters: a budget of the first round's pivots
+        # leaves the second none, so it returns its start as "max_iter"
+        monkeypatch.undo()
+        shifted_pilot(monkeypatch, 0.3)
+        runs = record_simplex_runs(monkeypatch, lambda run, budget: 2000 if run < 2 else budget)
+        sol = solve_lad(prob, max_iters=band[0].pivots)
+        assert [(run.band, run.status) for run in runs] == [
+            (False, "optimal"), (False, "optimal"), (True, "optimal"), (True, "max_iter")]
+        assert sol.status == "max_iter" and sol.iterations == band[0].pivots
+        assert sol.objective == objective(prob, sol.beta)
+
+    def test_exact_fits_keep_every_zero_residual_in_the_band(self, monkeypatch):
+        prob = exact_fit_problem()
+        assert_simplex_matches_full_pass(prob, None)
+        runs = record_simplex_runs(monkeypatch)
+        sol = solve_lad(prob)
+        band = [run for run in runs if run.band]
+        assert len(band) == 1 and band[0].A.shape[0] > 5000  # the zeros tie, all in the band
+        monkeypatch.undo()
+        monkeypatch.setattr(lad_module, "_globbed", plain_top_level)
+        plain = solve_lad(prob)
+        assert sol.status == plain.status == "optimal"
+        assert abs(sol.objective - plain.objective) <= rounding_allowance(prob, plain.beta)
+        opt = highs_optimum(prob)
+        assert abs(sol.objective - opt) <= 1e-7 * opt
+
+    def test_band_of_all_rows_is_the_plain_top_level(self, monkeypatch):
+        """Where the band and globs miss a direction (forced here by a
+        refusing _greedy_basis), the band takes all m rows: the plain top
+        level, bit for bit."""
+        prob = tall_outlier_problem(6000, 2, 0)
+        monkeypatch.setattr(lad_module, "_globbed", plain_top_level)
+        plain = solve_lad(prob)
+        monkeypatch.undo()
+        greedy, globbed = lad_module._greedy_basis, lad_module._globbed
+
+        def refuse_the_band(A, r):
+            if A.shape[0] < 6000:
+                raise RankDeficiencyError("could not assemble an invertible basis")
+            return greedy(A, r)
+
+        def refusing_globbed(*args):
+            with pytest.MonkeyPatch.context() as mp:
+                mp.setattr(lad_module, "_greedy_basis", refuse_the_band)
+                return globbed(*args)
+
+        monkeypatch.setattr(lad_module, "_globbed", refusing_globbed)
+        runs = record_simplex_runs(monkeypatch)
+        sol = solve_lad(prob)
+        assert [run.A.shape[0] for run in runs if run.band] == [6000]
+        assert sol.beta.tobytes() == plain.beta.tobytes()
+        assert (sol.objective.hex(), sol.iterations, sol.status) == (
+            plain.objective.hex(), plain.iterations, "optimal")
+
+    @pytest.mark.parametrize("d", [2, 5])
+    def test_threshold_is_2560_rows_per_column(self, d, monkeypatch):
+        for m in (2560 * d - 1, 2560 * d):
+            prob = tall_outlier_problem(m, d, 6)
+            runs = record_simplex_runs(monkeypatch)
+            sol = solve_lad(prob)
+            band = [run.A.shape[0] for run in runs if run.band]
+            if m < 2560 * d:
+                assert not band and runs[-1].A.shape[0] == m
+            else:
+                assert band[0] == m // 8 + 2 and runs[-1].band
+            assert sol.status == "optimal"
+            opt = highs_optimum(prob)
             assert abs(sol.objective - opt) <= 1e-7 * opt
             monkeypatch.undo()

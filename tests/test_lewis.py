@@ -518,6 +518,23 @@ class TestVerifyFixedPoint:
             verify_fixed_point(X, np.array([0.0, 1.0, 0.0]))
 
 
+    @pytest.mark.parametrize("scale", [1e-20, 1e-170])
+    def test_rows_of_tiny_weight_are_measured_relatively(self, scale):
+        """Row 7 scaled by 1e-20 (w^2 near 4e-43) or 1e-170 (w^2 underflows
+        to 0): its defect is relative like every other row's, so scaling its
+        certified weight by 10 or 1e-3 reads 0.99 or 1e6 - 1, not the defect
+        of the certified weights."""
+        X = np.random.default_rng(0).standard_normal((50, 3))
+        X[7] *= scale
+        w = lewis_weights(X).values
+        assert w[7] * w[7] < 1e-30
+        assert verify_fixed_point(X, w) <= TOL
+        for factor, defect in ((10.0, 0.99), (1e-3, 1e6 - 1.0)):
+            v = w.copy()
+            v[7] *= factor
+            assert verify_fixed_point(X, v) == pytest.approx(defect, rel=1e-8)
+
+
 class TestMonotonicity:
     def test_duplicate_identity_drops_to_half(self):
         res = check_row_addition_monotonicity(np.eye(2), np.eye(2))
