@@ -122,7 +122,7 @@ class ActiveResult:
 
 
 def sample_and_solve(X, oracle: LabelOracle, values: WeightVector,
-                     rng: RngStream, solver_tol: float = 1e-8) -> ActiveResult:
+                     rng: RngStream) -> ActiveResult:
     """Draw a sketch from sampling values, query each distinct drawn index
     once, and minimize the reweighted sketched objective.
 
@@ -134,11 +134,11 @@ def sample_and_solve(X, oracle: LabelOracle, values: WeightVector,
     X = as_design_matrix(X)
     if oracle.n != X.shape[0]:
         raise ValueError("oracle length does not match the design matrix")
-    return _sample_and_solve(X, oracle, values, rng, solver_tol)
+    return _sample_and_solve(X, oracle, values, rng)
 
 
 def _sample_and_solve(X: np.ndarray, oracle: LabelOracle, values: WeightVector,
-                      rng: RngStream, solver_tol: float) -> ActiveResult:
+                      rng: RngStream) -> ActiveResult:
     """sample_and_solve on an X already validated, of the oracle's length."""
     if values.kind != "sampling":
         raise ValueError("expected sampling values")
@@ -149,8 +149,7 @@ def _sample_and_solve(X: np.ndarray, oracle: LabelOracle, values: WeightVector,
     distinct, draw_of = np.unique(S.indices, return_inverse=True)
     y = np.array([oracle.query(int(i)) for i in distinct])
     sol = solve_lad(LadProblem(X[distinct], y,
-                               row_weights=np.bincount(draw_of, weights=S.scales)),
-                    tol=solver_tol)
+                               row_weights=np.bincount(draw_of, weights=S.scales)))
     return ActiveResult(beta_hat=sol.beta, n_draws=S.n_draws,
                         labels_queried=int(distinct.size), sketch=S,
                         solver_status=sol.status,
@@ -182,7 +181,6 @@ def _given_weights(weights: WeightVector, n: int) -> WeightVector:
 def active_solve(X, oracle: LabelOracle, eps: float, delta: float,
                  rng: RngStream, regime: str = "high_prob",
                  budget_override: int | None = None,
-                 solver_tol: float = 1e-8,
                  weights: WeightVector | None = None) -> ActiveResult:
     """Label-efficient LAD solve by Lewis-weight sampling.
 
@@ -199,7 +197,7 @@ def active_solve(X, oracle: LabelOracle, eps: float, delta: float,
         raise ValueError("oracle length does not match the design matrix")
     N = _budget(eps, delta, regime, budget_override, d, d)
     w = lewis_weights(X, SAMPLING_TOL) if weights is None else _given_weights(weights, n)
-    return _sample_and_solve(X, oracle, sampling_values(w, N), rng, solver_tol)
+    return _sample_and_solve(X, oracle, sampling_values(w, N), rng)
 
 
 def augmented_lewis_weights(X, y) -> WeightVector:
@@ -215,7 +213,6 @@ def augmented_lewis_weights(X, y) -> WeightVector:
 def sketch_and_solve_known_y(X, y, eps: float, delta: float, rng: RngStream,
                              regime: str = "high_prob",
                              budget_override: int | None = None,
-                             solver_tol: float = 1e-8,
                              weights: WeightVector | None = None) -> ActiveResult:
     """Sketch-and-solve with all labels available.
 
@@ -230,5 +227,4 @@ def sketch_and_solve_known_y(X, y, eps: float, delta: float, rng: RngStream,
     n, d = X.shape
     N = _budget(eps, delta, regime, budget_override, d + 1, d)
     w = augmented_lewis_weights(X, y) if weights is None else _given_weights(weights, n)
-    return _sample_and_solve(X, InMemoryLabelOracle(y), sampling_values(w, N),
-                             rng, solver_tol)
+    return _sample_and_solve(X, InMemoryLabelOracle(y), sampling_values(w, N), rng)

@@ -69,7 +69,6 @@ def _build_parser() -> _Parser:
     s.add_argument("--regime", choices=["high_prob", "constant_prob"],
                    default="high_prob")
     s.add_argument("--seed", type=int, default=0)
-    s.add_argument("--solver-tol", type=float, default=1e-8)
     s.add_argument("--out", default=None)
     s.set_defaults(func=cmd_solve)
 
@@ -144,13 +143,12 @@ def cmd_solve(args) -> int:
     if count != n:
         raise DataError(f"{args.y_file}: {count} labels for {n} rows")
     if args.mode == "full":
-        sol = solve_lad(LadProblem(X, y), tol=args.solver_tol)
+        sol = solve_lad(LadProblem(X, y))
         out.update(beta=[float(v) for v in sol.beta], objective=sol.objective,
                    status=sol.status, labels_queried=n, n_draws=None)
     else:
         rng = trial_stream(args.seed, 0, args.budget if args.budget is not None else -1)
-        options = {"regime": args.regime, "budget_override": args.budget,
-                   "solver_tol": args.solver_tol}
+        options = {"regime": args.regime, "budget_override": args.budget}
         if args.mode == "sketch_known_y":
             res = sketch_and_solve_known_y(X, y, args.eps, args.delta, rng, **options)
             out.update(objective=objective(LadProblem(X, y), res.beta_hat),

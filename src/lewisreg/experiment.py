@@ -81,7 +81,6 @@ class ExperimentSpec:
     seed: int
     output: str | None = None
     workers: int = 1
-    solver_tol: float = 1e-8
 
     def __post_init__(self):
         if not isinstance(self.instance, dict):
@@ -103,15 +102,11 @@ class ExperimentSpec:
         if len(set(self.budgets)) != len(self.budgets):
             raise DataError("budgets must not repeat")
         # the reals are checked, not stored converted, so the report keeps them as given
-        eps, delta, tol = (_real(name, getattr(self, name))
-                           for name in ("eps", "delta", "solver_tol"))
+        eps, delta = _real("eps", self.eps), _real("delta", self.delta)
         if not (0 < eps < 1) or not (0 < delta < 1):
             raise DataError("eps and delta must lie in (0, 1)")
         if self.workers < 1:
             raise DataError("workers must be at least 1")
-        if not 0 < tol < math.inf:
-            raise DataError(f"solver_tol must be a finite positive number, "
-                            f"got {self.solver_tol!r}")
 
     def to_json_dict(self) -> dict:
         return asdict(self)
@@ -331,30 +326,24 @@ def _failure(e: Exception) -> str:
     return f"{type(e).__name__}: {e}"
 
 
-def _run_trial(X, y, opt, method, weights, budget, eps, delta, trial, seed,
-               solver_tol):
+def _run_trial(X, y, opt, method, weights, budget, eps, delta, trial, seed):
     rng = trial_stream(seed, trial, budget)
     record = _record(budget, trial, opt)
     try:
         if method == "lewis":
             res = active_solve(X, InMemoryLabelOracle(y), eps, delta, rng,
-                               budget_override=budget, solver_tol=solver_tol,
-                               weights=weights)
+                               budget_override=budget, weights=weights)
         elif method == "uniform":
             n = X.shape[0]
             p = WeightVector(np.full(n, budget / n), kind="sampling",
                              budget=float(budget))
-            res = sample_and_solve(X, InMemoryLabelOracle(y), p, rng,
-                                   solver_tol=solver_tol)
+            res = sample_and_solve(X, InMemoryLabelOracle(y), p, rng)
         elif method == "leverage_l2_baseline":
             res = sample_and_solve(X, InMemoryLabelOracle(y),
-                                   sampling_values(weights, budget), rng,
-                                   solver_tol=solver_tol)
+                                   sampling_values(weights, budget), rng)
         elif method == "known_y_augmented":
             res = sketch_and_solve_known_y(X, y, eps, delta, rng,
-                                           budget_override=budget,
-                                           solver_tol=solver_tol,
-                                           weights=weights)
+                                           budget_override=budget, weights=weights)
         else:
             raise ValueError(f"unknown method {method!r}")
     except (RankDeficiencyError, ConvergenceError) as e:
@@ -439,7 +428,7 @@ def run_experiment(spec: ExperimentSpec) -> ExperimentReport:
     if "opt" in meta:
         opt = float(meta["opt"])
     else:
-        opt = solve_lad(LadProblem(X, y), tol=spec.solver_tol).objective
+        opt = solve_lad(LadProblem(X, y)).objective
         meta["opt"] = opt
 
     cells = [(budget, trial) for budget in spec.budgets for trial in range(spec.trials)]
@@ -450,7 +439,7 @@ def run_experiment(spec: ExperimentSpec) -> ExperimentReport:
         results = [_record(budget, trial, opt, _failure(e)) for budget, trial in cells]
     else:
         tasks = [(X, y, opt, spec.method, weights, budget, spec.eps, spec.delta,
-                  trial, spec.seed, spec.solver_tol) for budget, trial in cells]
+                  trial, spec.seed) for budget, trial in cells]
         if spec.workers > 1:
             # imported here, not at the top: it adds 12-18 ms to every CLI start
             from concurrent.futures import ProcessPoolExecutor

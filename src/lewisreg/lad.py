@@ -38,28 +38,25 @@ fourth on the tallest problems:
    globbed row, and solve_lad certifies it on all m rows.
 
 The sample's minimizer is near the full one, so the top level starts near
-its end: on 50 000 x 10 Gaussian designs with three label outliers the
-simplex on all m rows takes 41-72 pivots from there, against 87-105 from
-least squares, and each sample level costs about an eighth of the level
-above. Step 4 runs those pivots on 6250 band rows and two globs instead of
-50 000 rows: one round on 12 of 16 such designs, two on the others, whose
-second round adds 1-8 rows to the band and 9-27 pivots. It costs one pass
-over A per round for the globs and one for the sign check. A pivot makes
-one pass over its rows, c = A u, and a few elementwise passes over them:
-the crossing test and the crossing rows' breakpoints, the partition that
-picks a head of them, the step of the residuals, the objective and a
-screen for the zero test. The rest costs what the step passes: the line
-search orders only the head, whose size starts from what the last search
-needed, and the zero test, the signs and A^T (w s) are redone only on the
-rows the screen keeps, the rows a step can move to zero or across it, with
-the same bits as a pass over all the rows.
+its end and takes fewer pivots than from least squares, and each sample
+level costs about an eighth of the level above. Step 4 runs those pivots on
+the m/8 band rows and two globs instead of all m rows; a round costs one
+pass over A for the globs and one for the sign check. A pivot makes one
+pass over its rows, c = A u, and a few elementwise passes over them: the
+crossing test and the crossing rows' breakpoints, the partition that picks
+a head of them, the step of the residuals, the objective and a screen for
+the zero test. The rest costs what the step passes: the line search orders
+only the head, whose size starts from what the last search needed, and the
+zero test, the signs and A^T (w s) are redone only on the rows the screen
+keeps, the rows a step can move to zero or across it, with the same bits as
+a pass over all the rows.
 
 The final basis gives the dual vector: the signs of the nonbasic residuals
 and the basis multipliers. A vertex whose multipliers pass and whose duality
-gap closes (to tol times the objective, up to rounding) is a global minimizer
-of the convex objective; the start basis only sets how many pivots it takes.
-Minimizers need not be unique; callers should compare objectives, not
-coefficient vectors.
+gap closes (to SOLVER_TOL times the objective, up to rounding) is a global
+minimizer of the convex objective; the start basis only sets how many pivots
+it takes. Minimizers need not be unique; callers should compare objectives,
+not coefficient vectors.
 """
 
 import math
@@ -80,12 +77,18 @@ from .linalg import (
 from .linalg import spd_factorize  # noqa: F401
 
 __all__ = [
+    "SOLVER_TOL",
     "LadProblem",
     "LadSolution",
     "l1_norm",
     "objective",
     "solve_lad",
 ]
+
+# The certification tolerance of every solve: basis multipliers within
+# [-1 - SOLVER_TOL, 1 + SOLVER_TOL] and a duality gap within SOLVER_TOL times
+# the objective, up to the rounding of the residuals (see the module docstring).
+SOLVER_TOL = 1e-8
 
 # seed of the tie-breaking direction h (see the module docstring)
 _TIE_SEED = 0x1AD
@@ -379,8 +382,8 @@ def _globbed(A, b, w, beta, tol, max_pivots):
         band |= wrong
 
 
-def solve_lad(prob: LadProblem, tol: float = 1e-8, max_iters: int = 2000) -> LadSolution:
-    """Minimize the weighted LAD objective to within (1 + tol) of optimal.
+def solve_lad(prob: LadProblem, max_iters: int = 2000) -> LadSolution:
+    """Minimize the weighted LAD objective to within (1 + SOLVER_TOL) of optimal.
 
     max_iters is the pivot budget of the top level's simplex: the simplex on
     all the positively weighted rows, or, from 2560 d of them up, the rounds
@@ -390,16 +393,12 @@ def solve_lad(prob: LadProblem, tol: float = 1e-8, max_iters: int = 2000) -> Lad
     and is not counted. A band round that runs out of budget is returned
     with status "max_iter", and no further round runs. Raises
     RankDeficiencyError when A is rank deficient on the rows with positive
-    weight. A solution with status "optimal" is a vertex whose
-    dual vector has basis multipliers within [-1 - tol, 1 + tol] and a
-    duality gap within tol times the objective plus its residuals' rounding;
-    "uncertified", one whose multipliers pass while the gap is open.
+    weight. A solution with status "optimal" is a vertex whose dual vector
+    has basis multipliers within [-1 - SOLVER_TOL, 1 + SOLVER_TOL] and a
+    duality gap within SOLVER_TOL times the objective plus its residuals'
+    rounding; "uncertified", one whose multipliers pass while the gap is open.
     "max_iter" means the budget ran out first; the best vertex seen is returned.
     """
-    if not tol > 0:
-        raise DataError("tol must be positive")
-    if tol == math.inf:
-        raise DataError("tol must be finite")
     if max_iters < 0:
         raise DataError("max_iters must be nonnegative")
     A, b, w = prob.A, prob.b, prob.weights
@@ -415,7 +414,7 @@ def solve_lad(prob: LadProblem, tol: float = 1e-8, max_iters: int = 2000) -> Lad
         A, col_scale = equilibrate_columns(np.ascontiguousarray(A))
     except RankDeficiencyError:  # the message trial records carry
         raise RankDeficiencyError("an all-zero column on the weighted support") from None
-    beta, status, s_full, pivots = _solve(A, b, w, tol, max_iters)
+    beta, status, s_full, pivots = _solve(A, b, w, SOLVER_TOL, max_iters)
     cert_norm = float(np.max(np.abs(A.T @ (w * s_full))))
     beta_out = beta / col_scale
     obj = objective(prob, beta_out)
@@ -424,7 +423,7 @@ def solve_lad(prob: LadProblem, tol: float = 1e-8, max_iters: int = 2000) -> Lad
     # rounding is what the zero test allows the residuals: all the gap of a 0 minimum
     gap = obj + math.fsum((s_full * w * b).tolist()) + cert_norm * l1_norm(beta)
     rounding = 1e-13 * float(w @ (np.abs(A) @ np.abs(beta) + np.abs(b)))
-    if status == "optimal" and obj > 0.0 and gap > tol * obj + rounding:
+    if status == "optimal" and obj > 0.0 and gap > SOLVER_TOL * obj + rounding:
         status = "uncertified"
     return LadSolution(beta=beta_out, objective=obj, optimality_gap_estimate=max(0.0, gap),
                        iterations=pivots, status=status, certificate_infnorm=cert_norm)

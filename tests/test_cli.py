@@ -548,6 +548,13 @@ class TestUsageErrors:
     def test_missing_required_exit_1(self):
         assert run_cli("weights").returncode == 1
 
+    def test_retired_solver_tol_flag_exit_1(self, median_instance, capsys):
+        x, y = median_instance
+        with pytest.raises(SystemExit) as exit_info:
+            main(["solve", str(x), str(y), "--solver-tol", "1e-8"])
+        assert exit_info.value.code == 1
+        assert "unrecognized arguments: --solver-tol 1e-8" in capsys.readouterr().err
+
 
 class TestErrorClassification:
     """Refusals of input exit 2 with their message; any other ValueError is a
@@ -565,7 +572,6 @@ class TestErrorClassification:
 
     @pytest.mark.parametrize("argv, message", [
         (["weights", "{x}", "--tol", "0", "--out", "{out}"], "tol must be positive"),
-        (["solve", "{x}", "{y}", "--solver-tol", "0"], "tol must be positive"),
         (["solve", "{x}", "{y}", "--mode", "active", "--eps", "2"],
          "eps and delta must lie in (0, 1)"),
         (["solve", "{x}", "{y}", "--mode", "sketch_known_y", "--budget", "0"],
@@ -584,8 +590,6 @@ class TestErrorClassification:
         (["weights", "{x}", "--tol", "nan", "--out", "{out}"], "tol must be positive"),
         (["weights", "{x}", "--tol", "1", "--out", "{out}"], "tol must be below 1"),
         (["weights", "{x}", "--tol", "inf", "--out", "{out}"], "tol must be below 1"),
-        (["solve", "{x}", "{y}", "--solver-tol", "nan"], "tol must be positive"),
-        (["solve", "{x}", "{y}", "--solver-tol", "inf"], "tol must be finite"),
         (["gen", "reduced", "--family", "biased_hypercube", "--d", "-1",
           "--out-x", "{out}", "--out-y", "{out}"], "d must be at least 1"),
         (["gen", "reduced", "--family", "two_coin", "--d", "-1",
@@ -596,10 +600,10 @@ class TestErrorClassification:
           "--out-x", "{out}", "--out-y", "{out}"], "n_outliers must lie in [0, n]"),
         (["gen", "outlier", "--n", "5", "--d", "2", "--outliers", "-1",
           "--out-x", "{out}", "--out-y", "{out}"], "n_outliers must lie in [0, n]"),
-    ], ids=["weights_tol", "solver_tol", "eps", "budget", "nan_design", "gen_n_below_d",
+    ], ids=["weights_tol", "eps", "budget", "nan_design", "gen_n_below_d",
             "spec_method", "gen_hidden_index", "spec_number", "spec_null",
             "output_is_directory", "input_is_directory", "weights_tol_nan",
-            "weights_tol_one", "weights_tol_inf", "solver_tol_nan", "solver_tol_inf",
+            "weights_tol_one", "weights_tol_inf",
             "gen_biased_hypercube_negative_d", "gen_two_coin_negative_d",
             "gen_outlier_negative_shape", "gen_outliers_above_n", "gen_outliers_negative"])
     def test_refusal_exit_2_with_message(self, median_instance, tmp_path, capsys,
@@ -667,11 +671,7 @@ class TestErrorClassification:
           "budgets": [1]},
          "unknown instance fields for family 'outlier': ['magnitdue']; it reads "
          "['d', 'family', 'n', 'n_outliers', 'noise_scale', 'outlier_magnitude']"),
-        ({"solver_tol": "abc"}, "solver_tol must be a real number, got 'abc'"),
-        ({"solver_tol": math.nan}, "solver_tol must be a finite positive number, got nan"),
-        ({"solver_tol": math.inf}, "solver_tol must be a finite positive number, got inf"),
-        ({"solver_tol": True}, "solver_tol must be a real number, got True"),
-        ({"solver_tol": 0}, "solver_tol must be a finite positive number, got 0"),
+        ({"solver_tol": 1e-8}, "unknown spec fields: ['solver_tol']"),
         ({"instance": {"family": "outlier", "n": 150.9, "d": 2}},
          "instance field 'n': must be an integer, got 150.9"),
         ({"instance": {"family": "outlier", "n": 40, "d": True}},
@@ -703,8 +703,7 @@ class TestErrorClassification:
             "seed_bool", "workers_float", "budget_float", "budget_bool", "budget_repeated",
             "budget_below_d",
             "hidden_index", "which_2", "which_minus_1", "instance_list", "instance_bogus_key",
-            "misspelt_key_before_budget", "solver_tol_string", "solver_tol_nan",
-            "solver_tol_inf", "solver_tol_bool", "solver_tol_zero", "field_fraction",
+            "misspelt_key_before_budget", "solver_tol_retired", "field_fraction",
             "field_bool", "which_fraction", "outlier_negative_shape", "outliers_above_n",
             "outliers_negative", "biased_hypercube_negative_d", "field_numeric_string",
             "eps_bool", "delta_string", "real_field_bool", "real_field_string",

@@ -277,8 +277,7 @@ def one_shot_trials(spec: ExperimentSpec) -> list[dict]:
     """Trial records from the one-shot functions, each trial computing its
     own weights (no weights=): the reference the harness must reproduce."""
     X, y, meta = materialize_instance(spec.instance, spec.seed)
-    opt = meta["opt"] if "opt" in meta else solve_lad(LadProblem(X, y),
-                                                       tol=spec.solver_tol).objective
+    opt = meta["opt"] if "opt" in meta else solve_lad(LadProblem(X, y)).objective
     n = X.shape[0]
     records = []
     for budget in spec.budgets:
@@ -290,17 +289,16 @@ def one_shot_trials(spec: ExperimentSpec) -> list[dict]:
             try:
                 if spec.method == "lewis":
                     res = active_solve(X, oracle, spec.eps, spec.delta, rng,
-                                       budget_override=budget, solver_tol=spec.solver_tol)
+                                       budget_override=budget)
                 elif spec.method == "known_y_augmented":
                     res = sketch_and_solve_known_y(X, y, spec.eps, spec.delta, rng,
-                                                   budget_override=budget,
-                                                   solver_tol=spec.solver_tol)
+                                                   budget_override=budget)
                 else:
                     p = (sampling_values(leverage_scores(X), budget)
                          if spec.method == "leverage_l2_baseline" else
                          WeightVector(np.full(n, budget / n), kind="sampling",
                                       budget=float(budget)))
-                    res = sample_and_solve(X, oracle, p, rng, solver_tol=spec.solver_tol)
+                    res = sample_and_solve(X, oracle, p, rng)
             except RankDeficiencyError as e:
                 rec["error"] = f"RankDeficiencyError: {e}"
             else:
