@@ -326,7 +326,8 @@ def _failure(e: Exception) -> str:
     return f"{type(e).__name__}: {e}"
 
 
-def _run_trial(X, y, opt, method, weights, budget, eps, delta, trial, seed):
+def _run_trial(prob, opt, method, weights, budget, eps, delta, trial, seed):
+    X, y = prob.A, prob.b
     rng = trial_stream(seed, trial, budget)
     record = _record(budget, trial, opt)
     try:
@@ -353,7 +354,7 @@ def _run_trial(X, y, opt, method, weights, budget, eps, delta, trial, seed):
         record["error"] = _failure(e)
         return record
 
-    obj = objective(LadProblem(X, y), res.beta_hat)
+    obj = objective(prob, res.beta_hat)
     if opt > 0:
         ratio = obj / opt
         success = ratio <= 1.0 + eps
@@ -425,10 +426,12 @@ def run_experiment(spec: ExperimentSpec) -> ExperimentReport:
     d = X.shape[1]
     if spec.budgets[0] < d:
         raise DataError(f"budget {spec.budgets[0]} below column count {d}; refused")
+    # the full problem: every trial's objective is measured on it
+    prob = LadProblem(X, y)
     if "opt" in meta:
         opt = float(meta["opt"])
     else:
-        opt = solve_lad(LadProblem(X, y)).objective
+        opt = solve_lad(prob).objective
         meta["opt"] = opt
 
     cells = [(budget, trial) for budget in spec.budgets for trial in range(spec.trials)]
@@ -438,7 +441,7 @@ def run_experiment(spec: ExperimentSpec) -> ExperimentReport:
         # every trial would have computed these same weights and failed alike
         results = [_record(budget, trial, opt, _failure(e)) for budget, trial in cells]
     else:
-        tasks = [(X, y, opt, spec.method, weights, budget, spec.eps, spec.delta,
+        tasks = [(prob, opt, spec.method, weights, budget, spec.eps, spec.delta,
                   trial, spec.seed) for budget, trial in cells]
         if spec.workers > 1:
             # imported here, not at the top: it adds 12-18 ms to every CLI start

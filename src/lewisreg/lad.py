@@ -49,7 +49,20 @@ the zero test. The rest costs what the step passes: the line search orders
 only the head, whose size starts from what the last search needed, and the
 zero test, the signs and A^T (w s) are redone only on the rows the screen
 keeps, the rows a step can move to zero or across it, with the same bits as
-a pass over all the rows.
+a pass over all the rows. On at most _SAMPLE_RATE * _HEAD = 512 rows, where a
+head grown once from _HEAD would hold every row, the line search orders all
+the breakpoints and the zero test runs on all the rows, one pass each, with
+no partition and no screen.
+
+The d x d work of a pivot uses the inverse of the basis rows, carried along
+the pivots by the rank-one (product-form) update of the revised simplex
+(Dantzig & Orchard-Hays, 1954): the multipliers cost one matvec and the
+direction u is one of its columns. It is recomputed from scratch with the
+state and every d pivots, so long runs do not drift. The multipliers come
+from a solve at a vertex, so that a certificate has the bits of a solve, and
+where the two largest are within tol of each other, where rounding picks the
+pivot row. The start basis costs one QR when its first d rows in order are
+independent; else the rows are tested one by one.
 
 The final basis gives the dual vector: the signs of the nonbasic residuals
 and the basis multipliers. A vertex whose multipliers pass and whose duality
@@ -144,8 +157,8 @@ class LadSolution:
 def objective(prob: LadProblem, beta) -> float:
     """sum_i w_i |a_i^T beta - b_i|, with a compensated final reduction."""
     beta = as_vector(beta, length=prob.A.shape[1])
-    r = prob.A @ beta - prob.b
-    return math.fsum((prob.weights * np.abs(r)).tolist())
+    r = np.abs(prob.A @ beta - prob.b)
+    return math.fsum((r if prob.row_weights is None else prob.row_weights * r).tolist())
 
 
 def _head(x: np.ndarray, k: int) -> np.ndarray:
@@ -158,14 +171,22 @@ def _head(x: np.ndarray, k: int) -> np.ndarray:
 
 def _greedy_basis(A: np.ndarray, r: np.ndarray) -> np.ndarray:
     """Sorted indices of the first d linearly independent rows in order of
-    increasing |r_i|, ties by index. Only a head of that order is sorted,
-    from d rows, 8-fold larger while it holds dependent rows."""
+    increasing |r_i|, ties by index. The first d rows of that order are taken
+    at once when every |R_jj| of their QR passes the independence test;
+    else a head of the order is sorted, from d rows, 8-fold larger while it
+    holds dependent rows, and its rows are tested one by one."""
     m, d = A.shape
     abs_r, k = np.abs(r), d
     while True:
         head = _head(abs_r, k)
+        order = head[np.argsort(abs_r[head], kind="stable")]
+        if k == d:
+            H = A[order[:d]]
+            R_jj = np.abs(np.linalg.qr(H.T, mode="r").diagonal())
+            if (R_jj > 1e-10 * np.maximum(np.linalg.norm(H, axis=1), 1e-300)).all():
+                return np.sort(order[:d])
         Q, basis = np.zeros((d, 0)), []
-        for i in head[np.argsort(abs_r[head], kind="stable")]:
+        for i in order:
             a = A[i]
             resid = a - Q @ (Q.T @ a)
             resid = resid - Q @ (Q.T @ resid)
@@ -186,11 +207,14 @@ def _entering_row(t, need, gather, k):
     none does; gather(idx) returns (t_e[idx], rise[idx]). Only the
     breakpoints with t up to the k-th smallest (ties included) are gathered
     and ordered: that set is a head of the full order, and k grows 8-fold
-    until the sum reaches need inside it. The simplex starts k at twice the
-    rank the last search returned: the ranks fall from thousands to a few
-    along a solve. A head without ties in t is ordered by t alone."""
+    until the sum reaches need inside it; from k = t.size up, every
+    breakpoint is ordered in one pass, with no partition and no gather. The
+    simplex starts k at twice the rank the last search returned: the ranks
+    fall from thousands to a few along a solve. A head without ties in t is
+    ordered by t alone."""
     while True:
-        head = _head(t, k)
+        whole = k >= t.size
+        head = slice(None) if whole else _head(t, k)
         t_h = t[head]
         t_e, rise = gather(head)
         order = t_h.argsort()
@@ -200,7 +224,7 @@ def _entering_row(t, need, gather, k):
         j = int(rise[order].cumsum().searchsorted(need, side="left"))
         if j < order.size or order.size == t.size:
             j = min(j, order.size - 1)
-            return head[order[j]], j
+            return (order[j] if whole else head[order[j]]), j
         k *= 8
 
 
@@ -228,43 +252,82 @@ def _settle(A, w, X, r, rho, s, g, zero_test):
     within rounding of their terms and update s in place, and return g =
     A^T (w s) updated on the rows whose sign changed. zero_test is
     (1e-13 ||a_i||_1, 1e-13 |b_i|) and their maxima: the carried test bounds
-    |A| @ |x| by ||a_i||_1 max|x|. Rows with r_i s_i above the largest
-    threshold keep r_i and s_i (s_i is nonzero, r_i has its sign and is
-    above its own threshold), so the work is done on the other rows alone:
-    the breakpoints passed, the rows that left or entered the basis and the
-    rows at zero."""
+    |A| @ |x| by ||a_i||_1 max|x|. Above _SAMPLE_RATE * _HEAD rows, rows with
+    r_i s_i above the largest threshold keep r_i and s_i (s_i is nonzero,
+    r_i has its sign and is above its own threshold), so the work is done
+    on the other rows alone: the breakpoints passed, the rows that left or
+    entered the basis and the rows at zero. On fewer rows that screen costs
+    more than it saves, and one pass tests every row."""
     row_l1, abs_b, row_l1_max, abs_b_max = zero_test
     x_max = np.abs(X[:, 0]).max()
-    near = (r * s <= row_l1_max * x_max + abs_b_max).nonzero()[0]
-    r_near = r[near]
-    zero = np.abs(r_near) <= row_l1[near] * x_max + abs_b[near]
-    r[near[zero]] = 0.0
-    s_near = np.sign(np.where(zero, rho[near], r_near))
-    flip = s_near != s[near]
-    changed, s_new = near[flip], s_near[flip]
+    if r.size <= _SAMPLE_RATE * _HEAD:
+        zero = np.abs(r) <= row_l1 * x_max + abs_b
+        r[zero] = 0.0
+        s_all = np.sign(np.where(zero, rho, r))
+        changed = (s_all != s).nonzero()[0]
+        s_new = s_all[changed]
+    else:
+        near = (r * s <= row_l1_max * x_max + abs_b_max).nonzero()[0]
+        r_near = r[near]
+        zero = np.abs(r_near) <= row_l1[near] * x_max + abs_b[near]
+        r[near[zero]] = 0.0
+        s_near = np.sign(np.where(zero, rho[near], r_near))
+        flip = s_near != s[near]
+        changed, s_new = near[flip], s_near[flip]
     g = g + A[changed].T @ (w[changed] * (s_new - s[changed]))
     s[changed] = s_new
     return g
+
+
+def _multipliers(A, w, basis, g, B_inv, tol):
+    """The basis multipliers sigma = -A_B^-T g / w_B: from the carried
+    inverse B_inv, or from a solve when B_inv is None or the two largest
+    |sigma_i| are within tol of each other. Rounding then picks the pivot
+    row, and the solve picks the one a solve at every pivot would."""
+    if B_inv is not None:
+        sigma = -(g @ B_inv) / w[basis]
+        mags = np.abs(sigma)
+        mags.sort()
+        if mags.size == 1 or mags[-2] < (1.0 - tol) * mags[-1]:
+            return sigma
+    return -np.linalg.solve(A[basis].T, g) / w[basis]
+
+
+def _update_inverse(B_inv, A, basis, p, refresh):
+    """A_B^-1 after basis row p was replaced by row basis[p]: recomputed from
+    scratch when refresh is set, else B_inv updated in place by the rank-one
+    (product-form) update of the revised simplex, an O(d^2) step."""
+    if refresh:
+        return np.linalg.inv(A[basis])
+    v = A[basis[p]] @ B_inv
+    col = B_inv[:, p] / v[p]
+    B_inv -= col[:, None] * v
+    B_inv[:, p] = col
+    return B_inv
 
 
 def _l1_simplex(A, b, w, basis, tol, max_pivots):
     """Pivot from the given basis until every basis multiplier lies in
     [-1 - tol, 1 + tol], or max_pivots pivots. Returns (beta, status, s,
     pivots) at the certified vertex, or at the best vertex seen; s is the
-    dual vector: residual signs off the basis, clipped multipliers on it."""
+    dual vector: residual signs off the basis, clipped multipliers on it.
+    The inverse of the basis rows is carried along the pivots and steers
+    them; it is recomputed from scratch with the state and every d pivots,
+    and the multipliers that certify come from a solve at the vertex."""
     m, d = A.shape
     # column 0 is b, column 1 the tie-breaking direction h
     rhs = np.column_stack([b, np.random.default_rng(_TIE_SEED).random(m)])
     abs_A = np.abs(A)
     row_l1, abs_b = 1e-13 * abs_A.sum(axis=1), 1e-13 * np.abs(b)
     zero_test = (row_l1, abs_b, row_l1.max(), abs_b.max())
-    eye = np.eye(d)
-    best, status, pivots, scratch, k = (math.inf, basis), "max_iter", 0, True, _HEAD
+    # up to _SAMPLE_RATE * _HEAD rows, a head grown once from _HEAD would
+    # already hold every row: each line search orders all breakpoints at once
+    k_min = m if m <= _SAMPLE_RATE * _HEAD else _HEAD
+    best, status, pivots, scratch, k = (math.inf, basis), "max_iter", 0, True, k_min
     while True:
         if scratch:
             X, r, rho, s, g = _vertex(A, abs_A, rhs, w, basis)
-        AB = A[basis]
-        sigma = -np.linalg.solve(AB.T, g) / w[basis]
+        sigma = _multipliers(A, w, basis, g, None if scratch else B_inv, tol)
         p = int(np.abs(sigma).argmax())
         if abs(sigma[p]) <= 1.0 + tol:
             if scratch:
@@ -277,8 +340,10 @@ def _l1_simplex(A, b, w, basis, tol, max_pivots):
             best = (obj, basis)
         if pivots == max_pivots:
             break
+        if scratch:
+            B_inv = np.linalg.inv(A[basis])
         # move basis row p off zero in the descent direction: A_B u = sign e_p
-        u = math.copysign(1.0, sigma[p]) * np.linalg.solve(AB, eye[p])
+        u = math.copysign(1.0, sigma[p]) * B_inv[:, p]
         c = A @ u
         cut = np.abs(c)
         cut[basis] = 0.0
@@ -297,17 +362,18 @@ def _l1_simplex(A, b, w, basis, tol, max_pivots):
         # the slope starts at -w_p (|sigma_p| - 1) and rises by 2 w_i |c_i|
         # at each breakpoint passed; enter the row where it turns nonnegative
         j, passed = _entering_row(t, w[basis[p]] * (abs(sigma[p]) - 1.0), gather, k)
-        k = max(_HEAD, 2 * passed)
+        k = max(k_min, 2 * passed)
         basis = basis.copy()
         q = basis[p] = cross[j]
         _step(X, r, rho, u, c, t[j], -rho[q] / c[q])
         r[basis] = rho[basis] = 0.0
         g = _settle(A, w, X, r, rho, s, g, zero_test)
         pivots, scratch = pivots + 1, False
+        B_inv = _update_inverse(B_inv, A, basis, p, pivots % d == 0)
     if status != "optimal":
         basis = best[1]
         X, r, rho, s, g = _vertex(A, abs_A, rhs, w, basis)
-        sigma = -np.linalg.solve(A[basis].T, g) / w[basis]
+        sigma = _multipliers(A, w, basis, g, None, tol)
     s[basis] = np.clip(sigma, -1.0, 1.0)
     return X[:, 0], status, s, pivots
 

@@ -8,7 +8,12 @@ from scipy.linalg import solve_triangular
 
 from lewisreg.lad import _TIE_SEED, l1_norm
 from lewisreg.lewis import SAMPLING_TOL, lewis_weights, recommended_budget
-from lewisreg.linalg import SpdFactorization, as_design_matrix, as_vector
+from lewisreg.linalg import (
+    RankDeficiencyError,
+    SpdFactorization,
+    as_design_matrix,
+    as_vector,
+)
 from lewisreg.sketch import RngStream, Sketch
 
 
@@ -160,13 +165,36 @@ def factor_solve(F: SpdFactorization, b) -> np.ndarray:
     return out
 
 
+def sequential_greedy_basis(A, r):
+    """Reference start basis: the first d rows, in order of increasing |r_i|
+    (ties by index), that pass a Gram-Schmidt independence test one by one,
+    each against the rows taken before it; sorted."""
+    m, d = A.shape
+    Q, basis = np.zeros((d, 0)), []
+    for i in np.argsort(np.abs(r), kind="stable"):
+        a = A[i]
+        resid = a - Q @ (Q.T @ a)
+        resid = resid - Q @ (Q.T @ resid)
+        nrm = float(np.linalg.norm(resid))
+        if nrm > 1e-10 * max(float(np.linalg.norm(a)), 1e-300):
+            Q = np.hstack([Q, (resid / nrm)[:, None]])
+            basis.append(int(i))
+            if len(basis) == d:
+                return np.sort(np.array(basis, dtype=np.intp))
+    raise RankDeficiencyError("could not assemble an invertible basis")
+
+
 def full_pass_l1_simplex(A, b, w, basis, tol, max_pivots):
     """Reference L1 simplex that passes over all m rows at every pivot: after
     each step it runs the zero test on every residual, recomputes every sign
     and updates A^T (w s) on the rows whose sign changed, and each line
     search orders its head with a two-key lexsort, its head starting at 64
-    breakpoints. lewisreg.lad._l1_simplex must return the same bits from the
-    same start basis."""
+    breakpoints. Like lewisreg.lad._l1_simplex, it steers the pivots by the
+    inverse of the basis rows, carried by the rank-one update and recomputed
+    from scratch with the state and every d pivots, and takes the
+    multipliers from a solve at a vertex and where the two largest are
+    within tol of each other; it must return the same bits from the same
+    start basis."""
     m, d = A.shape
     rhs = np.column_stack([b, np.random.default_rng(_TIE_SEED).random(m)])
     abs_A = np.abs(A)
@@ -196,8 +224,12 @@ def full_pass_l1_simplex(A, b, w, basis, tol, max_pivots):
     while True:
         if scratch:
             X, r, rho, s, g = vertex(basis)
-        AB = A[basis]
-        sigma = -np.linalg.solve(AB.T, g) / w[basis]
+            sigma = -np.linalg.solve(A[basis].T, g) / w[basis]
+        else:
+            sigma = -(g @ B_inv) / w[basis]
+            mags = np.sort(np.abs(sigma))
+            if d > 1 and mags[-2] >= (1.0 - tol) * mags[-1]:  # a near tie: solve
+                sigma = -np.linalg.solve(A[basis].T, g) / w[basis]
         p = int(np.abs(sigma).argmax())
         if abs(sigma[p]) <= 1.0 + tol:
             if scratch:
@@ -210,7 +242,9 @@ def full_pass_l1_simplex(A, b, w, basis, tol, max_pivots):
             best = (obj, basis)
         if pivots == max_pivots:
             break
-        u = np.sign(sigma[p]) * np.linalg.solve(AB, np.eye(d)[p])
+        if scratch:
+            B_inv = np.linalg.inv(A[basis])
+        u = math.copysign(1.0, sigma[p]) * B_inv[:, p]
         c = A @ u
         cut = np.abs(c)
         cut[basis] = 0.0
@@ -232,6 +266,13 @@ def full_pass_l1_simplex(A, b, w, basis, tol, max_pivots):
         changed = (s != s_old).nonzero()[0]
         g = g + A[changed].T @ (w[changed] * (s[changed] - s_old[changed]))
         pivots, scratch = pivots + 1, False
+        if pivots % d == 0:
+            B_inv = np.linalg.inv(A[basis])
+        else:  # row p of A_B became a_q: Sherman-Morrison on the inverse
+            v = A[q] @ B_inv
+            col = B_inv[:, p] / v[p]
+            B_inv = B_inv - col[:, None] * v
+            B_inv[:, p] = col
     if status != "optimal":
         basis = best[1]
         X, r, rho, s, g = vertex(basis)

@@ -1,3 +1,4 @@
+import hashlib
 import math
 from typing import NamedTuple
 
@@ -17,6 +18,7 @@ from lewisreg.instances import (
     two_coin_instances,
 )
 from lewisreg.lad import (
+    SOLVER_TOL,
     LadProblem,
     l1_norm,
     objective,
@@ -26,7 +28,7 @@ from lewisreg.lewis import lewis_weights, sampling_values
 from lewisreg.linalg import DataError, RankDeficiencyError, WeightVector
 from lewisreg.sketch import RngStream, draw_sketch
 
-from helpers import full_pass_l1_simplex, weighted_median_1d
+from helpers import full_pass_l1_simplex, sequential_greedy_basis, weighted_median_1d
 
 
 def breakpoint_scan_median(values, weights):
@@ -1161,3 +1163,172 @@ class TestGlobLevel:
             opt = highs_optimum(prob)
             assert abs(sol.objective - opt) <= 1e-7 * opt
             monkeypatch.undo()
+
+
+def start_basis_problem(kind, seed):
+    if kind == "repeated_row":
+        return repeated_row_problem(seed)
+    if kind == "near_repeated_column":
+        return near_repeated_column_problem(seed)
+    return family_problem(kind, seed)
+
+
+def greedy_basis_or_refusal(greedy_basis, A, r):
+    try:
+        return greedy_basis(A, r)
+    except RankDeficiencyError:
+        return None
+
+
+def first_rows_in_order(A, r):
+    """The first d rows in order of increasing |r_i|, ties by index, sorted:
+    the basis _greedy_basis takes when its QR accepts them."""
+    return np.sort(np.argsort(np.abs(r), kind="stable")[:A.shape[1]])
+
+
+class TestStartBasis:
+    @given(st.sampled_from(FAMILIES + ("repeated_row", "near_repeated_column")),
+           st.integers(0, 2**32 - 1))
+    @settings(max_examples=120, deadline=None)
+    def test_same_rows_as_the_sequential_loop(self, kind, seed):
+        """At random residuals and at the least-squares residuals, the QR
+        acceptance and the fallback loop pick the rows that testing them one
+        by one picks, or refuse where it refuses."""
+        prob = start_basis_problem(kind, seed)
+        keep = prob.weights > 0
+        A, b = prob.A[keep], prob.b[keep]
+        for r in (np.random.default_rng(seed).random(A.shape[0]),
+                  A @ np.linalg.lstsq(A, b, rcond=None)[0] - b):
+            got = greedy_basis_or_refusal(lad_module._greedy_basis, A, r)
+            want = greedy_basis_or_refusal(sequential_greedy_basis, A, r)
+            assert (got is None) == (want is None)
+            if got is not None:
+                assert got.tolist() == want.tolist()
+
+    @pytest.mark.parametrize("n, d, seed", [(40, 2, 0), (300, 3, 1), (2000, 10, 2)])
+    def test_isolated_row_outside_the_first_d_takes_the_loop(self, n, d, seed):
+        """The lone row of an isolated design, here last in the order, is
+        the only one with a last coordinate: the first d rows are dependent,
+        so the loop runs, its head grows to every row and takes the lone one."""
+        X = make_isolated_instance(n, d, RngStream(seed)).X
+        r = np.random.default_rng(seed).random(n)
+        r[-1] = 2.0
+        basis = lad_module._greedy_basis(X, r)
+        assert basis.tolist() != first_rows_in_order(X, r).tolist()
+        assert basis[-1] == n - 1
+        assert basis.tolist() == sequential_greedy_basis(X, r).tolist()
+
+    def test_dependent_rows_among_the_first_d_take_the_loop(self):
+        g = np.random.default_rng(34)
+        A = g.standard_normal((30, 4))
+        A[1] = 2.0 * A[0]
+        A[3] = A[0] - A[2]
+        r = np.arange(30.0)
+        basis = lad_module._greedy_basis(A, r)
+        assert basis.tolist() == [0, 2, 4, 5] == sequential_greedy_basis(A, r).tolist()
+        assert basis.tolist() != first_rows_in_order(A, r).tolist()
+
+
+# sha256 of the dual vector s that _l1_simplex returns, and the
+# certificate_infnorm of solve_lad, as recorded with a solve for sigma and one
+# for u at every pivot; ILL_CONDITIONED_BASIS_SEEDS hash, seed by seed, the
+# bytes of s, then the hex of the certificate norm
+PINNED_DUALS = {
+    "long_line_search_problem": (
+        "fdf6bb2e4524b7544da44d9c5c52db98ad769588dba54c13560f61f6e136527e",
+        "0x1.c800000000000p-46"),
+    "ill_conditioned": "b986c284943104f5ad3642d0167f03f6a6b13fe6d0e315f616a1a4e6ac9765a7",
+}
+
+
+class TestCarriedInverse:
+    def test_stays_near_the_inverse_and_is_refreshed_every_d_pivots(self, monkeypatch):
+        """At every pivot of long_line_search_problem (660 pivots at d = 80)
+        and of the ill-conditioned designs, the basis inverse carried by the
+        rank-one update satisfies ||A_B B_inv - I||_max <= 16 (j + 1) d eps K:
+        j updates since the last refresh, each a d-term dot product per
+        entry, times 16 for the update's own roundings, with K the largest
+        max(|A_B| |B_inv|) of the bases met since that refresh. (A_B B_inv is
+        the product the update keeps: every row of A_B times B_inv is a row
+        of I.) The refresh fires at every d-th pivot and at no other, and
+        the dual vector and certificate norm keep their bytes."""
+        eps = np.finfo(float).eps
+        simplex, update = lad_module._l1_simplex, lad_module._update_inverse
+        runs = []
+
+        def recorded_simplex(A, b, w, basis, tol, max_pivots):
+            runs.append({"basis": basis, "pivots": 0, "refreshes": 0, "K": 0.0})
+            out = simplex(A, b, w, basis, tol, max_pivots)
+            runs[-1]["s"] = out[2]
+            assert runs[-1]["pivots"] == out[3]
+            return out
+
+        def checked_update(B_inv, A, basis, p, refresh):
+            run, d = runs[-1], basis.size
+            run["pivots"] += 1
+            assert refresh == (run["pivots"] % d == 0)
+            before = (np.abs(A[run["basis"]]) @ np.abs(B_inv)).max()
+            B_inv = update(B_inv, A, basis, p, refresh)
+            A_B = A[basis]
+            after = (np.abs(A_B) @ np.abs(B_inv)).max()
+            run["K"] = after if refresh else max(run["K"], before, after)
+            j = run["pivots"] % d
+            err = np.abs(A_B @ B_inv - np.eye(d)).max()
+            assert err <= 16 * (j + 1) * d * eps * run["K"]
+            run["basis"], run["refreshes"] = basis.copy(), run["refreshes"] + refresh
+            return B_inv
+
+        monkeypatch.setattr(lad_module, "_l1_simplex", recorded_simplex)
+        monkeypatch.setattr(lad_module, "_update_inverse", checked_update)
+        sol = solve_lad(long_line_search_problem())
+        (run,) = runs
+        assert run["pivots"] == sol.iterations > 300 and run["refreshes"] == 660 // 80
+        digest, cert = PINNED_DUALS["long_line_search_problem"]
+        assert hashlib.sha256(run["s"].tobytes()).hexdigest() == digest
+        assert sol.certificate_infnorm.hex() == cert
+        h = hashlib.sha256()
+        for seed in ILL_CONDITIONED_BASIS_SEEDS:
+            runs.clear()
+            prob = near_repeated_column_problem(seed)
+            sol = solve_lad(prob)
+            (run,) = runs
+            assert run["refreshes"] == run["pivots"] // prob.A.shape[1]
+            h.update(run["s"].tobytes())
+            h.update(sol.certificate_infnorm.hex().encode())
+        assert h.hexdigest() == PINNED_DUALS["ill_conditioned"]
+
+
+def exact_tie_problem(seed):
+    """Integer rows in [-3, 3], integer coefficients in [-2, 2], and 40% of
+    the labels moved by -1, 0 or +1, at d = 1 to 4 and m = 20 d to 80 d, the
+    sizes of a sketch: residuals, breakpoints and multipliers tie exactly."""
+    g = np.random.default_rng([23, seed])
+    d = int(g.integers(1, 5))
+    m = int(g.integers(20 * d, 80 * d + 1))
+    X = g.integers(-3, 4, (m, d)).astype(float)
+    y = X @ g.integers(-2, 3, d).astype(float)
+    moved = g.random(m) < 0.4
+    y[moved] += g.integers(-1, 2, np.count_nonzero(moved))
+    return LadProblem(X, y)
+
+
+class TestExactTiesAtSketchSize:
+    def test_optimal_matches_highs_and_max_iter_spends_the_budget(self):
+        """The simplex can still cycle on exact ties (ROADMAP item 3): 19 of
+        these 200 designs spend the whole budget, as many as with a solve
+        for sigma and one for u at every pivot. Those must say so, and
+        return an objective no lower than the optimum; the others match
+        HiGHS."""
+        cycled = 0
+        for seed in range(200):
+            prob = exact_tie_problem(seed)
+            sol = solve_lad(prob)
+            opt = highs_optimum(prob)
+            if sol.status == "max_iter":
+                cycled += 1
+                assert sol.iterations == 2000
+                assert sol.objective >= opt
+            else:
+                assert sol.status == "optimal"
+                assert abs(sol.objective - opt) <= SOLVER_TOL * opt
+        assert cycled <= 19
