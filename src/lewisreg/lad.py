@@ -180,7 +180,7 @@ def _greedy_basis(A: np.ndarray, r: np.ndarray) -> np.ndarray:
     while True:
         head = _head(abs_r, k)
         order = head[np.argsort(abs_r[head], kind="stable")]
-        if k == d:
+        if k == d and m >= d:  # fewer than d rows: the loop below refuses
             H = A[order[:d]]
             R_jj = np.abs(np.linalg.qr(H.T, mode="r").diagonal())
             if (R_jj > 1e-10 * np.maximum(np.linalg.norm(H, axis=1), 1e-300)).all():

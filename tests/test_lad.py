@@ -1189,6 +1189,7 @@ def first_rows_in_order(A, r):
 class TestStartBasis:
     @given(st.sampled_from(FAMILIES + ("repeated_row", "near_repeated_column")),
            st.integers(0, 2**32 - 1))
+    @example("isolated", 97489714)  # 4 weighted rows of 5 columns: both refuse
     @settings(max_examples=120, deadline=None)
     def test_same_rows_as_the_sequential_loop(self, kind, seed):
         """At random residuals and at the least-squares residuals, the QR
