@@ -5,7 +5,7 @@ trial index, and the budget, so any single trial can be replayed in
 isolation and a re-run of the whole spec reproduces the report byte for byte
 (timing aside). Solver failures inside a trial (for example a rank-deficient
 sketched problem when uniform sampling misses the only row spanning a
-direction) count as failed trials with an infinite ratio.
+direction) count as failed trials, with no ratio.
 
 The sampling weights depend only on the instance, never on a draw, so
 run_experiment computes them once per spec: the Lewis weights of X for
@@ -16,17 +16,18 @@ still go through active_solve and sketch_and_solve_known_y, passing weights=,
 so a trial draws the same rows as a one-shot call with the same stream.
 
 Comparing methods means running one spec per method on one (instance, seed),
-back to back in one process. run_experiment therefore keeps the last
-generated instance: the next spec on the same family fields and seed (its
-descriptor resolved through INSTANCE_FIELDS, defaults filled in) reuses its
-X, y (read-only) and its planted reference optimum instead of generating the
-instance and solving it again. The report says how long preparing the
-instance took in timing["instance_seconds"]; nothing else in it changes.
-File instances are read afresh by every spec, and materialize_instance
-itself caches nothing.
+back to back in one process. run_experiment therefore memoizes the last
+generated instance's preparation: the full LadProblem, X and y read-only,
+and a meta holding the reference optimum (planted, or one full solve). The
+next spec on the same family fields and seed (resolved through
+INSTANCE_FIELDS, defaults filled in) reuses both. timing["instance_seconds"]
+says how long the preparation took, reference solve included; nothing else
+in the report changes. File instances are read and solved afresh by every
+spec, and materialize_instance itself caches nothing.
 """
 
 import copy
+import functools
 import math
 import numbers
 import time
@@ -152,23 +153,28 @@ def _text(name: str, value) -> str:
     return value
 
 
+def _constants(name: str, value) -> str:
+    """value if it names one of the reduction's two constant choices;
+    DataError otherwise."""
+    if not isinstance(value, str) or value not in ("statement", "proof"):
+        raise DataError("constants must be 'statement' or 'proof'")
+    return value
+
+
 def _field(desc: dict, key: str, kind, default=None):
-    """desc[key], or the default when one is given, converted by kind unless
-    that is None; DataError when a required field is missing or a value does
-    not convert."""
+    """desc[key], or the default when one is given, converted by kind;
+    DataError when a required field is missing or a value does not convert."""
     if default is None and key not in desc:
         raise DataError(f"instance descriptor has no {key!r} field")
-    value = desc.get(key, default)
-    return value if kind is None else kind(f"instance field {key!r}:", value)
+    return kind(f"instance field {key!r}:", desc.get(key, default))
 
 
 _REDUCTION = {"reduction_eps": (_real, 0.2), "reduction_delta": (_real, 0.1),
-              "constants": (None, "proof")}
+              "constants": (_constants, "proof")}
 
 # For each generated family, the descriptor fields it reads beside "family",
 # in reading order, as key: (converter, default). A None default marks a
-# required field; a None converter passes the value on as given (constants,
-# which reduce_to_matrix checks). materialize_instance and gen both read it.
+# required field. materialize_instance and gen both read it.
 INSTANCE_FIELDS = {
     "outlier": {"n": (_integer, None), "d": (_integer, None),
                 "outlier_magnitude": (_real, 1e6), "n_outliers": (_integer, 1),
@@ -255,31 +261,31 @@ def materialize_instance(desc: dict, seed: int) -> tuple[np.ndarray, np.ndarray,
     return X, y, {"opt": opt}
 
 
-# (key, X, y, meta) of the last generated instance run_experiment prepared.
-# Module state, not an argument: callers run one spec per method through the
-# unchanged run_experiment(spec). One entry bounds the memory to one instance.
-_last_instance = None
-
-
-def _prepare_instance(desc: dict, seed: int) -> tuple[np.ndarray, np.ndarray, dict]:
-    """materialize_instance(desc, seed), reusing the last generated instance
-    when the same family fields and seed made it. Its X and y are shared
-    read-only; meta is a fresh copy per call, since run_experiment writes into
-    it. File instances are read afresh every time, and a call that raises
-    caches nothing."""
-    global _last_instance
+def _prepare_instance(desc: dict, seed: int) -> tuple[LadProblem, dict]:
+    """The full problem, A and b read-only, and the instance's meta with the
+    reference optimum under "opt". Consecutive calls for one generated
+    instance share both, so callers copy the meta before writing into it;
+    file instances are prepared afresh, and a call that raises caches nothing."""
     if _is_file_instance(desc):
-        return materialize_instance(desc, seed)
+        return _prepare(desc, seed)
     family, fields = _family_fields(desc)
-    key = (family, tuple(fields.items()), seed)
-    entry = _last_instance  # one read, so another thread's entry never mixes in
-    if entry is None or entry[0] != key:
-        X, y, meta = materialize_instance(desc, seed)
-        X.setflags(write=False)
-        y.setflags(write=False)
-        entry = _last_instance = (key, X, y, meta)
-    _, X, y, meta = entry
-    return X, y, copy.deepcopy(meta)
+    return _prepare_generated(family, tuple(fields.items()), seed)
+
+
+@functools.lru_cache(maxsize=1)  # one entry bounds the memory to one instance
+def _prepare_generated(family: str, fields: tuple, seed: int) -> tuple[LadProblem, dict]:
+    # the resolved fields are a descriptor that materialize_instance reads alike
+    return _prepare({"family": family, **dict(fields)}, seed)
+
+
+def _prepare(desc: dict, seed: int) -> tuple[LadProblem, dict]:
+    X, y, meta = materialize_instance(desc, seed)
+    prob = LadProblem(X, y)
+    prob.A.setflags(write=False)
+    prob.b.setflags(write=False)
+    if "opt" not in meta:  # no planted optimum: solve the full problem
+        meta["opt"] = solve_lad(prob).objective
+    return prob, meta
 
 
 def wilson_interval(successes: int, n: int):
@@ -326,7 +332,7 @@ def _failure(e: Exception) -> str:
     return f"{type(e).__name__}: {e}"
 
 
-def _run_trial(prob, opt, method, weights, budget, eps, delta, trial, seed):
+def _run_trial(prob, opt, method, weights, eps, delta, seed, budget, trial):
     X, y = prob.A, prob.b
     rng = trial_stream(seed, trial, budget)
     record = _record(budget, trial, opt)
@@ -367,10 +373,6 @@ def _run_trial(prob, opt, method, weights, budget, eps, delta, trial, seed):
     record["success"] = bool(success)
     record["status"] = res.solver_status
     return record
-
-
-def _trial_task(args):
-    return _run_trial(*args)
 
 
 @dataclass
@@ -421,19 +423,14 @@ def _aggregate(budget: int, records: list[dict]) -> dict:
 
 def run_experiment(spec: ExperimentSpec) -> ExperimentReport:
     t0 = time.perf_counter()
-    X, y, meta = _prepare_instance(spec.instance, spec.seed)
+    prob, meta = _prepare_instance(spec.instance, spec.seed)
     instance_seconds = time.perf_counter() - t0
+    X, y, opt = prob.A, prob.b, float(meta["opt"])
     d = X.shape[1]
     if spec.budgets[0] < d:
         raise DataError(f"budget {spec.budgets[0]} below column count {d}; refused")
-    # the full problem: every trial's objective is measured on it
-    prob = LadProblem(X, y)
-    if "opt" in meta:
-        opt = float(meta["opt"])
-    else:
-        opt = solve_lad(prob).objective
-        meta["opt"] = opt
 
+    # in (budget, trial) order, which both maps below keep
     cells = [(budget, trial) for budget in spec.budgets for trial in range(spec.trials)]
     try:
         weights = _sampling_weights(spec.method, X, y)
@@ -441,16 +438,16 @@ def run_experiment(spec: ExperimentSpec) -> ExperimentReport:
         # every trial would have computed these same weights and failed alike
         results = [_record(budget, trial, opt, _failure(e)) for budget, trial in cells]
     else:
-        tasks = [(prob, opt, spec.method, weights, budget, spec.eps, spec.delta,
-                  trial, spec.seed) for budget, trial in cells]
+        run_trial = functools.partial(_run_trial, prob, opt, spec.method, weights,
+                                      spec.eps, spec.delta, spec.seed)
+        columns = zip(*cells)  # the budgets, then the trial indices
         if spec.workers > 1:
             # imported here, not at the top: it adds 12-18 ms to every CLI start
             from concurrent.futures import ProcessPoolExecutor
             with ProcessPoolExecutor(max_workers=spec.workers) as pool:
-                results = list(pool.map(_trial_task, tasks, chunksize=1))
+                results = list(pool.map(run_trial, *columns, chunksize=1))
         else:
-            results = [_run_trial(*t) for t in tasks]
-    results.sort(key=lambda r: (r["budget"], r["trial"]))
+            results = list(map(run_trial, *columns))
 
     aggregates = [
         _aggregate(budget, [r for r in results if r["budget"] == budget])
@@ -464,7 +461,7 @@ def run_experiment(spec: ExperimentSpec) -> ExperimentReport:
             "n": int(X.shape[0]),
             "d": int(X.shape[1]),
             "opt": opt,
-            "instance_meta": meta,
+            "instance_meta": copy.deepcopy(meta),
         },
         trials=results,
         aggregates=aggregates,

@@ -694,6 +694,8 @@ class TestErrorClassification:
          "instance field 'magnitude': must be a real number, got '10'"),
         ({"instance": {"family": "two_coin", "d": 2, "constants": 5}},
          "constants must be 'statement' or 'proof'"),
+        ({"instance": {"family": "two_coin", "d": 2, "constants": ["proof"]}},
+         "constants must be 'statement' or 'proof'"),
         ({"instance": {"x_file": 0, "y_file": "y.txt"}},
          "instance field 'x_file': must be a string, got 0"),
         ({"instance": {"x_file": "no-such-x.csv", "y_file": 1.5}},
@@ -707,7 +709,8 @@ class TestErrorClassification:
             "field_bool", "which_fraction", "outlier_negative_shape", "outliers_above_n",
             "outliers_negative", "biased_hypercube_negative_d", "field_numeric_string",
             "eps_bool", "delta_string", "real_field_bool", "real_field_string",
-            "constants_number", "x_file_number", "y_file_number", "output_number"])
+            "constants_number", "constants_list", "x_file_number", "y_file_number",
+            "output_number"])
     def test_malformed_spec_exit_2(self, tmp_path, capsys, overrides, message):
         spec = {"instance": {"family": "outlier", "n": 40, "d": 2}, "method": "lewis",
                 "budgets": [10], "eps": 0.5, "delta": 0.1, "trials": 1, "seed": 0}

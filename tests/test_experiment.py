@@ -393,14 +393,13 @@ def body(report) -> bytes:
 
 
 @pytest.fixture
-def cold_cache(monkeypatch):
-    """Empties run_experiment's instance cache; returns a function that
-    empties it again."""
-    def clear():
-        monkeypatch.setattr(experiment, "_last_instance", None)
-
+def cold_cache():
+    """Empties run_experiment's instance cache, before the test and after it;
+    yields the function that empties it."""
+    clear = experiment._prepare_generated.cache_clear
     clear()
-    return clear
+    yield clear
+    clear()
 
 
 @pytest.fixture
@@ -417,7 +416,51 @@ def generated(monkeypatch):
     return calls
 
 
+@pytest.fixture
+def counted(monkeypatch):
+    """Counts the calls run_experiment's preparation makes, by name: the
+    reference solves, the full problems built and the matrix files read."""
+    calls = {"solve_lad": 0, "LadProblem": 0, "read_matrix_csv": 0}
+
+    def counting(name):
+        original = getattr(experiment, name)
+
+        def call(*args, **kwargs):
+            calls[name] += 1
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(experiment, name, call)
+
+    for name in calls:
+        counting(name)
+    return calls
+
+
+REDUCED = [{"family": family, "d": 2, "reduction_eps": 0.5, "reduction_delta": 0.3}
+           for family in ("hidden_coordinate", "biased_hypercube")]
+
+
 class TestInstanceOncePerProcess:
+    @pytest.mark.parametrize("instance", REDUCED, ids=lambda d: d["family"])
+    def test_reduced_family_solved_once(self, cold_cache, counted, instance):
+        reports = [run_experiment(outlier_spec(instance=instance, method=method,
+                                               budgets=[10], trials=1))
+                   for method in METHODS]
+        assert counted == {"solve_lad": 1, "LadProblem": 1, "read_matrix_csv": 0}
+        assert len({rep.environment["opt"] for rep in reports}) == 1
+        assert all(rep.environment["instance_meta"]["opt"] == rep.environment["opt"]
+                   for rep in reports)
+
+    def test_file_instance_read_and_solved_by_every_spec(self, tmp_path, cold_cache,
+                                                          counted):
+        X = np.random.default_rng(2).standard_normal((60, 3))
+        write_matrix_csv(tmp_path / "x.csv", X)
+        write_labels(tmp_path / "y.txt", X.sum(axis=1) + 1.0)
+        instance = {"x_file": str(tmp_path / "x.csv"), "y_file": str(tmp_path / "y.txt")}
+        for method in ("lewis", "uniform"):
+            run_experiment(outlier_spec(instance=instance, method=method, trials=1))
+        assert counted == {"solve_lad": 2, "LadProblem": 2, "read_matrix_csv": 2}
+
     def test_consecutive_specs_generate_once(self, cold_cache, generated):
         run_experiment(isolated_spec(method="lewis"))
         run_experiment(isolated_spec(method="uniform"))
@@ -446,15 +489,16 @@ class TestInstanceOncePerProcess:
         assert body(run_experiment(isolated_spec(method=method))) == cold
 
     def test_cached_arrays_are_read_only(self, cold_cache):
-        X, y, _ = experiment._prepare_instance(ISOLATED, 5)
-        X2, y2, _ = experiment._prepare_instance(ISOLATED, 5)
-        assert X2 is X and y2 is y
+        prob, _ = experiment._prepare_instance(ISOLATED, 5)
+        prob2, _ = experiment._prepare_instance(ISOLATED, 5)
+        X, y = prob.A, prob.b
+        assert prob2 is prob and prob2.A is X and prob2.b is y
         assert not X.flags.writeable and not y.flags.writeable
         with pytest.raises(ValueError):
             X[0, 0] = 1.0
 
     def test_materialize_instance_returns_fresh_writable_arrays(self, cold_cache):
-        cached, _, _ = experiment._prepare_instance(ISOLATED, 5)
+        cached = experiment._prepare_instance(ISOLATED, 5)[0].A
         X, y, _ = materialize_instance(ISOLATED, 5)
         assert X is not cached and X.flags.writeable and y.flags.writeable
         np.testing.assert_array_equal(X, cached)
@@ -462,8 +506,10 @@ class TestInstanceOncePerProcess:
     def test_edited_meta_does_not_leak(self, cold_cache):
         first = run_experiment(isolated_spec(method="lewis"))
         expected = body(run_experiment(isolated_spec(method="uniform")))
+        cached = dict(experiment._prepare_instance(ISOLATED, 5)[1])
         first.environment["instance_meta"]["opt"] = -1.0
         first.environment["instance_meta"]["note"] = "edited"
+        assert experiment._prepare_instance(ISOLATED, 5)[1] == cached
         assert body(run_experiment(isolated_spec(method="uniform"))) == expected
 
     def test_numpy_integers_in_the_descriptor(self, cold_cache):
