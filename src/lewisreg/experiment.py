@@ -17,13 +17,12 @@ so a trial draws the same rows as a one-shot call with the same stream.
 
 Comparing methods means running one spec per method on one (instance, seed),
 back to back in one process. run_experiment therefore memoizes the last
-generated instance's preparation: the full LadProblem, X and y read-only,
-and a meta holding the reference optimum (planted, or one full solve). The
-next spec on the same family fields and seed (resolved through
-INSTANCE_FIELDS, defaults filled in) reuses both. timing["instance_seconds"]
-says how long the preparation took, reference solve included; nothing else
-in the report changes. File instances are read and solved afresh by every
-spec, and materialize_instance itself caches nothing.
+generated instance's preparation (the full LadProblem, X and y read-only,
+and its meta) for the next spec on the same family fields and seed, resolved
+through INSTANCE_FIELDS. Past the budget check, an optimum that is not
+planted is solved once and kept in that meta. timing["instance_seconds"]
+includes that solve; nothing else in the report changes. File instances are
+read and solved afresh by every spec; materialize_instance caches nothing.
 """
 
 import copy
@@ -262,9 +261,9 @@ def materialize_instance(desc: dict, seed: int) -> tuple[np.ndarray, np.ndarray,
 
 
 def _prepare_instance(desc: dict, seed: int) -> tuple[LadProblem, dict]:
-    """The full problem, A and b read-only, and the instance's meta with the
-    reference optimum under "opt". Consecutive calls for one generated
-    instance share both, so callers copy the meta before writing into it;
+    """The full problem, A and b read-only, and the instance's meta.
+    Consecutive calls for one generated instance share both, so an optimum
+    written into the meta is kept and callers copy it before reporting it;
     file instances are prepared afresh, and a call that raises caches nothing."""
     if _is_file_instance(desc):
         return _prepare(desc, seed)
@@ -283,8 +282,6 @@ def _prepare(desc: dict, seed: int) -> tuple[LadProblem, dict]:
     prob = LadProblem(X, y)
     prob.A.setflags(write=False)
     prob.b.setflags(write=False)
-    if "opt" not in meta:  # no planted optimum: solve the full problem
-        meta["opt"] = solve_lad(prob).objective
     return prob, meta
 
 
@@ -424,11 +421,14 @@ def _aggregate(budget: int, records: list[dict]) -> dict:
 def run_experiment(spec: ExperimentSpec) -> ExperimentReport:
     t0 = time.perf_counter()
     prob, meta = _prepare_instance(spec.instance, spec.seed)
-    instance_seconds = time.perf_counter() - t0
-    X, y, opt = prob.A, prob.b, float(meta["opt"])
+    X, y = prob.A, prob.b
     d = X.shape[1]
     if spec.budgets[0] < d:
         raise DataError(f"budget {spec.budgets[0]} below column count {d}; refused")
+    if "opt" not in meta:  # not planted: solve the full problem, once per instance
+        meta["opt"] = solve_lad(prob).objective
+    opt = float(meta["opt"])
+    instance_seconds = time.perf_counter() - t0
 
     # in (budget, trial) order, which both maps below keep
     cells = [(budget, trial) for budget in spec.budgets for trial in range(spec.trials)]

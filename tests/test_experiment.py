@@ -461,6 +461,27 @@ class TestInstanceOncePerProcess:
             run_experiment(outlier_spec(instance=instance, method=method, trials=1))
         assert counted == {"solve_lad": 2, "LadProblem": 2, "read_matrix_csv": 2}
 
+    def test_budget_below_column_count_refused_before_reference_solve(self, cold_cache,
+                                                                      counted):
+        instance = REDUCED[0]
+        with pytest.raises(DataError, match=r"^budget 1 below column count 2; refused$"):
+            run_experiment(outlier_spec(instance=instance, budgets=[1, 10], trials=1))
+        assert counted["solve_lad"] == 0
+        run_experiment(outlier_spec(instance=instance, budgets=[10], trials=1))
+        assert counted["solve_lad"] == 1
+
+    def test_rank_deficient_file_refused_for_its_budget(self, tmp_path, cold_cache,
+                                                        counted):
+        X = np.random.default_rng(1).standard_normal((60, 2))
+        X = np.hstack([X, X[:, :1]])
+        write_matrix_csv(tmp_path / "x.csv", X)
+        write_labels(tmp_path / "y.txt", X.sum(axis=1))
+        spec = outlier_spec(instance={"x_file": str(tmp_path / "x.csv"),
+                                      "y_file": str(tmp_path / "y.txt")}, budgets=[2])
+        with pytest.raises(DataError, match=r"^budget 2 below column count 3; refused$"):
+            run_experiment(spec)
+        assert counted["solve_lad"] == 0
+
     def test_consecutive_specs_generate_once(self, cold_cache, generated):
         run_experiment(isolated_spec(method="lewis"))
         run_experiment(isolated_spec(method="uniform"))
