@@ -19,10 +19,9 @@ Comparing methods means running one spec per method on one (instance, seed),
 back to back in one process. run_experiment therefore memoizes the last
 generated instance's preparation (the full LadProblem, X and y read-only,
 and its meta) for the next spec on the same family fields and seed, resolved
-through INSTANCE_FIELDS. Past the budget check, an optimum that is not
-planted is solved once and kept in that meta. timing["instance_seconds"]
-includes that solve; nothing else in the report changes. File instances are
-read and solved afresh by every spec; materialize_instance caches nothing.
+through INSTANCE_FIELDS. Past the budget check, every spec solves an optimum
+that is not planted; timing["instance_seconds"] includes that solve. File
+instances are read afresh by every spec; materialize_instance caches nothing.
 """
 
 import copy
@@ -261,10 +260,10 @@ def materialize_instance(desc: dict, seed: int) -> tuple[np.ndarray, np.ndarray,
 
 
 def _prepare_instance(desc: dict, seed: int) -> tuple[LadProblem, dict]:
-    """The full problem, A and b read-only, and the instance's meta.
-    Consecutive calls for one generated instance share both, so an optimum
-    written into the meta is kept and callers copy it before reporting it;
-    file instances are prepared afresh, and a call that raises caches nothing."""
+    """The full problem, A and b read-only, and the instance's meta, which
+    callers copy and do not write. Consecutive calls for one generated
+    instance share both; file instances are prepared afresh, and a call that
+    raises caches nothing."""
     if _is_file_instance(desc):
         return _prepare(desc, seed)
     family, fields = _family_fields(desc)
@@ -425,9 +424,7 @@ def run_experiment(spec: ExperimentSpec) -> ExperimentReport:
     d = X.shape[1]
     if spec.budgets[0] < d:
         raise DataError(f"budget {spec.budgets[0]} below column count {d}; refused")
-    if "opt" not in meta:  # not planted: solve the full problem, once per instance
-        meta["opt"] = solve_lad(prob).objective
-    opt = float(meta["opt"])
+    opt = float(meta["opt"]) if "opt" in meta else solve_lad(prob).objective
     instance_seconds = time.perf_counter() - t0
 
     # in (budget, trial) order, which both maps below keep
@@ -461,7 +458,7 @@ def run_experiment(spec: ExperimentSpec) -> ExperimentReport:
             "n": int(X.shape[0]),
             "d": int(X.shape[1]),
             "opt": opt,
-            "instance_meta": copy.deepcopy(meta),
+            "instance_meta": {**copy.deepcopy(meta), "opt": opt},
         },
         trials=results,
         aggregates=aggregates,

@@ -19,7 +19,8 @@ fourth on the tallest problems:
    e > 0. Every step then strictly lowers the perturbed objective, so no
    basis repeats and the simplex reaches a certificate from any start.
    Residuals, signs and A^T (w s) are carried along each step and
-   recomputed from scratch before a vertex certifies.
+   recomputed from scratch before a vertex certifies; in both, r_i is made
+   exactly 0 where |r_i| <= 1e-13 (||a_i||_1 max|x| + |b_i|).
 4. with at least 2560 d rows, 8 times the sample threshold of step 1,
    steps 2 and 3 run on fewer rows (Portnoy & Koenker, "The Gaussian hare
    and the Laplacian tortoise", Statist. Sci. 12(4), 1997). The band is the
@@ -173,32 +174,28 @@ def _greedy_basis(A: np.ndarray, r: np.ndarray) -> np.ndarray:
     """Sorted indices of the first d linearly independent rows in order of
     increasing |r_i|, ties by index. The first d rows of that order are taken
     at once when every |R_jj| of their QR passes the independence test;
-    else a head of the order is sorted, from d rows, 8-fold larger while it
-    holds dependent rows, and its rows are tested one by one."""
+    else the rows are tested one by one in that order."""
     m, d = A.shape
-    abs_r, k = np.abs(r), d
-    while True:
-        head = _head(abs_r, k)
-        order = head[np.argsort(abs_r[head], kind="stable")]
-        if k == d and m >= d:  # fewer than d rows: the loop below refuses
-            H = A[order[:d]]
-            R_jj = np.abs(np.linalg.qr(H.T, mode="r").diagonal())
-            if (R_jj > 1e-10 * np.maximum(np.linalg.norm(H, axis=1), 1e-300)).all():
-                return np.sort(order[:d])
-        Q, basis = np.zeros((d, 0)), []
-        for i in order:
-            a = A[i]
-            resid = a - Q @ (Q.T @ a)
-            resid = resid - Q @ (Q.T @ resid)
-            nrm = float(np.linalg.norm(resid))
-            if nrm > 1e-10 * max(float(np.linalg.norm(a)), 1e-300):
-                Q = np.hstack([Q, (resid / nrm)[:, None]])
-                basis.append(int(i))
-                if len(basis) == d:
-                    return np.sort(np.array(basis, dtype=np.intp))
-        if head.size == m:
-            raise RankDeficiencyError("could not assemble an invertible basis")
-        k *= 8
+    abs_r = np.abs(r)
+    if m >= d:  # fewer than d rows: the loop below refuses
+        head = _head(abs_r, d)  # a partition: the QR usually passes, and a sort costs more
+        first = head[np.argsort(abs_r[head], kind="stable")][:d]
+        H = A[first]
+        R_jj = np.abs(np.linalg.qr(H.T, mode="r").diagonal())
+        if (R_jj > 1e-10 * np.maximum(np.linalg.norm(H, axis=1), 1e-300)).all():
+            return np.sort(first)
+    Q, basis = np.zeros((d, 0)), []
+    for i in np.argsort(abs_r, kind="stable"):
+        a = A[i]
+        resid = a - Q @ (Q.T @ a)
+        resid = resid - Q @ (Q.T @ resid)
+        nrm = float(np.linalg.norm(resid))
+        if nrm > 1e-10 * max(float(np.linalg.norm(a)), 1e-300):
+            Q = np.hstack([Q, (resid / nrm)[:, None]])
+            basis.append(int(i))
+            if len(basis) == d:
+                return np.sort(np.array(basis, dtype=np.intp))
+    raise RankDeficiencyError("could not assemble an invertible basis")
 
 
 def _entering_row(t, need, gather, k):
@@ -228,14 +225,20 @@ def _entering_row(t, need, gather, k):
         k *= 8
 
 
-def _vertex(A, abs_A, rhs, w, basis):
-    """From scratch at a basis: X = A_B^-1 rhs_B, residuals r, rho, signs s, g = A^T (w s)."""
+def _is_zero(r, row_l1, abs_b, x_max):
+    """The zero test of carried and recomputed residuals alike: |r_i| <= 1e-13
+    (||a_i||_1 max|x| + |b_i|), with row_l1 and abs_b the 1e-13 multiples.
+    Callers set the passing r_i to exactly 0, so repeated rows stay equal."""
+    return np.abs(r) <= row_l1 * x_max + abs_b
+
+
+def _vertex(A, rhs, w, basis, zero_test):
+    """From scratch at a basis: X = A_B^-1 rhs_B, residuals r (zeroed by
+    _is_zero, as _settle zeroes the carried ones), rho, signs s, g = A^T (w s)."""
     X = np.linalg.solve(A[basis], rhs[basis])
     r, rho = (A @ X - rhs).T.copy()
     r[basis] = rho[basis] = 0.0
-    # a residual is zero when it is within rounding of its terms; zeros are
-    # made exact, so that repeated rows stay bit-identical along the steps
-    r[np.abs(r) <= 1e-13 * (abs_A @ np.abs(X[:, 0]) + np.abs(rhs[:, 0]))] = 0.0
+    r[_is_zero(r, *zero_test[:2], np.abs(X[:, 0]).max())] = 0.0
     s = np.sign(np.where(r == 0.0, rho, r))  # zero on the basis, where rho is zero too
     return X, r, rho, s, A.T @ (w * s)
 
@@ -249,19 +252,18 @@ def _step(X, r, rho, u, c, t, t_e):
 
 def _settle(A, w, X, r, rho, s, g, zero_test):
     """After a step, with r and rho zeroed on the basis: zero the residuals
-    within rounding of their terms and update s in place, and return g =
-    A^T (w s) updated on the rows whose sign changed. zero_test is
-    (1e-13 ||a_i||_1, 1e-13 |b_i|) and their maxima: the carried test bounds
-    |A| @ |x| by ||a_i||_1 max|x|. Above _SAMPLE_RATE * _HEAD rows, rows with
-    r_i s_i above the largest threshold keep r_i and s_i (s_i is nonzero,
-    r_i has its sign and is above its own threshold), so the work is done
-    on the other rows alone: the breakpoints passed, the rows that left or
-    entered the basis and the rows at zero. On fewer rows that screen costs
-    more than it saves, and one pass tests every row."""
+    that pass _is_zero, update s in place, and return g = A^T (w s) updated
+    on the rows whose sign changed; zero_test is _is_zero's (row_l1, abs_b)
+    and their maxima. Above _SAMPLE_RATE * _HEAD rows, rows with r_i s_i
+    above the largest threshold keep r_i and s_i (s_i is nonzero, r_i has
+    its sign and is above its own threshold), so the work is done on the
+    other rows alone: the breakpoints passed, the rows that left or entered
+    the basis and the rows at zero. On fewer rows that screen costs more
+    than it saves, and one pass tests every row."""
     row_l1, abs_b, row_l1_max, abs_b_max = zero_test
     x_max = np.abs(X[:, 0]).max()
     if r.size <= _SAMPLE_RATE * _HEAD:
-        zero = np.abs(r) <= row_l1 * x_max + abs_b
+        zero = _is_zero(r, row_l1, abs_b, x_max)
         r[zero] = 0.0
         s_all = np.sign(np.where(zero, rho, r))
         changed = (s_all != s).nonzero()[0]
@@ -269,7 +271,7 @@ def _settle(A, w, X, r, rho, s, g, zero_test):
     else:
         near = (r * s <= row_l1_max * x_max + abs_b_max).nonzero()[0]
         r_near = r[near]
-        zero = np.abs(r_near) <= row_l1[near] * x_max + abs_b[near]
+        zero = _is_zero(r_near, row_l1[near], abs_b[near], x_max)
         r[near[zero]] = 0.0
         s_near = np.sign(np.where(zero, rho[near], r_near))
         flip = s_near != s[near]
@@ -317,8 +319,7 @@ def _l1_simplex(A, b, w, basis, tol, max_pivots):
     m, d = A.shape
     # column 0 is b, column 1 the tie-breaking direction h
     rhs = np.column_stack([b, np.random.default_rng(_TIE_SEED).random(m)])
-    abs_A = np.abs(A)
-    row_l1, abs_b = 1e-13 * abs_A.sum(axis=1), 1e-13 * np.abs(b)
+    row_l1, abs_b = 1e-13 * np.abs(A).sum(axis=1), 1e-13 * np.abs(b)
     zero_test = (row_l1, abs_b, row_l1.max(), abs_b.max())
     # up to _SAMPLE_RATE * _HEAD rows, a head grown once from _HEAD would
     # already hold every row: each line search orders all breakpoints at once
@@ -326,7 +327,7 @@ def _l1_simplex(A, b, w, basis, tol, max_pivots):
     best, status, pivots, scratch, k = (math.inf, basis), "max_iter", 0, True, k_min
     while True:
         if scratch:
-            X, r, rho, s, g = _vertex(A, abs_A, rhs, w, basis)
+            X, r, rho, s, g = _vertex(A, rhs, w, basis, zero_test)
         sigma = _multipliers(A, w, basis, g, None if scratch else B_inv, tol)
         p = int(np.abs(sigma).argmax())
         if abs(sigma[p]) <= 1.0 + tol:
@@ -372,7 +373,7 @@ def _l1_simplex(A, b, w, basis, tol, max_pivots):
         B_inv = _update_inverse(B_inv, A, basis, p, pivots % d == 0)
     if status != "optimal":
         basis = best[1]
-        X, r, rho, s, g = _vertex(A, abs_A, rhs, w, basis)
+        X, r, rho, s, g = _vertex(A, rhs, w, basis, zero_test)
         sigma = _multipliers(A, w, basis, g, None, tol)
     s[basis] = np.clip(sigma, -1.0, 1.0)
     return X[:, 0], status, s, pivots
@@ -486,7 +487,8 @@ def solve_lad(prob: LadProblem, max_iters: int = 2000) -> LadSolution:
     obj = objective(prob, beta_out)
 
     # objective minus the dual bound f(x) >= -s.(w b) - ||A^T (w s)||_inf ||x||_1;
-    # rounding is what the zero test allows the residuals: all the gap of a 0 minimum
+    # rounding, 1e-13 sum_i w_i (|a_i| |beta| + |b_i|), bounds the residuals'
+    # rounding, at most the zero test's: all the gap of a 0 minimum
     gap = obj + math.fsum((s_full * w * b).tolist()) + cert_norm * l1_norm(beta)
     rounding = 1e-13 * float(w @ (np.abs(A) @ np.abs(beta) + np.abs(b)))
     if status == "optimal" and obj > 0.0 and gap > SOLVER_TOL * obj + rounding:

@@ -197,13 +197,16 @@ def full_pass_l1_simplex(A, b, w, basis, tol, max_pivots):
     start basis."""
     m, d = A.shape
     rhs = np.column_stack([b, np.random.default_rng(_TIE_SEED).random(m)])
-    abs_A = np.abs(A)
+    row_l1, abs_b = 1e-13 * np.abs(A).sum(axis=1), 1e-13 * np.abs(b)
+
+    def zero(r, X):  # the one zero test, at a vertex and after every step
+        return np.abs(r) <= row_l1 * np.abs(X[:, 0]).max() + abs_b
 
     def vertex(basis):
         X = np.linalg.solve(A[basis], rhs[basis])
         r, rho = (A @ X - rhs).T.copy()
         r[basis] = rho[basis] = 0.0
-        r[np.abs(r) <= 1e-13 * (abs_A @ np.abs(X[:, 0]) + np.abs(rhs[:, 0]))] = 0.0
+        r[zero(r, X)] = 0.0
         s = np.sign(np.where(r == 0.0, rho, r))
         return X, r, rho, s, A.T @ (w * s)
 
@@ -219,7 +222,6 @@ def full_pass_l1_simplex(A, b, w, basis, tol, max_pivots):
                 return head[order[min(j, order.size - 1)]]
             k *= 8
 
-    row_l1, abs_b = 1e-13 * abs_A.sum(axis=1), 1e-13 * np.abs(b)
     best, status, pivots, scratch = (math.inf, basis), "max_iter", 0, True
     while True:
         if scratch:
@@ -261,7 +263,7 @@ def full_pass_l1_simplex(A, b, w, basis, tol, max_pivots):
         r += t[j] * c
         rho += t_e * c
         r[basis] = rho[basis] = 0.0
-        r[np.abs(r) <= row_l1 * np.abs(X[:, 0]).max() + abs_b] = 0.0
+        r[zero(r, X)] = 0.0
         s_old, s = s, np.sign(np.where(r == 0.0, rho, r))
         changed = (s != s_old).nonzero()[0]
         g = g + A[changed].T @ (w[changed] * (s[changed] - s_old[changed]))

@@ -442,13 +442,19 @@ REDUCED = [{"family": family, "d": 2, "reduction_eps": 0.5, "reduction_delta": 0
 
 class TestInstanceOncePerProcess:
     @pytest.mark.parametrize("instance", REDUCED, ids=lambda d: d["family"])
-    def test_reduced_family_solved_once(self, cold_cache, counted, instance):
+    def test_reduced_family_leaves_the_memoized_meta_unchanged(self, cold_cache, counted,
+                                                              instance):
+        """With no planted optimum, every spec solves the full problem and
+        reports the optimum in its meta; the memoized meta keeps none."""
+        meta = materialize_instance(instance, 5)[2]
+        assert "opt" not in meta
         reports = [run_experiment(outlier_spec(instance=instance, method=method,
                                                budgets=[10], trials=1))
                    for method in METHODS]
-        assert counted == {"solve_lad": 1, "LadProblem": 1, "read_matrix_csv": 0}
+        assert counted == {"solve_lad": len(METHODS), "LadProblem": 1, "read_matrix_csv": 0}
+        assert experiment._prepare_instance(instance, 5)[1] == meta
         assert len({rep.environment["opt"] for rep in reports}) == 1
-        assert all(rep.environment["instance_meta"]["opt"] == rep.environment["opt"]
+        assert all(rep.environment["instance_meta"] == {**meta, "opt": rep.environment["opt"]}
                    for rep in reports)
 
     def test_file_instance_read_and_solved_by_every_spec(self, tmp_path, cold_cache,

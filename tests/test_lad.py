@@ -617,9 +617,9 @@ class TestSimplexCertifies:
         conds = []
         vertex = lad_module._vertex
 
-        def recording_vertex(A, abs_A, rhs, w, basis):
+        def recording_vertex(A, rhs, w, basis, zero_test):
             conds.append(np.linalg.cond(A[basis]))
-            return vertex(A, abs_A, rhs, w, basis)
+            return vertex(A, rhs, w, basis, zero_test)
 
         monkeypatch.setattr(lad_module, "_vertex", recording_vertex)
         for seed in ILL_CONDITIONED_BASIS_SEEDS + ROUNDING_GAP_SEEDS:
@@ -1165,7 +1165,24 @@ class TestGlobLevel:
             monkeypatch.undo()
 
 
+def repeated_unit_row_problem(seed):
+    """More than 8 d copies of e_1 at label 0, then rows with a zero first
+    column: at the least-squares fit the copies tie at a residual of 0 (to
+    rounding) and come first, so the first 8 d rows in order of residual span
+    one direction of d."""
+    g = np.random.default_rng([35, seed])
+    d = int(g.integers(2, 7))
+    copies = int(g.integers(8 * d + 1, 16 * d))
+    rest = g.standard_normal((int(g.integers(d, 4 * d)), d))
+    rest[:, 0] = 0.0
+    A = np.vstack([np.tile(np.eye(1, d), (copies, 1)), rest])
+    b = np.concatenate([np.zeros(copies), g.standard_normal(rest.shape[0])])
+    return LadProblem(A, b)
+
+
 def start_basis_problem(kind, seed):
+    if kind == "repeated_unit_row":
+        return repeated_unit_row_problem(seed)
     if kind == "repeated_row":
         return repeated_row_problem(seed)
     if kind == "near_repeated_column":
@@ -1187,9 +1204,11 @@ def first_rows_in_order(A, r):
 
 
 class TestStartBasis:
-    @given(st.sampled_from(FAMILIES + ("repeated_row", "near_repeated_column")),
+    @given(st.sampled_from(FAMILIES + ("repeated_row", "near_repeated_column",
+                                       "repeated_unit_row")),
            st.integers(0, 2**32 - 1))
     @example("isolated", 97489714)  # 4 weighted rows of 5 columns: both refuse
+    @example("repeated_unit_row", 0)  # the loop passes 8 d rows of one direction
     @settings(max_examples=120, deadline=None)
     def test_same_rows_as_the_sequential_loop(self, kind, seed):
         """At random residuals and at the least-squares residuals, the QR
@@ -1210,7 +1229,7 @@ class TestStartBasis:
     def test_isolated_row_outside_the_first_d_takes_the_loop(self, n, d, seed):
         """The lone row of an isolated design, here last in the order, is
         the only one with a last coordinate: the first d rows are dependent,
-        so the loop runs, its head grows to every row and takes the lone one."""
+        so the loop runs over every row in order and takes the lone one."""
         X = make_isolated_instance(n, d, RngStream(seed)).X
         r = np.random.default_rng(seed).random(n)
         r[-1] = 2.0
@@ -1299,37 +1318,72 @@ class TestCarriedInverse:
         assert h.hexdigest() == PINNED_DUALS["ill_conditioned"]
 
 
+def integer_tie_problem(g, m, d, k, coef, shift, weighted=False):
+    """Integer rows in [-k, k], integer coefficients in [-coef, coef], and 40%
+    of the labels moved by an integer in [-shift, shift], with integer row
+    weights in [1, 3] if weighted: residuals, breakpoints and multipliers tie
+    exactly."""
+    X = g.integers(-k, k + 1, (m, d)).astype(float)
+    y = X @ g.integers(-coef, coef + 1, d).astype(float)
+    moved = g.random(m) < 0.4
+    y[moved] += g.integers(-shift, shift + 1, np.count_nonzero(moved))
+    return LadProblem(X, y, g.integers(1, 4, m).astype(float) if weighted else None)
+
+
 def exact_tie_problem(seed):
-    """Integer rows in [-3, 3], integer coefficients in [-2, 2], and 40% of
-    the labels moved by -1, 0 or +1, at d = 1 to 4 and m = 20 d to 80 d, the
-    sizes of a sketch: residuals, breakpoints and multipliers tie exactly."""
+    """Rows in [-3, 3], coefficients in [-2, 2] and labels moved by -1, 0 or
+    +1, at d = 1 to 4 and m = 20 d to 80 d, the sizes of a sketch."""
     g = np.random.default_rng([23, seed])
     d = int(g.integers(1, 5))
-    m = int(g.integers(20 * d, 80 * d + 1))
-    X = g.integers(-3, 4, (m, d)).astype(float)
-    y = X @ g.integers(-2, 3, d).astype(float)
-    moved = g.random(m) < 0.4
-    y[moved] += g.integers(-1, 2, np.count_nonzero(moved))
-    return LadProblem(X, y)
+    return integer_tie_problem(g, int(g.integers(20 * d, 80 * d + 1)), d, 3, 2, 1)
 
 
-class TestExactTiesAtSketchSize:
-    def test_optimal_matches_highs_and_max_iter_spends_the_budget(self):
-        """The simplex can still cycle on exact ties (ROADMAP item 3): 19 of
-        these 200 designs spend the whole budget, as many as with a solve
-        for sigma and one for u at every pivot. Those must say so, and
-        return an objective no lower than the optimum; the others match
-        HiGHS."""
-        cycled = 0
-        for seed in range(200):
-            prob = exact_tie_problem(seed)
+def tall_tie_problem(seed):
+    """The same law at m = 2560 d to 4000 d, where each row sample and each
+    band round runs a simplex of its own."""
+    g = np.random.default_rng([29, seed])
+    d = int(g.integers(1, 5))
+    return integer_tie_problem(g, int(g.integers(2560 * d, 4000 * d + 1)), d, 3, 2, 1)
+
+
+def wide_integer_problem(seed):
+    """Rows, coefficients and label moves in [-k, k] for k = 1 to 5, at d = 1
+    to 6 and m = 20 d to 200 d, with integer row weights on odd seeds."""
+    g = np.random.default_rng([30, seed])
+    k, d = int(g.integers(1, 6)), int(g.integers(1, 7))
+    m = int(g.integers(20 * d, 200 * d + 1))
+    return integer_tie_problem(g, m, d, k, k, k, weighted=seed % 2 == 1)
+
+
+class TestExactTies:
+    """Every simplex run on these corpora, at every row sample and band
+    round, certifies within the pivot budget, and every objective matches
+    HiGHS. Before one zero test served both the carried and the recomputed
+    state, 19 of the 200 sketch-size designs, 14 of the 140 runs of the 40
+    tall designs and 17 of the 300 wider designs cycled until the budget ran
+    out."""
+
+    @staticmethod
+    def solve_all(problems, monkeypatch):
+        runs = record_simplex_runs(monkeypatch)
+        for prob in problems:
             sol = solve_lad(prob)
             opt = highs_optimum(prob)
-            if sol.status == "max_iter":
-                cycled += 1
-                assert sol.iterations == 2000
-                assert sol.objective >= opt
-            else:
-                assert sol.status == "optimal"
-                assert abs(sol.objective - opt) <= SOLVER_TOL * opt
-        assert cycled <= 19
+            assert sol.status == "optimal"
+            assert abs(sol.objective - opt) <= SOLVER_TOL * opt
+        assert [run.status for run in runs] == ["optimal"] * len(runs)
+        return runs
+
+    def test_sketch_size_every_run_optimal_and_matches_highs(self, monkeypatch):
+        runs = self.solve_all(map(exact_tie_problem, range(200)), monkeypatch)
+        assert len(runs) == 200
+
+    def test_tall_every_level_optimal_and_matches_highs(self, monkeypatch):
+        runs = self.solve_all(map(tall_tie_problem, range(40)), monkeypatch)
+        assert len(runs) == 150
+        # each design runs at least one row sample and one band round
+        assert sum(run.band for run in runs) > 40 and sum(not run.band for run in runs) > 40
+
+    def test_wide_integers_every_run_optimal_and_matches_highs(self, monkeypatch):
+        runs = self.solve_all(map(wide_integer_problem, range(300)), monkeypatch)
+        assert len(runs) == 300
