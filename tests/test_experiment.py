@@ -442,8 +442,7 @@ REDUCED = [{"family": family, "d": 2, "reduction_eps": 0.5, "reduction_delta": 0
 
 class TestInstanceOncePerProcess:
     @pytest.mark.parametrize("instance", REDUCED, ids=lambda d: d["family"])
-    def test_reduced_family_leaves_the_memoized_meta_unchanged(self, cold_cache, counted,
-                                                              instance):
+    def test_reduced_meta_unchanged(self, cold_cache, counted, instance):
         """With no planted optimum, every spec solves the full problem and
         reports the optimum in its meta; the memoized meta keeps none."""
         meta = materialize_instance(instance, 5)[2]
