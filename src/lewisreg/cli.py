@@ -14,6 +14,7 @@ import time
 from .active import FileBackedLabelOracle, active_solve, sketch_and_solve_known_y
 from .dataio import (
     DataError,
+    json_bytes,
     read_json,
     read_labels,
     read_matrix_csv,
@@ -164,7 +165,6 @@ def cmd_solve(args) -> int:
     if args.out:
         write_json(args.out, out)
     else:
-        from .dataio import json_bytes
         sys.stdout.write(json_bytes(out).decode("utf-8") + "\n")
     return 0
 

@@ -45,15 +45,12 @@ the m/8 band rows and two globs instead of all m rows; a round costs one
 pass over A for the globs and one for the sign check. A pivot makes one
 pass over its rows, c = A u, and a few elementwise passes over them: the
 crossing test and the crossing rows' breakpoints, the partition that picks
-a head of them, the step of the residuals, the objective and a screen for
-the zero test. The rest costs what the step passes: the line search orders
-only the head, whose size starts from what the last search needed, and the
-zero test, the signs and A^T (w s) are redone only on the rows the screen
-keeps, the rows a step can move to zero or across it, with the same bits as
-a pass over all the rows. On at most _SAMPLE_RATE * _HEAD = 512 rows, where a
-head grown once from _HEAD would hold every row, the line search orders all
-the breakpoints and the zero test runs on all the rows, one pass each, with
-no partition and no screen.
+a head of them, the step of the residuals, the objective, and the zero test
+with the signs. A^T (w s) is updated only on the rows whose sign changed,
+and the line search orders only the head, whose size starts from what the
+last search needed. On at most _SAMPLE_RATE * _HEAD = 512 rows, where a head
+grown once from _HEAD would hold every row, it orders all the breakpoints in
+one pass, with no partition.
 
 The d x d work of a pivot uses the inverse of the basis rows, carried along
 the pivots by the rank-one (product-form) update of the revised simplex
@@ -61,9 +58,9 @@ the pivots by the rank-one (product-form) update of the revised simplex
 direction u is one of its columns. It is recomputed from scratch with the
 state and every d pivots, so long runs do not drift. The multipliers come
 from a solve at a vertex, so that a certificate has the bits of a solve, and
-where the two largest are within tol of each other, where rounding picks the
-pivot row. The start basis costs one QR when its first d rows in order are
-independent; else the rows are tested one by one.
+where the two largest are within SOLVER_TOL of each other, where rounding
+picks the pivot row. The start basis costs one QR when its first d rows in
+order are independent; else the rows are tested one by one.
 
 The final basis gives the dual vector: the signs of the nonbasic residuals
 and the basis multipliers. A vertex whose multipliers pass and whose duality
@@ -106,6 +103,11 @@ SOLVER_TOL = 1e-8
 
 # seed of the tie-breaking direction h (see the module docstring)
 _TIE_SEED = 0x1AD
+# a residual is zero where |r_i| <= _ZERO_REL (||a_i||_1 max|x| + |b_i|)
+_ZERO_REL = 1e-13
+# a row is independent of others where its part outside their span is above
+# _INDEPENDENT_REL times its norm
+_INDEPENDENT_REL = 1e-10
 # the fewest breakpoints a line search starts from
 _HEAD = 64
 # step 1's row sample: from _COARSE_ROWS rows per column, 1 in _SAMPLE_RATE rows
@@ -182,7 +184,7 @@ def _greedy_basis(A: np.ndarray, r: np.ndarray) -> np.ndarray:
         first = head[np.argsort(abs_r[head], kind="stable")][:d]
         H = A[first]
         R_jj = np.abs(np.linalg.qr(H.T, mode="r").diagonal())
-        if (R_jj > 1e-10 * np.maximum(np.linalg.norm(H, axis=1), 1e-300)).all():
+        if (R_jj > _INDEPENDENT_REL * np.maximum(np.linalg.norm(H, axis=1), 1e-300)).all():
             return np.sort(first)
     Q, basis = np.zeros((d, 0)), []
     for i in np.argsort(abs_r, kind="stable"):
@@ -190,7 +192,7 @@ def _greedy_basis(A: np.ndarray, r: np.ndarray) -> np.ndarray:
         resid = a - Q @ (Q.T @ a)
         resid = resid - Q @ (Q.T @ resid)
         nrm = float(np.linalg.norm(resid))
-        if nrm > 1e-10 * max(float(np.linalg.norm(a)), 1e-300):
+        if nrm > _INDEPENDENT_REL * max(float(np.linalg.norm(a)), 1e-300):
             Q = np.hstack([Q, (resid / nrm)[:, None]])
             basis.append(int(i))
             if len(basis) == d:
@@ -225,21 +227,30 @@ def _entering_row(t, need, gather, k):
         k *= 8
 
 
-def _is_zero(r, row_l1, abs_b, x_max):
-    """The zero test of carried and recomputed residuals alike: |r_i| <= 1e-13
-    (||a_i||_1 max|x| + |b_i|), with row_l1 and abs_b the 1e-13 multiples.
-    Callers set the passing r_i to exactly 0, so repeated rows stay equal."""
-    return np.abs(r) <= row_l1 * x_max + abs_b
+def _zero_signs(X, r, rho, zero_test):
+    """The zero test and signs of carried and recomputed residuals alike: set
+    r_i to exactly 0 where |r_i| <= _ZERO_REL (||a_i||_1 max|x| + |b_i|), so
+    repeated rows stay equal, and return the signs of r, with those of rho
+    where r_i is 0. zero_test holds the _ZERO_REL multiples of ||a_i||_1 and
+    |b_i|. The zero rows are usually few, so they are indexed, not masked."""
+    row_l1, abs_b = zero_test
+    bound = row_l1 * np.abs(X[:, 0]).max()
+    bound += abs_b
+    zero = (np.abs(r) <= bound).nonzero()[0]
+    r[zero] = 0.0
+    s = np.sign(r)
+    s[zero] = np.sign(rho[zero])
+    return s
 
 
 def _vertex(A, rhs, w, basis, zero_test):
-    """From scratch at a basis: X = A_B^-1 rhs_B, residuals r (zeroed by
-    _is_zero, as _settle zeroes the carried ones), rho, signs s, g = A^T (w s)."""
+    """From scratch at a basis: X = A_B^-1 rhs_B, residuals r and rho, the
+    signs s of _zero_signs (zero on the basis, where rho is zero too) and
+    g = A^T (w s)."""
     X = np.linalg.solve(A[basis], rhs[basis])
     r, rho = (A @ X - rhs).T.copy()
     r[basis] = rho[basis] = 0.0
-    r[_is_zero(r, *zero_test[:2], np.abs(X[:, 0]).max())] = 0.0
-    s = np.sign(np.where(r == 0.0, rho, r))  # zero on the basis, where rho is zero too
+    s = _zero_signs(X, r, rho, zero_test)
     return X, r, rho, s, A.T @ (w * s)
 
 
@@ -252,45 +263,26 @@ def _step(X, r, rho, u, c, t, t_e):
 
 def _settle(A, w, X, r, rho, s, g, zero_test):
     """After a step, with r and rho zeroed on the basis: zero the residuals
-    that pass _is_zero, update s in place, and return g = A^T (w s) updated
-    on the rows whose sign changed; zero_test is _is_zero's (row_l1, abs_b)
-    and their maxima. Above _SAMPLE_RATE * _HEAD rows, rows with r_i s_i
-    above the largest threshold keep r_i and s_i (s_i is nonzero, r_i has
-    its sign and is above its own threshold), so the work is done on the
-    other rows alone: the breakpoints passed, the rows that left or entered
-    the basis and the rows at zero. On fewer rows that screen costs more
-    than it saves, and one pass tests every row."""
-    row_l1, abs_b, row_l1_max, abs_b_max = zero_test
-    x_max = np.abs(X[:, 0]).max()
-    if r.size <= _SAMPLE_RATE * _HEAD:
-        zero = _is_zero(r, row_l1, abs_b, x_max)
-        r[zero] = 0.0
-        s_all = np.sign(np.where(zero, rho, r))
-        changed = (s_all != s).nonzero()[0]
-        s_new = s_all[changed]
-    else:
-        near = (r * s <= row_l1_max * x_max + abs_b_max).nonzero()[0]
-        r_near = r[near]
-        zero = _is_zero(r_near, row_l1[near], abs_b[near], x_max)
-        r[near[zero]] = 0.0
-        s_near = np.sign(np.where(zero, rho[near], r_near))
-        flip = s_near != s[near]
-        changed, s_new = near[flip], s_near[flip]
+    and take the signs by _zero_signs, update s in place, and return
+    g = A^T (w s) updated on the rows whose sign changed."""
+    s_all = _zero_signs(X, r, rho, zero_test)
+    changed = (s_all != s).nonzero()[0]
+    s_new = s_all[changed]
     g = g + A[changed].T @ (w[changed] * (s_new - s[changed]))
     s[changed] = s_new
     return g
 
 
-def _multipliers(A, w, basis, g, B_inv, tol):
+def _multipliers(A, w, basis, g, B_inv):
     """The basis multipliers sigma = -A_B^-T g / w_B: from the carried
     inverse B_inv, or from a solve when B_inv is None or the two largest
-    |sigma_i| are within tol of each other. Rounding then picks the pivot
-    row, and the solve picks the one a solve at every pivot would."""
+    |sigma_i| are within SOLVER_TOL of each other. Rounding then picks the
+    pivot row, and the solve picks the one a solve at every pivot would."""
     if B_inv is not None:
         sigma = -(g @ B_inv) / w[basis]
         mags = np.abs(sigma)
         mags.sort()
-        if mags.size == 1 or mags[-2] < (1.0 - tol) * mags[-1]:
+        if mags.size == 1 or mags[-2] < (1.0 - SOLVER_TOL) * mags[-1]:
             return sigma
     return -np.linalg.solve(A[basis].T, g) / w[basis]
 
@@ -308,19 +300,19 @@ def _update_inverse(B_inv, A, basis, p, refresh):
     return B_inv
 
 
-def _l1_simplex(A, b, w, basis, tol, max_pivots):
+def _l1_simplex(A, b, w, basis, max_pivots):
     """Pivot from the given basis until every basis multiplier lies in
-    [-1 - tol, 1 + tol], or max_pivots pivots. Returns (beta, status, s,
-    pivots) at the certified vertex, or at the best vertex seen; s is the
-    dual vector: residual signs off the basis, clipped multipliers on it.
-    The inverse of the basis rows is carried along the pivots and steers
-    them; it is recomputed from scratch with the state and every d pivots,
-    and the multipliers that certify come from a solve at the vertex."""
+    [-1 - SOLVER_TOL, 1 + SOLVER_TOL], or max_pivots pivots. Returns (beta,
+    status, s, pivots) at the certified vertex, or at the best vertex seen;
+    s is the dual vector: residual signs off the basis, clipped multipliers
+    on it. The inverse of the basis rows is carried along the pivots and
+    steers them; it is recomputed from scratch with the state and every d
+    pivots, and the multipliers that certify come from a solve at the
+    vertex."""
     m, d = A.shape
     # column 0 is b, column 1 the tie-breaking direction h
     rhs = np.column_stack([b, np.random.default_rng(_TIE_SEED).random(m)])
-    row_l1, abs_b = 1e-13 * np.abs(A).sum(axis=1), 1e-13 * np.abs(b)
-    zero_test = (row_l1, abs_b, row_l1.max(), abs_b.max())
+    zero_test = (_ZERO_REL * np.abs(A).sum(axis=1), _ZERO_REL * np.abs(b))
     # up to _SAMPLE_RATE * _HEAD rows, a head grown once from _HEAD would
     # already hold every row: each line search orders all breakpoints at once
     k_min = m if m <= _SAMPLE_RATE * _HEAD else _HEAD
@@ -328,9 +320,9 @@ def _l1_simplex(A, b, w, basis, tol, max_pivots):
     while True:
         if scratch:
             X, r, rho, s, g = _vertex(A, rhs, w, basis, zero_test)
-        sigma = _multipliers(A, w, basis, g, None if scratch else B_inv, tol)
+        sigma = _multipliers(A, w, basis, g, None if scratch else B_inv)
         p = int(np.abs(sigma).argmax())
-        if abs(sigma[p]) <= 1.0 + tol:
+        if abs(sigma[p]) <= 1.0 + SOLVER_TOL:
             if scratch:
                 status = "optimal"
                 break
@@ -374,12 +366,12 @@ def _l1_simplex(A, b, w, basis, tol, max_pivots):
     if status != "optimal":
         basis = best[1]
         X, r, rho, s, g = _vertex(A, rhs, w, basis, zero_test)
-        sigma = _multipliers(A, w, basis, g, None, tol)
+        sigma = _multipliers(A, w, basis, g, None)
     s[basis] = np.clip(sigma, -1.0, 1.0)
     return X[:, 0], status, s, pivots
 
 
-def _solve(A, b, w, tol, max_pivots):
+def _solve(A, b, w, max_pivots):
     """_l1_simplex's (beta, status, s, pivots) on column-equilibrated rows with
     positive weights, by the steps of the module docstring. Raises
     RankDeficiencyError when the rows are rank deficient to tolerance."""
@@ -403,17 +395,17 @@ def _solve(A, b, w, tol, max_pivots):
     if m >= _COARSE_ROWS * d:
         rows = np.random.default_rng(_SAMPLE_SEED).random(m) < 1.0 / _SAMPLE_RATE
         try:
-            beta = _solve(A[rows], b[rows], w[rows], tol, max_pivots)[0]
+            beta = _solve(A[rows], b[rows], w[rows], max_pivots)[0]
         except RankDeficiencyError:  # the sample misses a direction the rows span
             pass
     if beta is None:  # the weighted least-squares solution
         beta = D * (L_inv.T @ (L_inv @ (D * (A.T @ (w * b)))))
     elif m >= _SAMPLE_RATE * _COARSE_ROWS * d:  # step 4
-        return _globbed(A, b, w, beta, tol, max_pivots)
-    return _l1_simplex(A, b, w, _greedy_basis(A, A @ beta - b), tol, max_pivots)
+        return _globbed(A, b, w, beta, max_pivots)
+    return _l1_simplex(A, b, w, _greedy_basis(A, A @ beta - b), max_pivots)
 
 
-def _globbed(A, b, w, beta, tol, max_pivots):
+def _globbed(A, b, w, beta, max_pivots):
     """_l1_simplex's (beta, status, s, pivots) on all rows, from rounds of the
     simplex on a band of rows plus globs (step 4 of the module docstring),
     from the pilot beta. The rounds share the pivot budget and their pivots
@@ -439,7 +431,7 @@ def _globbed(A, b, w, beta, tol, max_pivots):
                 raise
             band[:] = True
             continue
-        beta, status, s_r, p = _l1_simplex(A_r, b_r, w_r, basis, tol, max_pivots - pivots)
+        beta, status, s_r, p = _l1_simplex(A_r, b_r, w_r, basis, max_pivots - pivots)
         pivots += p
         wrong = ~band & (side * (A @ beta - b) <= 0.0)
         if status != "optimal" or not wrong.any():
@@ -481,16 +473,16 @@ def solve_lad(prob: LadProblem, max_iters: int = 2000) -> LadSolution:
         A, col_scale = equilibrate_columns(np.ascontiguousarray(A))
     except RankDeficiencyError:  # the message trial records carry
         raise RankDeficiencyError("an all-zero column on the weighted support") from None
-    beta, status, s_full, pivots = _solve(A, b, w, SOLVER_TOL, max_iters)
+    beta, status, s_full, pivots = _solve(A, b, w, max_iters)
     cert_norm = float(np.max(np.abs(A.T @ (w * s_full))))
     beta_out = beta / col_scale
     obj = objective(prob, beta_out)
 
     # objective minus the dual bound f(x) >= -s.(w b) - ||A^T (w s)||_inf ||x||_1;
-    # rounding, 1e-13 sum_i w_i (|a_i| |beta| + |b_i|), bounds the residuals'
+    # rounding, _ZERO_REL sum_i w_i (|a_i| |beta| + |b_i|), bounds the residuals'
     # rounding, at most the zero test's: all the gap of a 0 minimum
     gap = obj + math.fsum((s_full * w * b).tolist()) + cert_norm * l1_norm(beta)
-    rounding = 1e-13 * float(w @ (np.abs(A) @ np.abs(beta) + np.abs(b)))
+    rounding = _ZERO_REL * float(w @ (np.abs(A) @ np.abs(beta) + np.abs(b)))
     if status == "optimal" and obj > 0.0 and gap > SOLVER_TOL * obj + rounding:
         status = "uncertified"
     return LadSolution(beta=beta_out, objective=obj, optimality_gap_estimate=max(0.0, gap),

@@ -6,7 +6,7 @@ from typing import NamedTuple
 import numpy as np
 from scipy.linalg import solve_triangular
 
-from lewisreg.lad import _TIE_SEED, l1_norm
+from lewisreg.lad import _TIE_SEED, SOLVER_TOL, l1_norm
 from lewisreg.lewis import SAMPLING_TOL, lewis_weights, recommended_budget
 from lewisreg.linalg import (
     RankDeficiencyError,
@@ -184,7 +184,7 @@ def sequential_greedy_basis(A, r):
     raise RankDeficiencyError("could not assemble an invertible basis")
 
 
-def full_pass_l1_simplex(A, b, w, basis, tol, max_pivots):
+def full_pass_l1_simplex(A, b, w, basis, max_pivots):
     """Reference L1 simplex that passes over all m rows at every pivot: after
     each step it runs the zero test on every residual, recomputes every sign
     and updates A^T (w s) on the rows whose sign changed, and each line
@@ -193,8 +193,8 @@ def full_pass_l1_simplex(A, b, w, basis, tol, max_pivots):
     inverse of the basis rows, carried by the rank-one update and recomputed
     from scratch with the state and every d pivots, and takes the
     multipliers from a solve at a vertex and where the two largest are
-    within tol of each other; it must return the same bits from the same
-    start basis."""
+    within SOLVER_TOL of each other; it must return the same bits from the
+    same start basis."""
     m, d = A.shape
     rhs = np.column_stack([b, np.random.default_rng(_TIE_SEED).random(m)])
     row_l1, abs_b = 1e-13 * np.abs(A).sum(axis=1), 1e-13 * np.abs(b)
@@ -230,10 +230,10 @@ def full_pass_l1_simplex(A, b, w, basis, tol, max_pivots):
         else:
             sigma = -(g @ B_inv) / w[basis]
             mags = np.sort(np.abs(sigma))
-            if d > 1 and mags[-2] >= (1.0 - tol) * mags[-1]:  # a near tie: solve
+            if d > 1 and mags[-2] >= (1.0 - SOLVER_TOL) * mags[-1]:  # a near tie: solve
                 sigma = -np.linalg.solve(A[basis].T, g) / w[basis]
         p = int(np.abs(sigma).argmax())
-        if abs(sigma[p]) <= 1.0 + tol:
+        if abs(sigma[p]) <= 1.0 + SOLVER_TOL:
             if scratch:
                 status = "optimal"
                 break

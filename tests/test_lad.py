@@ -529,7 +529,7 @@ def simplex_from_random_basis(prob, seed):
     keep = prob.weights > 0
     A, b, w = prob.A[keep], prob.b[keep], prob.weights[keep]
     basis = lad_module._greedy_basis(A, np.random.default_rng(seed).random(A.shape[0]))
-    beta, status, _, _ = lad_module._l1_simplex(A, b, w, basis, 1e-8, 2000)
+    beta, status, _, _ = lad_module._l1_simplex(A, b, w, basis, 2000)
     return status, objective(LadProblem(A, b, w), beta)
 
 
@@ -648,8 +648,8 @@ class TestSimplexCertifies:
         far below the objective must not be called optimal."""
         simplex = lad_module._l1_simplex
 
-        def start_vertex_claimed_optimal(A, b, w, basis, tol, max_pivots):
-            beta, _, s, pivots = simplex(A, b, w, basis, tol, 0)
+        def start_vertex_claimed_optimal(A, b, w, basis, max_pivots):
+            beta, _, s, pivots = simplex(A, b, w, basis, 0)
             return beta, "optimal", s, pivots
 
         prob = random_problem(np.random.default_rng(8), m=60, d=4)
@@ -762,7 +762,7 @@ def assert_simplex_matches_full_pass(prob, seed, max_pivots=2000):
             keep = prob.weights > 0
             A = prob.A[keep]
             basis = lad_module._greedy_basis(A, np.random.default_rng(seed).random(A.shape[0]))
-            recorded_simplex(A, prob.b[keep], prob.weights[keep], basis, 1e-8, max_pivots)
+            recorded_simplex(A, prob.b[keep], prob.weights[keep], basis, max_pivots)
     except RankDeficiencyError:
         return None  # the zero weights left a rank-deficient support
     assert runs
@@ -843,7 +843,7 @@ class TestFastPivotIsFullPass:
         snapped = []  # per pivot, residuals the zero test moved to zero
 
         def checked_settle(A, w, X, r, rho, s, g, zero_test):
-            row_l1, abs_b = zero_test[:2]
+            row_l1, abs_b = zero_test
             r_full = r.copy()
             r_full[np.abs(r_full) <= row_l1 * np.abs(X[:, 0]).max() + abs_b] = 0.0
             s_full = np.sign(np.where(r_full == 0.0, rho, r_full))
@@ -870,19 +870,26 @@ class SimplexRun(NamedTuple):
     status: str
     pivots: int
     band: bool  # a round on the band and globs, not a run on a row sample or all rows
+    bases: list  # the sorted basis at the start and after every pivot, as tuples
 
 
 def record_simplex_runs(monkeypatch, budget_of=None):
     """Record a SimplexRun of every _l1_simplex run; budget_of(run,
     max_pivots), if given, sets the pivot budget of the run-th run."""
-    simplex, globbed, runs, in_band = lad_module._l1_simplex, lad_module._globbed, [], []
+    simplex, globbed = lad_module._l1_simplex, lad_module._globbed
+    update, runs, in_band, bases = lad_module._update_inverse, [], [], []
 
-    def recorded(A, b, w, basis, tol, max_pivots):
+    def recorded(A, b, w, basis, max_pivots):
         if budget_of is not None:
             max_pivots = budget_of(len(runs), max_pivots)
-        out = simplex(A, b, w, basis, tol, max_pivots)
-        runs.append(SimplexRun(A, b, w, out[1], out[3], bool(in_band)))
+        bases.append([tuple(np.sort(basis).tolist())])
+        out = simplex(A, b, w, basis, max_pivots)
+        runs.append(SimplexRun(A, b, w, out[1], out[3], bool(in_band), bases[-1]))
         return out
+
+    def recorded_update(B_inv, A, basis, p, refresh):  # called once per pivot
+        bases[-1].append(tuple(np.sort(basis).tolist()))
+        return update(B_inv, A, basis, p, refresh)
 
     def recorded_globbed(*args):
         in_band.append(True)
@@ -893,6 +900,7 @@ def record_simplex_runs(monkeypatch, budget_of=None):
 
     monkeypatch.setattr(lad_module, "_l1_simplex", recorded)
     monkeypatch.setattr(lad_module, "_globbed", recorded_globbed)
+    monkeypatch.setattr(lad_module, "_update_inverse", recorded_update)
     return runs
 
 
@@ -1042,18 +1050,18 @@ def exact_fit_problem():
     return LadProblem(X, y)
 
 
-def plain_top_level(A, b, w, beta, tol, max_pivots):
+def plain_top_level(A, b, w, beta, max_pivots):
     """The top level as below 2560 d: the simplex on all rows, from the basis
     of smallest residuals at the pilot beta."""
     basis = lad_module._greedy_basis(A, A @ beta - b)
-    return lad_module._l1_simplex(A, b, w, basis, tol, max_pivots)
+    return lad_module._l1_simplex(A, b, w, basis, max_pivots)
 
 
 def shifted_pilot(monkeypatch, shift):
     """Start the glob level from the pilot plus shift in every coefficient."""
     globbed = lad_module._globbed
-    monkeypatch.setattr(lad_module, "_globbed", lambda A, b, w, beta, tol, max_pivots:
-                        globbed(A, b, w, beta + shift, tol, max_pivots))
+    monkeypatch.setattr(lad_module, "_globbed", lambda A, b, w, beta, max_pivots:
+                        globbed(A, b, w, beta + shift, max_pivots))
 
 
 class TestGlobLevel:
@@ -1276,9 +1284,9 @@ class TestCarriedInverse:
         simplex, update = lad_module._l1_simplex, lad_module._update_inverse
         runs = []
 
-        def recorded_simplex(A, b, w, basis, tol, max_pivots):
+        def recorded_simplex(A, b, w, basis, max_pivots):
             runs.append({"basis": basis, "pivots": 0, "refreshes": 0, "K": 0.0})
-            out = simplex(A, b, w, basis, tol, max_pivots)
+            out = simplex(A, b, w, basis, max_pivots)
             runs[-1]["s"] = out[2]
             assert runs[-1]["pivots"] == out[3]
             return out
@@ -1357,11 +1365,12 @@ def wide_integer_problem(seed):
 
 class TestExactTies:
     """Every simplex run on these corpora, at every row sample and band
-    round, certifies within the pivot budget, and every objective matches
-    HiGHS. Before one zero test served both the carried and the recomputed
-    state, 19 of the 200 sketch-size designs, 14 of the 140 runs of the 40
-    tall designs and 17 of the 300 wider designs cycled until the budget ran
-    out."""
+    round, certifies within the pivot budget without visiting a basis twice
+    (the termination claim of the module docstring), and every objective
+    matches HiGHS. Before one zero test served both the carried and the
+    recomputed state, 19 of the 200 sketch-size designs, 14 of the 140 runs
+    of the 40 tall designs and 17 of the 300 wider designs cycled until the
+    budget ran out."""
 
     @staticmethod
     def solve_all(problems, monkeypatch):
@@ -1372,6 +1381,9 @@ class TestExactTies:
             assert sol.status == "optimal"
             assert abs(sol.objective - opt) <= SOLVER_TOL * opt
         assert [run.status for run in runs] == ["optimal"] * len(runs)
+        for run in runs:
+            assert len(run.bases) == run.pivots + 1
+            assert len(set(run.bases)) == len(run.bases)  # no basis repeats
         return runs
 
     def test_sketch_size_every_run_optimal_and_matches_highs(self, monkeypatch):
