@@ -9,11 +9,11 @@ from .linalg import (
     DataError,
     RankDeficiencyError,
     WeightVector,
-    leverage_scores,
     spd_factorize,
 )
 from .lewis import (
     ConvergenceError,
+    leverage_scores,
     lewis_weights,
     recommended_budget,
     sampling_values,

@@ -145,7 +145,7 @@ def _sample_and_solve(X: np.ndarray, oracle: LabelOracle, values: WeightVector,
     N = int(round(values.budget))
     if N < X.shape[1]:
         raise DataError(f"budget {N} below column count {X.shape[1]}; refused")
-    S = draw_sketch(values, N, rng)
+    S = draw_sketch(values, rng)
     distinct, draw_of = np.unique(S.indices, return_inverse=True)
     y = np.array([oracle.query(int(i)) for i in distinct])
     sol = solve_lad(LadProblem(X[distinct], y,

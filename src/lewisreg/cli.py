@@ -31,8 +31,8 @@ from .experiment import (
 )
 from .instances import FAMILIES
 from .lad import LadProblem, objective, solve_lad
-from .lewis import ConvergenceError, lewis_weights, verify_fixed_point
-from .linalg import RankDeficiencyError, leverage_scores
+from .lewis import ConvergenceError, leverage_scores, lewis_weights, verify_fixed_point
+from .linalg import RankDeficiencyError
 from .sketch import RngStream
 
 __all__ = ["main"]

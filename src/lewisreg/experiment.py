@@ -7,13 +7,14 @@ isolation and a re-run of the whole spec reproduces the report byte for byte
 sketched problem when uniform sampling misses the only row spanning a
 direction) count as failed trials, with no ratio.
 
-The sampling weights depend only on the instance, never on a draw, so
-run_experiment computes them once per spec: the Lewis weights of X for
-"lewis", of [X y] for "known_y_augmented", the leverage scores of X for
-"leverage_l2_baseline" (uniform needs none). Every trial reuses them; when
-computing them fails numerically, every trial records that failure. Trials
-still go through active_solve and sketch_and_solve_known_y, passing weights=,
-so a trial draws the same rows as a one-shot call with the same stream.
+Every method samples by importance values that depend only on the instance,
+never on a draw, so run_experiment computes them once per spec: the Lewis
+weights of X for "lewis", of [X y] for "known_y_augmented", the leverage
+scores of X for "leverage_l2_baseline", ones for "uniform". Every trial reuses
+them; when computing them fails numerically, every trial records that
+failure. The Lewis methods pass them as weights= to active_solve and
+sketch_and_solve_known_y, so a trial draws the same rows as a one-shot call
+with the same stream; the others draw through sample_and_solve.
 
 Comparing methods means running one spec per method on one (instance, seed),
 back to back in one process. run_experiment therefore memoizes the last
@@ -50,8 +51,8 @@ from .instances import (
     two_coin_instances,
 )
 from .lad import LadProblem, l1_norm, objective, solve_lad
-from .lewis import SAMPLING_TOL, ConvergenceError, sampling_values
-from .linalg import DataError, RankDeficiencyError, WeightVector, leverage_scores
+from .lewis import SAMPLING_TOL, ConvergenceError, leverage_scores, sampling_values
+from .linalg import DataError, RankDeficiencyError, WeightVector
 from .sketch import RngStream
 
 __all__ = [
@@ -297,16 +298,16 @@ def wilson_interval(successes: int, n: int):
     return max(0.0, center - half), min(1.0, center + half)
 
 
-def _sampling_weights(method, X, y) -> WeightVector | None:
-    """The importance values a method samples by, once per spec; None for
-    uniform. Looked up on lewisreg.active, where perfbench/spans.py wraps it."""
+def _sampling_weights(method, X, y) -> WeightVector:
+    """The importance values a method samples by, once per spec. Lewis weights
+    are looked up on lewisreg.active, where perfbench/spans.py wraps them."""
     if method == "lewis":
         return active.lewis_weights(X, SAMPLING_TOL)
     if method == "known_y_augmented":
         return active.augmented_lewis_weights(X, y)
     if method == "leverage_l2_baseline":
         return leverage_scores(X)
-    return None
+    return WeightVector(np.ones(X.shape[0]), kind="uniform")
 
 
 def _record(budget, trial, opt, error=None) -> dict:
@@ -336,19 +337,12 @@ def _run_trial(prob, opt, method, weights, eps, delta, seed, budget, trial):
         if method == "lewis":
             res = active_solve(X, InMemoryLabelOracle(y), eps, delta, rng,
                                budget_override=budget, weights=weights)
-        elif method == "uniform":
-            n = X.shape[0]
-            p = WeightVector(np.full(n, budget / n), kind="sampling",
-                             budget=float(budget))
-            res = sample_and_solve(X, InMemoryLabelOracle(y), p, rng)
-        elif method == "leverage_l2_baseline":
-            res = sample_and_solve(X, InMemoryLabelOracle(y),
-                                   sampling_values(weights, budget), rng)
         elif method == "known_y_augmented":
             res = sketch_and_solve_known_y(X, y, eps, delta, rng,
                                            budget_override=budget, weights=weights)
-        else:
-            raise ValueError(f"unknown method {method!r}")
+        else:  # uniform and leverage_l2_baseline
+            res = sample_and_solve(X, InMemoryLabelOracle(y),
+                                   sampling_values(weights, budget), rng)
     except (RankDeficiencyError, ConvergenceError) as e:
         # e.g. a sketch that misses every row spanning some direction; the
         # trial failed to produce an estimate, which counts as a failure.

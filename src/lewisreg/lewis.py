@@ -33,7 +33,8 @@ that conditions the Gram lives in d x d matrices: power-of-two scales D, taken
 from the first Gram's diagonal, scale the Gram to D G D and the factor the
 quadratic forms apply, which gives the bits of the design X D. The first
 sweep, at w = 1, also finds the zero rows (there q = 0 exactly), which then
-leave the sweeps. Only a design whose X^T X diagonal over- or underflows
+leave the sweeps; its q(1) are the leverage scores, which leverage_scores
+returns. Only a design whose X^T X diagonal over- or underflows
 (column entries beyond about 1e+-120) is copied, once, scaled by powers of
 two. At 50 000 x 20 a sampling-grade call allocates less than X itself.
 """
@@ -57,6 +58,7 @@ __all__ = [
     "ConvergenceError",
     "SAMPLING_TOL",
     "lewis_weights",
+    "leverage_scores",
     "verify_fixed_point",
     "sampling_values",
     "recommended_budget",
@@ -104,11 +106,11 @@ class _GramOutOfRange(ArithmeticError):
     """X^T X has a diagonal entry outside [1 / _GRAM_RANGE, _GRAM_RANGE]."""
 
 
-def _fixed_point_defect(X: np.ndarray, w: np.ndarray,
-                        scale: np.ndarray | None = None) -> tuple[float, np.ndarray, np.ndarray]:
+def _fixed_point_defect(X: np.ndarray, w: np.ndarray, scale: np.ndarray | None = None
+                        ) -> tuple[float, np.ndarray, np.ndarray, np.ndarray]:
     """Max relative defect of the defining identity over the nonzero rows of X,
-    log q(w), and the column scales D. w > 0: callers validate once, outside
-    the sweeps.
+    q(w) as computed, log q(w), and the column scales D. w > 0: callers
+    validate once, outside the sweeps.
 
     The Gram G is factored as D G D, and D is folded into the d x d factor
     that the quadratic forms apply; with powers of two this gives the bits of
@@ -135,7 +137,7 @@ def _fixed_point_defect(X: np.ndarray, w: np.ndarray,
     np.abs(defect, out=defect)
     defect /= np.maximum(w2, _TINY_W2, out=w2)
     with np.errstate(divide="ignore"):
-        log_q = np.log(q, out=q)
+        log_q = np.log(q)
     if low.size:
         rows = X[low]
         zero = ~rows.any(axis=1)
@@ -147,15 +149,16 @@ def _fixed_point_defect(X: np.ndarray, w: np.ndarray,
         defect[tiny] = np.abs(np.expm1(log_q[tiny] - 2.0 * np.log(w[tiny])))
     if low.size:
         defect[low[zero]] = 0.0
-    return float(defect.max()), log_q, scale
+    return float(defect.max()), q, log_q, scale
 
 
 def _first_sweep(X: np.ndarray):
     """The first sweep, at w = 1, of a C-contiguous X of valid shape: the
-    design every later sweep reads, its column scales, the defect, log q, and
-    the index of the nonzero rows into X (a full slice when no row is zero,
-    which spares the gathers). The design and log q keep the nonzero rows
-    only. A non-finite entry raises DataError, as as_design_matrix would.
+    design every later sweep reads, its column scales, the defect, q and log q,
+    and the index of the nonzero rows into X (a full slice when no row is zero,
+    which spares the gathers). q = q(1) keeps every row, 0 on the zero rows;
+    the design and log q keep the nonzero rows only. A non-finite entry raises
+    DataError, as as_design_matrix would.
 
     The design is X itself, unless X^T X's diagonal leaves the range where
     the Gram scaling is exact; then X is scaled by the powers of two that
@@ -166,7 +169,7 @@ def _first_sweep(X: np.ndarray):
         # an overflow fails the range test, and so does a non-finite entry,
         # whose square is in a diagonal entry of the Gram
         with np.errstate(over="ignore", invalid="ignore"):
-            defect, log_q, scale = _fixed_point_defect(X, w)
+            defect, q, log_q, scale = _fixed_point_defect(X, w)
     except _GramOutOfRange:
         peak = np.abs(X).max(axis=0)
         if not np.isfinite(peak).all():
@@ -174,11 +177,11 @@ def _first_sweep(X: np.ndarray):
         if not peak.all():
             raise RankDeficiencyError("matrix has an all-zero column") from None
         X = np.ldexp(X, -np.frexp(peak)[1])
-        defect, log_q, scale = _fixed_point_defect(X, w)
+        defect, q, log_q, scale = _fixed_point_defect(X, w)
     nonzero = log_q > -np.inf
     if nonzero.all():
-        return X, scale, defect, log_q, slice(None)
-    return X[nonzero], scale, defect, log_q[nonzero], nonzero
+        return X, scale, defect, q, log_q, slice(None)
+    return X[nonzero], scale, defect, q, log_q[nonzero], nonzero
 
 
 def lewis_weights(X, tol: float = 1e-10) -> WeightVector:
@@ -229,7 +232,7 @@ def lewis_weights(X, tol: float = 1e-10) -> WeightVector:
     # the first sweep checks that every entry is finite
     X = np.ascontiguousarray(as_design_matrix(X, finite=False))
     n = X.shape[0]
-    X, scale, residual, log_q, nonzero = _first_sweep(X)
+    X, scale, residual, _, log_q, nonzero = _first_sweep(X)
 
     m, rows = _ANDERSON_DEPTH, X.shape[0]
     dF, dG = np.empty((m, rows)), np.empty((m, rows))  # ring buffers of differences
@@ -266,12 +269,21 @@ def lewis_weights(X, tol: float = 1e-10) -> WeightVector:
         else:
             u = g
         w = np.exp(u)
-        residual, log_q, _ = _fixed_point_defect(X, w, scale)
+        residual, _, log_q, _ = _fixed_point_defect(X, w, scale)
         sweeps += 1
 
     full = np.zeros(n)
     full[nonzero] = w
     return WeightVector(full, kind="lewis")
+
+
+def leverage_scores(X) -> WeightVector:
+    """Statistical leverage x_i^T (X^T X)^{-1} x_i of each row: q(1), the first
+    sweep of lewis_weights. Scores lie in [0, 1], are 0 on all-zero rows and
+    sum to d; RankDeficiencyError when X is rank deficient to pivot tolerance."""
+    # the first sweep checks that every entry is finite
+    q = _first_sweep(np.ascontiguousarray(as_design_matrix(X, finite=False)))[3]
+    return WeightVector(np.minimum(q, 1.0, out=q), kind="leverage")
 
 
 def verify_fixed_point(X, w) -> float:
@@ -284,7 +296,7 @@ def verify_fixed_point(X, w) -> float:
     """
     X = np.ascontiguousarray(as_design_matrix(X))
     wv = as_vector(w.values if isinstance(w, WeightVector) else w, length=X.shape[0])
-    X, scale, _, _, nonzero = _first_sweep(X)
+    X, scale, _, _, _, nonzero = _first_sweep(X)
     if np.any(wv[nonzero] <= 0):
         raise ValueError("weights must be positive on nonzero rows")
     if np.count_nonzero(wv) > np.count_nonzero(wv[nonzero]):
@@ -314,14 +326,15 @@ def recommended_budget(d: int, eps: float, delta: float,
     constant_prob:  ceil(C * d * log(max(d,2)) / eps^2)
 
     C = BUDGET_CONSTANT absorbs the constants hidden by the asymptotic
-    statements; its value of 4 is an artifact choice, not the paper's.
+    statements; its value of 4 is an artifact choice, not the paper's. A d,
+    eps or delta out of range raises DataError.
     """
     if d < 1:
-        raise ValueError("d must be at least 1")
+        raise DataError("d must be at least 1")
     if not (0 < eps < 1):
-        raise ValueError("eps must lie in (0, 1)")
+        raise DataError("eps must lie in (0, 1)")
     if not (0 < delta < 1):
-        raise ValueError("delta must lie in (0, 1)")
+        raise DataError("delta must lie in (0, 1)")
     if regime == "high_prob":
         value = BUDGET_CONSTANT * d / eps**2 * math.log(d / (eps * delta))
     elif regime == "constant_prob":

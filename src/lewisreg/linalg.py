@@ -24,7 +24,6 @@ __all__ = [
     "SpdFactorization",
     "spd_factorize",
     "row_quadratic_forms",
-    "leverage_scores",
 ]
 
 # Pivots below this fraction of the largest diagonal entry are treated as zero.
@@ -46,8 +45,9 @@ class RankDeficiencyError(ValueError):
 class WeightVector:
     """Per-row importance scores with a tag saying what they are.
 
-    kind is one of "lewis", "leverage", or "sampling". Sampling vectors carry
-    the budget they were scaled to (their entries sum to it).
+    kind is one of "lewis", "leverage", "uniform" (all ones), or "sampling".
+    Sampling vectors carry the budget they were scaled to (their entries sum
+    to it).
     """
 
     values: np.ndarray
@@ -62,7 +62,7 @@ class WeightVector:
             raise ValueError("weight vector has non-finite entries")
         if np.any(v < 0):
             raise ValueError("weight vector has negative entries")
-        if self.kind not in ("lewis", "leverage", "sampling"):
+        if self.kind not in ("lewis", "leverage", "uniform", "sampling"):
             raise ValueError(f"unknown weight kind {self.kind!r}")
         if self.kind == "sampling" and self.budget is None:
             raise ValueError("sampling weights need a declared budget")
@@ -202,24 +202,12 @@ def orthonormal_column_basis(X: np.ndarray) -> np.ndarray:
 
 def equilibrate_columns(X: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """X with its columns scaled to unit max-abs, and the column scales.
-    Row importance scores and LAD residuals are invariant under column
-    scaling, so this only conditions the Gram matrices. It makes a scaled n x d
-    copy, which leverage_scores and the LAD solve use; the Lewis weights fold
-    power-of-two column scales into their d x d Gram instead."""
+    LAD residuals are invariant under column scaling, so this only conditions
+    the Gram matrices. It makes a scaled n x d copy, which only the LAD solve
+    uses; the Lewis weights and leverage scores fold power-of-two column scales
+    into their d x d Gram instead."""
     col_scale = np.abs(X).max(axis=0)
     if np.any(col_scale == 0):
         raise RankDeficiencyError("matrix has an all-zero column")
     return X / col_scale, col_scale
 
-
-def leverage_scores(X) -> WeightVector:
-    """Statistical leverage of each row: x_i^T (X^T X)^{-1} x_i.
-
-    Scores lie in [0, 1] and sum to d for full-column-rank X. Raises
-    RankDeficiencyError when X is rank deficient to pivot tolerance.
-    """
-    X, _ = equilibrate_columns(as_design_matrix(X))
-    G = weighted_gram(X, np.ones(X.shape[0]))
-    F = spd_factorize(G)
-    l = row_quadratic_forms(F, X)
-    return WeightVector(np.clip(l, 0.0, 1.0), kind="leverage")

@@ -123,18 +123,19 @@ class Sketch:
         return self.indices.shape[0]
 
 
-def draw_sketch(p: WeightVector, N: int, rng: RngStream) -> Sketch:
+def draw_sketch(p: WeightVector, rng: RngStream) -> Sketch:
     """Draw a sampling-and-reweighting sketch from sampling values p.
 
     Parameters
     ----------
-    p : WeightVector of kind "sampling" whose entries sum to N (1e-6 relative).
-    N : number of rows to draw; each is index i with probability p_i / N,
-        recorded with scale 1 / p_i.
+    p : WeightVector of kind "sampling" whose entries sum to its budget N
+        (1e-6 relative). The sketch has N rows; each is index i with
+        probability p_i / N, recorded with scale 1 / p_i.
     rng : RngStream; the same stream always yields the same sketch.
     """
     if not isinstance(p, WeightVector) or p.kind != "sampling":
         raise ValueError("draw_sketch expects sampling values")
+    N = int(round(p.budget))
     if N < 1:
         raise ValueError("budget must be at least 1")
     values = p.values

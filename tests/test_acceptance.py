@@ -136,7 +136,7 @@ def test_criterion_4_subspace_embedding():
     p = sampling_values(lewis_weights(X), N)
     good = 0
     for t in range(100):
-        S = draw_sketch(p, N, rng.derive("draw", t))
+        S = draw_sketch(p, rng.derive("draw", t))
         if embedding_distortion(S, X, 200, rng.derive("probe", t)) <= eps:
             good += 1
     elapsed = time.perf_counter() - t0

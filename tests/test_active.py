@@ -16,8 +16,14 @@ from lewisreg.cli import main
 from lewisreg.dataio import DataError, read_labels, write_labels, write_matrix_csv
 from lewisreg.instances import make_outlier_instance
 from lewisreg.lad import LadProblem, objective
-from lewisreg.lewis import SAMPLING_TOL, lewis_weights, recommended_budget, sampling_values
-from lewisreg.linalg import WeightVector, leverage_scores, orthonormal_column_basis
+from lewisreg.lewis import (
+    SAMPLING_TOL,
+    leverage_scores,
+    lewis_weights,
+    recommended_budget,
+    sampling_values,
+)
+from lewisreg.linalg import WeightVector, orthonormal_column_basis
 from lewisreg.sketch import RngStream, draw_sketch
 
 from helpers import identity_sketch, oversampled_budget, relative_error_gap
@@ -378,7 +384,7 @@ class TestRelativeErrorGap:
         ok = 0
         trials = 0
         for t in range(25):
-            S = draw_sketch(p, N, RngStream(32, stream=t))
+            S = draw_sketch(p, RngStream(32, stream=t))
             for _ in range(4):
                 probe = beta_star + g.standard_normal(5) * g.choice([0.1, 1.0])
                 gap = relative_error_gap(inst.X, inst.y, S, beta_star, probe)
@@ -393,7 +399,7 @@ class TestRelativeErrorGap:
         X, y0, beta = gaussian_instance(13, n=300, d=4, noise=1.0)
         w = lewis_weights(X)
         p = sampling_values(w, 60)
-        S = draw_sketch(p, 60, RngStream(14))
+        S = draw_sketch(p, RngStream(14))
         unsampled = sorted(set(range(300)) - set(int(i) for i in S.indices))
         j = unsampled[0]
         probe = beta + 0.5

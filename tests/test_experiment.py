@@ -20,13 +20,8 @@ from lewisreg.experiment import (
     wilson_interval,
 )
 from lewisreg.lad import LadProblem, objective, solve_lad
-from lewisreg.lewis import sampling_values
-from lewisreg.linalg import (
-    DataError,
-    RankDeficiencyError,
-    WeightVector,
-    leverage_scores,
-)
+from lewisreg.lewis import leverage_scores, sampling_values
+from lewisreg.linalg import DataError, RankDeficiencyError, WeightVector
 
 
 def outlier_spec(**overrides):

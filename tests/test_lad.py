@@ -142,7 +142,7 @@ def pinned_sketched_problem():
     y[g.choice(4000, size=5, replace=False)] += 1e4
     norms = np.abs(X).sum(axis=1)
     values = WeightVector(norms * (300 / norms.sum()), kind="sampling", budget=300.0)
-    S = draw_sketch(values, 300, RngStream(99, stream=1))
+    S = draw_sketch(values, RngStream(99, stream=1))
     return LadProblem(X[S.indices], y[S.indices], S.scales)
 
 
@@ -415,7 +415,7 @@ def tall_sketched_problems(n=4000, d=20, budget=800):
         y = X @ g.standard_normal(d) + g.standard_normal(n)
         rows = g.choice(n, size=3, replace=False)
         y[rows] += 1e6 * np.where(g.random(3) < 0.5, -1.0, 1.0)
-        S = draw_sketch(sampling_values(lewis_weights(X), budget), budget,
+        S = draw_sketch(sampling_values(lewis_weights(X), budget),
                         RngStream(int(g.integers(2**62))))
         distinct, draw_of = np.unique(S.indices, return_inverse=True)
         yield LadProblem(X[distinct], y[distinct], np.bincount(draw_of, weights=S.scales))

@@ -20,6 +20,7 @@ from lewisreg.lewis import (
     verify_fixed_point,
 )
 from lewisreg.linalg import (
+    DataError,
     RankDeficiencyError,
     WeightVector,
     spd_factorize,
@@ -183,7 +184,7 @@ class TestLewisWeights:
         X = rng.standard_t(1.5, size=(5000, 8))
         Xe = X / np.abs(X).max(axis=0)
         for w in (np.ones(X.shape[0]), rng.uniform(0.01, 1.0, X.shape[0])):
-            _, log_q, _ = _fixed_point_defect(X, w)
+            _, _, log_q, _ = _fixed_point_defect(X, w)
             np.testing.assert_allclose(np.exp(log_q), triangular_solve_forms(Xe, w),
                                        rtol=1e-12)
 
@@ -211,7 +212,7 @@ class TestLewisWeights:
         w, scale = np.ones(X.shape[0]), None
         residuals = []
         for _ in range(40):
-            r, log_q, scale = _fixed_point_defect(X, w, scale)
+            r, _, log_q, scale = _fixed_point_defect(X, w, scale)
             residuals.append(r)
             w = np.exp(0.5 * log_q)
         ratios = [b / a for a, b in zip(residuals[5:], residuals[6:]) if a > 1e-13]
@@ -335,11 +336,11 @@ def record_sweeps(monkeypatch, spikes=()):
     sweeps = []
 
     def recording_defect(X, w, scale=None):
-        residual, log_q, scale = _fixed_point_defect(X, w, scale)
+        residual, q, log_q, scale = _fixed_point_defect(X, w, scale)
         if len(sweeps) in spikes:
             residual *= 1e3
         sweeps.append((w.copy(), log_q.copy()))
-        return residual, log_q, scale
+        return residual, q, log_q, scale
 
     monkeypatch.setattr(lewis_module, "_fixed_point_defect", recording_defect)
     return sweeps
@@ -581,6 +582,12 @@ class TestSamplingValues:
         with pytest.raises(ValueError):
             sampling_values(WeightVector(np.ones(2), kind="lewis"), 0)
 
+    @pytest.mark.parametrize("n, N", [(7, 30), (150, 15), (2000, 240)])
+    def test_uniform_ones_give_the_bits_of_full(self, n, N):
+        p = sampling_values(WeightVector(np.ones(n), kind="uniform"), N)
+        np.testing.assert_array_equal(p.values, np.full(n, N / n))
+        assert p.budget == float(N)
+
     def test_resampling_sampling_values_rejected(self):
         p = sampling_values(WeightVector(np.ones(2), kind="lewis"), 4)
         with pytest.raises(ValueError):
@@ -605,9 +612,10 @@ class TestRecommendedBudget:
         assert budgets == sorted(budgets, reverse=True)
 
     def test_out_of_range_rejected(self):
-        with pytest.raises(ValueError):
-            recommended_budget(5, 1.5, 0.1)
-        with pytest.raises(ValueError):
-            recommended_budget(5, 0.5, 0.0)
+        # a d, eps or delta out of range is a data error, as in active._budget
+        for d, eps, delta in ((0, 0.5, 0.1), (5, 0.0, 0.1), (5, 1.5, 0.1),
+                              (5, 0.5, 0.0), (5, 0.5, 1.0)):
+            with pytest.raises(DataError):
+                recommended_budget(d, eps, delta)
         with pytest.raises(ValueError):
             recommended_budget(5, 0.5, 0.1, "bogus")

@@ -3,11 +3,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from lewisreg.lewis import leverage_scores
 from lewisreg.linalg import (
     RankDeficiencyError,
     WeightVector,
     as_design_matrix,
-    leverage_scores,
     row_quadratic_forms,
     spd_factorize,
     weighted_gram,
@@ -207,10 +207,14 @@ class TestLeverageScores:
         rng = np.random.default_rng(seed)
         d = int(rng.integers(1, 6))
         n = int(rng.integers(d, 40))
-        X = rng.standard_normal((n, d))
+        X = np.vstack([rng.standard_normal((n, d)), np.zeros(d)])
         l = leverage_scores(X).values
+        assert l[-1] == 0.0
         assert np.all(l >= 0.0) and np.all(l <= 1.0)
         assert abs(l.sum() - d) <= 1e-6
+        # columns scaled past 2^+-400 take the first sweep's scaled copy of X
+        scale = rng.choice([2.0**-450, 1.0, 3.0 * 2.0**420], size=d)
+        np.testing.assert_allclose(leverage_scores(X * scale).values, l, atol=1e-10)
 
     def test_rank_deficient_rejected(self):
         X = np.array([[1.0, 1.0], [2.0, 2.0], [3.0, 3.0]])

@@ -8,7 +8,12 @@ from hypothesis import strategies as st
 
 import lewisreg
 from lewisreg.active import InMemoryLabelOracle, active_solve
-from lewisreg.lewis import lewis_weights, recommended_budget, sampling_values
+from lewisreg.lewis import (
+    leverage_scores,
+    lewis_weights,
+    recommended_budget,
+    sampling_values,
+)
 from lewisreg.linalg import WeightVector
 from lewisreg.sketch import (
     RNG_ALGORITHM,
@@ -164,7 +169,7 @@ class TestAliasTableMatchesLoop:
         for N in (40, 400, 4000):
             p = sampling_values(w, N)
             rng = RngStream(22, stream=N)
-            S = draw_sketch(p, N, rng)
+            S = draw_sketch(p, rng)
             idx, scales = reference_draw(p.values, N, rng)
             np.testing.assert_array_equal(S.indices, idx)
             np.testing.assert_array_equal(S.scales, scales)
@@ -191,7 +196,7 @@ def pinned_draws_digest():
     h = hashlib.sha256()
     for N in (10, 100, 2500):
         for values in (norms * (N / norms.sum()), np.full(5000, N / 5000)):
-            S = draw_sketch(sampling(values, N), N, RngStream(7, stream=N))
+            S = draw_sketch(sampling(values, N), RngStream(7, stream=N))
             h.update(S.indices.astype("<i8").tobytes())
             h.update(S.scales.astype("<f8").tobytes())
     return h.hexdigest()
@@ -232,9 +237,46 @@ def test_active_draws_pinned_to_version():
         "the active draws changed: bump lewisreg.__version__ and pin the new digest")
 
 
+# Digest of leverage_draws_digest() under each lewisreg.__version__, recorded
+# as PINNED_ACTIVE_DRAWS is: the draws follow the leverage scores as well as
+# the RNG. The 0.2.0 entry was recorded when leverage_scores still built its
+# own equilibrated copy of X, so it holds the first sweep's scores to the same
+# draws and, on the unit rows, to the same bits.
+PINNED_LEVERAGE_DRAWS = {
+    "0.2.0": "7928344e2278e08121695a3025b629eb467a5d849ea56e04b2d1bae0ca8976a9",
+}
+
+
+def leverage_draws_digest():
+    """sha256 of two leverage-sampled sketches. One is on a seeded Student-t
+    design with a zero row: its indices, and its scales to 9 significant
+    digits, as in active_draws_digest. The other is on repeated unit rows,
+    where each score is 1/count up to the roundings of one square root, one
+    division and one product, the same on any BLAS: its indices and every bit
+    of its scales, which decide the ties of its sketched LAD problems."""
+    g = RngStream(2024).derive("pinned leverage design").generator()
+    X = g.standard_t(1.5, size=(2000, 5))
+    X[17] = 0.0
+    S = draw_sketch(sampling_values(leverage_scores(X), 300), RngStream(7))
+    h = hashlib.sha256(S.indices.astype("<i8").tobytes())
+    h.update(" ".join(f"{s:.8e}" for s in S.scales).encode())
+    units = np.repeat(np.eye(6), g.integers(500, 1500, size=6), axis=0)
+    S = draw_sketch(sampling_values(leverage_scores(units), 120), RngStream(8))
+    h.update(S.indices.astype("<i8").tobytes())
+    h.update(S.scales.astype("<f8").tobytes())
+    return h.hexdigest()
+
+
+def test_leverage_draws_pinned_to_version():
+    assert lewisreg.__version__ in PINNED_LEVERAGE_DRAWS, (
+        "record the leverage draws of the new version")
+    assert leverage_draws_digest() == PINNED_LEVERAGE_DRAWS[lewisreg.__version__], (
+        "the leverage draws changed: bump lewisreg.__version__ and pin the new digest")
+
+
 class TestDrawSketch:
     def test_single_row(self):
-        S = draw_sketch(sampling([4.0], 4), 4, RngStream(0))
+        S = draw_sketch(sampling([4.0], 4), RngStream(0))
         assert np.all(S.indices == 0)
         np.testing.assert_allclose(S.scales, 0.25)
         v = np.array([3.5])
@@ -242,16 +284,15 @@ class TestDrawSketch:
 
     def test_deterministic(self):
         p = sampling([1.0, 1.0, 1.0, 1.0], 4)
-        S1 = draw_sketch(p, 4, RngStream(5))
-        S2 = draw_sketch(p, 4, RngStream(5))
+        S1 = draw_sketch(p, RngStream(5))
+        S2 = draw_sketch(p, RngStream(5))
         np.testing.assert_array_equal(S1.indices, S2.indices)
         np.testing.assert_array_equal(S1.scales, S2.scales)
 
     def test_draw_count_exact(self):
-        p = sampling(np.full(10, 1.7), 17)
         for N in (1, 5, 17):
             q = sampling(np.full(10, N / 10), N)
-            assert draw_sketch(q, N, RngStream(1)).n_draws == N
+            assert draw_sketch(q, RngStream(1)).n_draws == N
 
     def test_uniform_frequencies(self):
         # empirical index frequency over many sketches approaches 1/4
@@ -259,7 +300,7 @@ class TestDrawSketch:
         counts = np.zeros(4)
         total = 0
         for t in range(25_000):
-            S = draw_sketch(p, 4, RngStream(2, stream=t))
+            S = draw_sketch(p, RngStream(2, stream=t))
             counts += np.bincount(S.indices, minlength=4)
             total += 4
         np.testing.assert_allclose(counts / total, 0.25, atol=0.01)
@@ -269,7 +310,7 @@ class TestDrawSketch:
         p = sampling(values, 10_000)
         hit = np.zeros(5, dtype=np.int64)
         for t in range(100):
-            S = draw_sketch(p, 10_000, RngStream(3, stream=t))
+            S = draw_sketch(p, RngStream(3, stream=t))
             hit += np.bincount(S.indices, minlength=5)
         assert hit[0] == 0 and hit[2] == 0
         assert hit.sum() == 1_000_000
@@ -277,16 +318,16 @@ class TestDrawSketch:
     def test_scales_are_inverse_values(self):
         values = np.array([1.0, 2.0, 3.0])
         p = sampling(values, 6)
-        S = draw_sketch(p, 6, RngStream(4))
+        S = draw_sketch(p, RngStream(4))
         np.testing.assert_allclose(S.scales, 1.0 / values[S.indices])
 
     def test_sum_mismatch_rejected(self):
         with pytest.raises(ValueError):
-            draw_sketch(sampling([1.0, 1.0], 4), 4, RngStream(0))
+            draw_sketch(sampling([1.0, 1.0], 4), RngStream(0))
 
     def test_all_zero_rejected(self):
         with pytest.raises(ValueError):
-            draw_sketch(sampling([0.0, 0.0], 2), 2, RngStream(0))
+            draw_sketch(sampling([0.0, 0.0], 2), RngStream(0))
 
     def test_unbiased_l1(self):
         # E ||S v||_1 = ||v||_1; batch the Monte Carlo over 1e5 sketches
@@ -341,7 +382,7 @@ class TestEmbeddingDistortion:
         p = sampling_values(w, N)
         hits = 0
         for t in range(20):
-            S = draw_sketch(p, N, rng.derive("draw", t))
+            S = draw_sketch(p, rng.derive("draw", t))
             if embedding_distortion(S, X, 200, rng.derive("probe", t)) <= 0.5:
                 hits += 1
         assert hits >= 17
@@ -359,7 +400,7 @@ class TestEmbeddingDistortion:
         p = sampling(np.full(n, N / n), N)
         big = 0
         for t in range(40):
-            S = draw_sketch(p, N, rng.derive("draw", t))
+            S = draw_sketch(p, rng.derive("draw", t))
             if (n - 1) in S.indices:
                 continue
             if embedding_distortion(S, X, 100, rng.derive("probe", t)) >= 0.9:
@@ -370,7 +411,7 @@ class TestEmbeddingDistortion:
 class TestSerialization:
     def test_json_round_trip(self):
         p = sampling([1.0, 2.0, 1.0], 4)
-        S = draw_sketch(p, 4, RngStream(12, stream=1))
+        S = draw_sketch(p, RngStream(12, stream=1))
         blob = json.dumps(sketch_to_json_dict(S))
         T = sketch_from_json_dict(json.loads(blob))
         assert T.source_n == S.source_n
