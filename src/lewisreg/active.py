@@ -134,6 +134,8 @@ def sample_and_solve(X, oracle: LabelOracle, values: WeightVector,
     X = as_design_matrix(X)
     if oracle.n != X.shape[0]:
         raise ValueError("oracle length does not match the design matrix")
+    if len(values) != X.shape[0]:
+        raise ValueError("sampling values length does not match the design matrix")
     return _sample_and_solve(X, oracle, values, rng)
 
 

@@ -211,6 +211,25 @@ class TestSampleAndSolve:
             sample_and_solve(X, InMemoryLabelOracle(y),
                              WeightVector(np.ones(30), kind="lewis"), RngStream(0))
 
+    @pytest.mark.parametrize("length", [49, 60])
+    def test_rejects_sampling_values_of_another_length(self, length):
+        X, y, _ = gaussian_instance(8, n=50, d=3)
+        p = WeightVector(np.full(length, 0.5), kind="sampling", budget=0.5 * length)
+        with pytest.raises(ValueError, match="sampling values length"):
+            sample_and_solve(X, InMemoryLabelOracle(y), p, RngStream(0))
+
+    def test_rejects_oracle_of_another_length(self):
+        X, y, _ = gaussian_instance(8, n=50, d=3)
+        p = WeightVector(np.full(50, 0.4), kind="sampling", budget=20.0)
+        with pytest.raises(ValueError, match="oracle length"):
+            sample_and_solve(X, InMemoryLabelOracle(y[:49]), p, RngStream(0))
+
+    def test_refuses_budget_below_column_count(self):
+        X, y, _ = gaussian_instance(8, n=50, d=3)
+        p = WeightVector(np.full(50, 0.04), kind="sampling", budget=2.0)
+        with pytest.raises(DataError, match="below column count"):
+            sample_and_solve(X, InMemoryLabelOracle(y), p, RngStream(0))
+
 
 class TestValidatesXOnce:
     def test_one_finiteness_pass_per_active_solve(self, monkeypatch):

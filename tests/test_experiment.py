@@ -253,6 +253,40 @@ class TestRunExperiment:
             assert hi >= lo - noise
 
 
+class TestExactFit:
+    """On an exact fit the reference optimum is rounding, so no ratio to it
+    means anything: the trials are judged on the zero-optimum path."""
+
+    @pytest.mark.parametrize("method", METHODS)
+    def test_exact_fit_file_trials_succeed_without_a_ratio(self, tmp_path, method):
+        X = np.random.default_rng(3).integers(-5, 6, (40, 3)).astype(float)
+        write_matrix_csv(tmp_path / "x.csv", X)
+        write_labels(tmp_path / "y.txt", X @ np.array([1.0, -2.0, 3.0]))
+        rep = run_experiment(outlier_spec(
+            instance={"x_file": str(tmp_path / "x.csv"), "y_file": str(tmp_path / "y.txt")},
+            method=method, budgets=[10, 20], trials=5, seed=1))
+        assert rep.environment["opt"] == 0.0
+        for t in rep.trials:
+            assert t["success"] and t["ratio"] is None, t
+
+    @pytest.mark.parametrize("instance", [
+        {"family": "isolated", "n": 300, "d": 4, "noise_scale": 0.0},
+        {"family": "outlier", "n": 300, "d": 4, "outlier_magnitude": 0.0, "noise_scale": 0.0},
+    ], ids=["isolated", "outlier"])
+    def test_noise_free_generated_instance(self, instance):
+        for method in ("lewis", "leverage_l2_baseline"):
+            rep = run_experiment(outlier_spec(instance=instance, method=method,
+                                              trials=5))
+            assert rep.environment["opt"] == 0.0
+            assert [a["successes"] for a in rep.aggregates] == [5, 5]
+
+    def test_small_nonzero_optimum_keeps_the_ratio(self):
+        rep = run_experiment(outlier_spec(
+            instance={"family": "isolated", "n": 300, "d": 4, "noise_scale": 1e-9}))
+        assert rep.environment["opt"] > 0
+        assert all(t["ratio"] >= 1.0 - 1e-9 for t in rep.trials)
+
+
 def near_repeated_column_files(tmp_path):
     """A file instance whose second column repeats the first except in one
     entry, by 5e-5. The reference full solve accepts it; the Lewis iteration
